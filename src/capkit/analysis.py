@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MissingReferences, ZeroVector
+from .knn import FeatureIndex
 from .metrics import BleuStats, bleu_from_stats, bleu_stats
 
 BIN_LEAST = "least"
@@ -64,14 +65,11 @@ class OverlapBinAssignment:
         return sorted(i for i, b in self.bin_of.items() if b == bin_name)
 
 
-def _unit_rows(store, label: str) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.asarray(sorted(store.ids()), dtype=np.int64)
-    mat = np.stack([np.asarray(store.get(int(i)), dtype=np.float64) for i in ids])
-    norms = np.linalg.norm(mat, axis=1)
-    if not np.all(norms > 0.0):
-        bad = int(ids[int(np.argmin(norms))])
-        raise ZeroVector(f"{label} image {bad} has a zero feature vector")
-    return ids, mat / norms[:, None]
+def _unit_index(store, label: str) -> FeatureIndex:
+    try:
+        return FeatureIndex.from_store(store)
+    except ZeroVector as exc:
+        raise ZeroVector(f"{label} {exc}") from None
 
 
 def overlap_bins(test_features, train_features, top_k: int = DEFAULT_TOP_K,
@@ -92,11 +90,13 @@ def overlap_bins(test_features, train_features, top_k: int = DEFAULT_TOP_K,
         raise DimensionMismatch(
             f"test dim {test_features.dim} != train dim {train_features.dim}"
         )
-    test_ids, test_unit = _unit_rows(test_features, "test")
-    train_ids, train_unit = _unit_rows(train_features, "train")
-    k = min(top_k, len(train_ids))
-    sims = np.clip(test_unit @ train_unit.T, -1.0, 1.0)
-    top_means = np.sort(sims, axis=1)[:, -k:].mean(axis=1)
+    test = _unit_index(test_features, "test")
+    train = _unit_index(train_features, "train")
+    test_ids = test.ids
+    k = min(top_k, len(train))
+    sims = np.clip(test.unit_vectors @ train.unit_vectors.T, -1.0, 1.0)
+    top = np.partition(sims, len(train) - k, axis=1)[:, len(train) - k:]
+    top_means = np.sort(top, axis=1).mean(axis=1)
     order = np.lexsort((test_ids, top_means))
     n_tail = int(len(test_ids) * tail_fraction)
     bin_of: dict[int, str] = {}

@@ -72,18 +72,15 @@ def _cmd_knn_caption(args) -> int:
     train_features = load_features(args.features_train)
     test_features = load_features(args.features_test)
     captions = captions_by_image(load_captions(args.captions))
-    index = knn.FeatureIndex.from_store(train_features)
-    out: dict[int, tuple[str, ...]] = {}
-    for image_id in sorted(test_features.ids()):
-        query = test_features.get(image_id)
-        if args.mode == "consensus":
-            out[image_id] = knn.consensus_for_query(
-                index, captions, query, k=args.k, m=args.m
-            ).caption
-        else:
-            out[image_id] = knn.one_nn_caption(
-                index, captions, query, rng_seed=args.seed + image_id
-            )
+    out = knn.retrieve_captions(
+        knn.FeatureIndex.from_store(train_features),
+        captions,
+        ((image_id, test_features.get(image_id)) for image_id in sorted(test_features.ids())),
+        rng_seed=args.seed,
+        k=args.k,
+        m=args.m,
+        modes=(args.mode,),
+    )[args.mode]
     artifacts.write_captions_tsv(args.out, out)
     print(f"wrote {len(out)} captions to {args.out}")
     return 0
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True, help="training captions JSON")
     p.add_argument("--k", type=int, default=knn.DEFAULT_NEIGHBORS)
     p.add_argument("--m", type=int, default=knn.DEFAULT_SIMILAR_CAPTIONS)
-    p.add_argument("--mode", choices=("consensus", "onenn"), default="consensus")
+    p.add_argument("--mode", choices=knn.RETRIEVAL_MODES, default="consensus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_knn_caption)

@@ -102,43 +102,70 @@ def nearest(index: FeatureIndex, query, k: int) -> NeighborList:
     return NeighborList(entries)
 
 
+def _draw_caption(captions, image_id: int, rng_seed: int) -> tuple[str, ...]:
+    pool = captions.get(image_id)
+    if not pool:
+        raise NoCaptions(f"nearest image {image_id} has no captions")
+    return tuple(pool[Random(rng_seed).randrange(len(pool))])
+
+
 def one_nn_caption(index: FeatureIndex, captions, query, rng_seed: int) -> tuple[str, ...]:
     """Uniformly pick one caption of the single most similar image.
 
     ``captions`` maps image_id to a list of token sequences. Deterministic
     given ``rng_seed``.
     """
-    top = nearest(index, query, 1).entries[0][0]
-    pool = captions.get(top)
-    if not pool:
-        raise NoCaptions(f"nearest image {top} has no captions")
-    return tuple(pool[Random(rng_seed).randrange(len(pool))])
+    return _draw_caption(captions, nearest(index, query, 1).entries[0][0], rng_seed)
 
 
-def _ngram_counts(tokens, max_n: int) -> list[tuple[Counter, int]]:
-    """Per order n=1..max_n: (n-gram Counter, total n-gram count)."""
-    out = []
-    toks = tuple(tokens)
+def _clipped_matches(captions, n: int, totals: np.ndarray) -> np.ndarray:
+    """Clipped order-``n`` n-gram matches of every caption pair, (P, P).
+
+    Column (g, t) of the 0/1 matrix B holds [count_i(g) >= t], so
+    ``B @ B.T`` sums min(count_i(g), count_j(g)) over every n-gram g.
+    Entries are small integers, exact in float32. Columns held by a
+    single caption only add to the diagonal, which is the caption's own
+    n-gram total, so they are dropped.
+    """
+    columns: dict = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    for i, toks in enumerate(captions):
+        grams = Counter(toks[j:j + n] for j in range(len(toks) - n + 1))
+        for gram, count in grams.items():
+            for level in range(count):
+                rows.append(i)
+                cols.append(columns.setdefault((gram, level), len(columns)))
+    bits = np.zeros((len(captions), len(columns)), dtype=np.float32)
+    bits[rows, cols] = 1.0
+    bits = bits[:, bits.sum(axis=0) >= 2.0]
+    matched = (bits @ bits.T).astype(np.float64)
+    np.fill_diagonal(matched, totals)
+    return matched
+
+
+def _pair_fscores(captions, max_n: int) -> np.ndarray:
+    """``ngram_overlap_fscore`` of every ordered pair of ``captions``, (P, P).
+
+    Each element sees the same floating-point operations, in the same
+    order, as the scalar definition: per order n, F = 2·p·r / (p + r)
+    from clipped precision p and recall r, added up over n = 1..max_n and
+    divided by the number of orders where either side has an n-gram.
+    """
+    lengths = np.array([len(c) for c in captions], dtype=np.float64)
+    total_f = np.zeros((len(captions), len(captions)))
+    used = np.zeros_like(total_f)
     for n in range(1, max_n + 1):
-        total = max(len(toks) - n + 1, 0)
-        grams = Counter(toks[i:i + n] for i in range(total))
-        out.append((grams, total))
-    return out
-
-
-def _fscore_from_counts(counts_a, counts_b) -> float:
-    used = 0
-    total_f = 0.0
-    for (grams_a, total_a), (grams_b, total_b) in zip(counts_a, counts_b):
-        if total_a == 0 and total_b == 0:
-            continue
-        used += 1
-        matched = sum((grams_a & grams_b).values())
-        precision = matched / total_a if total_a else 0.0
-        recall = matched / total_b if total_b else 0.0
-        if precision + recall > 0.0:
-            total_f += 2.0 * precision * recall / (precision + recall)
-    return total_f / used if used else 0.0
+        totals = np.maximum(lengths - (n - 1), 0.0)
+        matched = _clipped_matches(captions, n, totals)
+        # an empty side has no matches, so dividing by 1 instead gives 0
+        precision = matched / np.maximum(totals, 1.0)[:, None]
+        recall = matched / np.maximum(totals, 1.0)[None, :]
+        denom = precision + recall
+        total_f += np.divide(2.0 * precision * recall, denom,
+                             out=np.zeros_like(denom), where=denom > 0.0)
+        used += (totals[:, None] > 0.0) | (totals[None, :] > 0.0)
+    return np.divide(total_f, used, out=np.zeros_like(total_f), where=used > 0.0)
 
 
 def ngram_overlap_fscore(a, b, max_n: int = DEFAULT_MAX_ORDER) -> float:
@@ -150,7 +177,7 @@ def ngram_overlap_fscore(a, b, max_n: int = DEFAULT_MAX_ORDER) -> float:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    return _fscore_from_counts(_ngram_counts(a, max_n), _ngram_counts(b, max_n))
+    return float(_pair_fscores([tuple(a), tuple(b)], max_n)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -166,39 +193,37 @@ def consensus_caption(pool, m: int = DEFAULT_SIMILAR_CAPTIONS,
     ``m`` most-overlapping pool mates.
 
     Ties go to the earliest caption in pool order. A single-caption pool
-    returns that caption with overlap 0.
+    returns that caption with overlap 0. All pair overlaps come from one
+    matrix kernel; each row's top ``m`` are summed sequentially in
+    descending order, so the means equal the scalar definition bit for bit.
     """
     captions = [tuple(c) for c in pool]
     if not captions:
         raise EmptyPool("consensus over an empty caption pool")
     if m < 1:
         raise ValueError("m must be >= 1")
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     if len(captions) == 1:
         return ConsensusResult(captions[0], 0.0, 1)
-    counts = [_ngram_counts(c, max_n) for c in captions]
+    scores = _pair_fscores(captions, max_n)
+    np.fill_diagonal(scores, -np.inf)
     keep = min(m, len(captions) - 1)
-    best_idx = 0
-    best_mean = float("-inf")
-    for i in range(len(captions)):
-        overlaps = sorted(
-            (_fscore_from_counts(counts[i], counts[j]) for j in range(len(captions)) if j != i),
-            reverse=True,
-        )[:keep]
-        mean = sum(overlaps) / len(overlaps)
-        if mean > best_mean:
-            best_mean = mean
-            best_idx = i
-    return ConsensusResult(captions[best_idx], best_mean, len(captions))
+    top = np.partition(scores, len(captions) - keep, axis=1)[:, len(captions) - keep:]
+    descending = np.sort(top, axis=1)[:, ::-1]
+    means = np.cumsum(descending, axis=1)[:, -1] / keep
+    best = int(np.argmax(means))
+    return ConsensusResult(captions[best], float(means[best]), len(captions))
+
+
+def _caption_pool(captions, image_ids) -> list[tuple[str, ...]]:
+    return [tuple(cap) for image_id in image_ids for cap in captions.get(image_id, ())]
 
 
 def neighbor_caption_pool(index: FeatureIndex, captions, query,
                           k: int = DEFAULT_NEIGHBORS) -> list[tuple[str, ...]]:
     """Union of the captions of the ``k`` nearest images, in neighbor order."""
-    pool: list[tuple[str, ...]] = []
-    for image_id in nearest(index, query, k).ids():
-        for cap in captions.get(image_id, ()):
-            pool.append(tuple(cap))
-    return pool
+    return _caption_pool(captions, nearest(index, query, k).ids())
 
 
 def consensus_for_query(index: FeatureIndex, captions, query,
@@ -208,3 +233,31 @@ def consensus_for_query(index: FeatureIndex, captions, query,
     """Consensus caption over the pooled captions of the k nearest images."""
     pool = neighbor_caption_pool(index, captions, query, k)
     return consensus_caption(pool, m, max_n)
+
+
+RETRIEVAL_MODES = ("consensus", "onenn")
+
+
+def retrieve_captions(index: FeatureIndex, captions, queries, rng_seed: int,
+                      k: int = DEFAULT_NEIGHBORS,
+                      m: int = DEFAULT_SIMILAR_CAPTIONS,
+                      modes=RETRIEVAL_MODES) -> dict[str, dict[int, tuple[str, ...]]]:
+    """Retrieval captions for ``queries``, an iterable of (image_id, vector).
+
+    Returns ``{mode: {image_id: caption}}`` for each of ``modes``:
+    "consensus" is ``consensus_for_query`` and "onenn" is ``one_nn_caption``
+    with seed ``rng_seed + image_id``. Each query runs one ``nearest``
+    search; its first entry is the 1-NN image.
+    """
+    out: dict[str, dict[int, tuple[str, ...]]] = {mode: {} for mode in modes}
+    depth = k if "consensus" in modes else 1
+    for image_id, query in queries:
+        neighbors = nearest(index, query, depth)
+        if "consensus" in out:
+            pool = _caption_pool(captions, neighbors.ids())
+            out["consensus"][image_id] = consensus_caption(pool, m).caption
+        if "onenn" in out:
+            out["onenn"][image_id] = _draw_caption(
+                captions, neighbors.entries[0][0], rng_seed + image_id
+            )
+    return out

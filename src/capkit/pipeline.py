@@ -256,21 +256,17 @@ def _stage_ingest(ctx: PipelineContext) -> list[str]:
 
 
 def _stage_knn(ctx: PipelineContext) -> list[str]:
-    index = ctx.train_index()
-    captions = ctx.train_captions()
     features = ctx.features()
-    consensus: dict[int, tuple[str, ...]] = {}
-    onenn: dict[int, tuple[str, ...]] = {}
-    for image_id in ctx.split()["testval"]:
-        query = features.get(image_id)
-        consensus[image_id] = knn.consensus_for_query(
-            index, captions, query, k=ctx.hp["k"], m=ctx.hp["m"]
-        ).caption
-        onenn[image_id] = knn.one_nn_caption(
-            index, captions, query, rng_seed=ctx.config.seed + image_id
-        )
-    artifacts.write_captions_tsv(ctx.artifact("knn_consensus.tsv"), consensus)
-    artifacts.write_captions_tsv(ctx.artifact("knn_onenn.tsv"), onenn)
+    found = knn.retrieve_captions(
+        ctx.train_index(),
+        ctx.train_captions(),
+        ((image_id, features.get(image_id)) for image_id in ctx.split()["testval"]),
+        rng_seed=ctx.config.seed,
+        k=ctx.hp["k"],
+        m=ctx.hp["m"],
+    )
+    artifacts.write_captions_tsv(ctx.artifact("knn_consensus.tsv"), found["consensus"])
+    artifacts.write_captions_tsv(ctx.artifact("knn_onenn.tsv"), found["onenn"])
     return ["knn_consensus.tsv", "knn_onenn.tsv"]
 
 

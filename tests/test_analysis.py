@@ -11,7 +11,7 @@ from capkit.analysis import (
     repetition_stats,
 )
 from capkit.corpus import FeatureStore
-from capkit.errors import DimensionMismatch, MissingReferences
+from capkit.errors import DimensionMismatch, MissingReferences, ZeroVector
 from capkit.metrics import BleuStats, bleu_stats
 
 
@@ -120,6 +120,14 @@ class TestOverlapBins:
         test = store_from([[1.0, 0.0, 0.0]], start_id=10)
         with pytest.raises(DimensionMismatch):
             overlap_bins(test, train)
+
+    def test_zero_vector_names_its_side(self):
+        good = store_from([[1.0, 0.0], [0.0, 1.0]], start_id=0)
+        zero = store_from([[1.0, 1.0], [0.0, 0.0]], start_id=10)
+        with pytest.raises(ZeroVector, match="^test image 11 "):
+            overlap_bins(zero, good)
+        with pytest.raises(ZeroVector, match="^train image 11 "):
+            overlap_bins(good, zero)
 
 
 class TestBinnedBleu:

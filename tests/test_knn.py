@@ -1,16 +1,22 @@
 from collections import Counter
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capkit import knn
 from capkit.knn import (
     ConsensusResult,
     FeatureIndex,
     consensus_caption,
+    consensus_for_query,
     cosine_similarity,
     nearest,
     ngram_overlap_fscore,
     one_nn_caption,
+    retrieve_captions,
 )
 from capkit.errors import (
     DimensionMismatch,
@@ -225,3 +231,83 @@ class TestConsensus:
         full = consensus_caption(pool, m=5)
         for m in (5, 6, 50, 125):
             assert consensus_caption(pool, m=m) == full
+
+    def test_bad_max_n(self):
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            consensus_caption([("a",), ("b",)], m=1, max_n=0)
+
+
+# A caption is a few runs of one word repeated 1-4 times, so that clipped
+# counts above 1 occur; zero runs gives an empty caption.
+_caption = st.lists(
+    st.tuples(st.sampled_from("abcd"), st.integers(1, 4)), max_size=4
+).map(lambda runs: tuple(word for word, times in runs for _ in range(times)))
+
+
+@st.composite
+def _pools(draw):
+    pool = draw(st.lists(_caption, min_size=2, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        pool.append(pool[draw(st.integers(0, len(pool) - 1))])  # exact duplicate
+    return draw(st.permutations(pool))
+
+
+class TestConsensusKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(pool=_pools(), data=st.data())
+    def test_fuzz_matches_oracle(self, pool, data):
+        m = data.draw(st.integers(1, len(pool) + 5))
+        max_n = data.draw(st.integers(1, 5))
+        got = consensus_caption(pool, m=m, max_n=max_n)
+        want = consensus_oracle(pool, m, max_n)
+        assert got == want
+        assert got.mean_overlap == want.mean_overlap
+
+    def test_realistic_pool_bit_exact(self):
+        rng = Random(31)
+        vocab = "a man woman dog cat is on the with sitting riding red ball".split()
+        pool = [
+            tuple(rng.choice(vocab) for _ in range(rng.choice((7, 8)))) for _ in range(200)
+        ]
+        got = consensus_caption(pool, m=125)
+        want = consensus_oracle(pool, 125, 4)
+        assert got.caption == want.caption
+        assert got.mean_overlap == want.mean_overlap
+
+
+class TestRetrieveCaptions:
+    def _setup(self):
+        rng = np.random.default_rng(41)
+        ids = list(range(1, 21))
+        index = FeatureIndex(ids, rng.standard_normal((20, 6)))
+        vocab = ["a", "dog", "cat", "runs", "sits", "red"]
+        captions = {
+            i: [tuple(vocab[j] for j in rng.integers(0, 6, size=5)) for _ in range(3)]
+            for i in ids
+        }
+        queries = [(100 + q, rng.standard_normal(6)) for q in range(4)]
+        return index, captions, queries
+
+    def test_matches_per_query_functions(self):
+        index, captions, queries = self._setup()
+        got = retrieve_captions(index, captions, queries, rng_seed=9, k=5, m=7)
+        for image_id, query in queries:
+            assert got["consensus"][image_id] == consensus_for_query(
+                index, captions, query, k=5, m=7
+            ).caption
+            assert got["onenn"][image_id] == one_nn_caption(
+                index, captions, query, rng_seed=9 + image_id
+            )
+
+    def test_one_search_per_query(self, monkeypatch):
+        index, captions, queries = self._setup()
+        depths = []
+
+        def counting_nearest(index, query, k):
+            depths.append(k)
+            return nearest(index, query, k)
+
+        monkeypatch.setattr(knn, "nearest", counting_nearest)
+        retrieve_captions(index, captions, queries, rng_seed=0, k=5, m=7)
+        retrieve_captions(index, captions, queries, rng_seed=0, k=5, m=7, modes=("onenn",))
+        assert depths == [5] * len(queries) + [1] * len(queries)
