@@ -175,20 +175,25 @@ def _scorer_for(model):
 def _cmd_decode(args) -> int:
     model = _load_any_model(args.model)
     scorer = _scorer_for(model)
+    image_model = (isinstance(model, recurrent.RecurrentLM)
+                   and model.mode == recurrent.MODE_IMAGE_INITIAL)
     if args.rescore:
         nbests = artifacts.read_nbest_tsv(args.rescore)
-        features = load_features(args.features) if args.features else None
+        if image_model:
+            if not args.features:
+                raise MalformedInput("rescoring with an image-conditioned model needs --features")
+            kind, conditioning = "features", load_features(args.features)
+        else:
+            if not args.detections:
+                raise MalformedInput("rescoring with a MELM or dgrnn model needs --detections")
+            kind, conditioning = "detections", load_detections(args.detections, args.alpha)
         rescored = []
         for nb in nbests:
-            if isinstance(model, recurrent.RecurrentLM) and model.mode == recurrent.MODE_IMAGE_INITIAL:
-                if features is None:
-                    raise MalformedInput("rescoring with an image-conditioned model needs --features")
-                conditioning = features.get(nb.image_id)
-            else:
-                conditioning = frozenset()
-            rescored.append(
-                decoding.rescore_logprob(nb, scorer, conditioning, args.feature_name)
-            )
+            if nb.image_id not in conditioning:
+                raise MalformedInput(f"no {kind} for image {nb.image_id}")
+            rescored.append(decoding.rescore_logprob(
+                nb, scorer, conditioning.get(nb.image_id), args.feature_name
+            ))
         artifacts.write_nbest_tsv(args.out, rescored)
         print(f"rescored {len(rescored)} n-best lists into {args.out}")
         return 0
@@ -197,7 +202,7 @@ def _cmd_decode(args) -> int:
     if args.mode == "coverage":
         if not args.detections:
             raise MalformedInput("--mode coverage needs --detections")
-        if isinstance(model, recurrent.RecurrentLM) and model.mode == recurrent.MODE_IMAGE_INITIAL:
+        if image_model:
             raise MalformedInput("coverage decoding needs a MELM or a dgrnn GRLM model")
         detections = load_detections(args.detections, args.alpha)
         for image_id in sorted(detections):
@@ -212,8 +217,7 @@ def _cmd_decode(args) -> int:
             incomplete += 0 if nbest.complete else 1
             nbests.append(nbest)
     else:
-        if not (isinstance(model, recurrent.RecurrentLM)
-                and model.mode == recurrent.MODE_IMAGE_INITIAL):
+        if not image_model:
             raise MalformedInput("plain decoding needs an image-conditioned GRLM model")
         if not args.features:
             raise MalformedInput("--mode plain needs --features")
@@ -231,6 +235,7 @@ def _cmd_decode(args) -> int:
             nbests.append(nbest)
     artifacts.write_nbest_tsv(args.out, nbests)
     print(f"decoded {len(nbests)} images into {args.out}")
+    print(decoding.nbest_sizes(nbests, args.nbest))
     if incomplete:
         print(f"warning: {incomplete} images returned incomplete hypotheses")
     return 0

@@ -9,19 +9,21 @@ deterministic. In coverage mode each hypothesis tracks the detection words
 it has not yet mentioned; END only becomes admissible once the mentioned
 count reaches ``min_coverage``.
 
-A scorer provides three methods (duck-typed, see MaxEntScorer and
-RecurrentScorer): ``start(conditioning)`` builds an opaque state,
-``logprobs(state, remaining)`` returns log-probabilities aligned with
-``scorer.candidates`` (END included), and ``advance(state, token,
-remaining)`` consumes an emitted token. Decoding never mutates the model,
-so one model may serve many images concurrently.
+A scorer provides two methods (duck-typed, see MaxEntScorer and
+RecurrentScorer): ``start(conditioning)`` builds an opaque state, and
+``logprobs(state, remaining)`` returns ``(logprobs, successor)``, the
+log-probabilities aligned with ``scorer.candidates`` (END included) and a
+function mapping an emitted token to the next state without further model
+work. So each decoded position costs one model evaluation, in search and
+in ``sequence_logprob`` alike. Decoding never mutates the model, so one
+model may serve many images concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import END_TOKEN, START_ID, UNK_TOKEN
+from .corpus import END_TOKEN, START_ID, UNK_TOKEN, DetectionSet
 from .errors import ToolkitError
 from .maxent import MaxEntLM
 from .recurrent import MODE_COVERAGE_AUX, RecurrentLM
@@ -79,10 +81,8 @@ class MaxEntScorer:
         return ()
 
     def logprobs(self, history, remaining):
-        return self.lm.logprobs(list(history), remaining or frozenset())
-
-    def advance(self, history, token, remaining):
-        return history + (token,)
+        lps = self.lm.logprobs(list(history), remaining or frozenset())
+        return lps, lambda token: history + (token,)
 
 
 class RecurrentScorer:
@@ -109,13 +109,8 @@ class RecurrentScorer:
 
     def logprobs(self, state, remaining):
         h_prev, prev_id = state
-        _, lps = self.lm.step(h_prev, prev_id, self._remaining_ids(remaining))
-        return lps
-
-    def advance(self, state, token, remaining):
-        h_prev, prev_id = state
-        h, _ = self.lm.step(h_prev, prev_id, self._remaining_ids(remaining))
-        return (h, self.lm.vocabulary.lookup(token))
+        h, lps = self.lm.step(h_prev, prev_id, self._remaining_ids(remaining))
+        return lps, lambda token: (h, self.lm.vocabulary.lookup(token))
 
 
 def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_coverage,
@@ -146,19 +141,21 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
     for _ in range(max_len):
         expansions = []
         for hyp in live:
-            lps = scorer.logprobs(hyp.state, hyp.remaining if coverage_mode else None)
+            lps, successor = scorer.logprobs(hyp.state, hyp.remaining if coverage_mode else None)
             end_ok = (not coverage_mode) or (
                 len(detected) - len(hyp.remaining) >= min_coverage
             )
             for ci, logprob in enumerate(lps):
                 if ci == end_index and not end_ok:
                     continue
-                expansions.append((hyp.logprob + float(logprob), hyp.key + (ci,), hyp, ci))
+                expansions.append(
+                    (hyp.logprob + float(logprob), hyp.key + (ci,), hyp, ci, successor)
+                )
         if not expansions:
             break
         expansions.sort(key=lambda e: (-e[0], e[1]))
         new_live: list[BeamHypothesis] = []
-        for logprob, key, hyp, ci in expansions[:beam_size]:
+        for logprob, key, hyp, ci, successor in expansions[:beam_size]:
             if ci == end_index:
                 pool.append(
                     BeamHypothesis(hyp.tokens, logprob, hyp.remaining,
@@ -166,12 +163,10 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
                 )
             else:
                 token = candidates[ci]
-                state = scorer.advance(
-                    hyp.state, token, hyp.remaining if coverage_mode else None
-                )
                 new_live.append(
                     BeamHypothesis(hyp.tokens + (token,), logprob,
-                                   hyp.remaining - {token}, key=key, state=state)
+                                   hyp.remaining - {token}, key=key,
+                                   state=successor(token))
                 )
         live = new_live
         if not live:
@@ -187,6 +182,12 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
         pool.sort(key=lambda h: (-h.logprob, h.key))
         return NBestList(image_id, [to_decoded(h) for h in pool[:n_best]], complete=True)
     return NBestList(image_id, [to_decoded(h) for h in live[:n_best]], complete=False)
+
+
+def nbest_sizes(nbests, requested: int) -> str:
+    """Smallest..largest realized n-best size; at most beam_size * max_len finish."""
+    sizes = [len(nb.hypotheses) for nb in nbests] or [0]
+    return f"n-best sizes {min(sizes)}..{max(sizes)} of {requested} requested"
 
 
 def beam_search(scorer, conditioning, beam_size: int = DEFAULT_BEAM_SIZE,
@@ -221,20 +222,38 @@ def coverage_beam_search(scorer, detections, beam_size: int = DEFAULT_BEAM_SIZE,
                    image_id=image_id)
 
 
-def rescore_logprob(nbest: NBestList, scorer, conditioning, feature_name: str) -> NBestList:
-    """Add a feature column with another model's log-probability per hypothesis."""
-    rescored = []
+def sequence_logprob(scorer, conditioning, tokens) -> float:
+    """Total log-probability of ``tokens`` followed by END under ``scorer``.
+
+    A DetectionSet ``conditioning`` gives the scorer the detection words not
+    yet emitted, exactly as coverage search does; otherwise the remaining
+    set is None. Tokens outside ``scorer.candidates`` score as UNK.
+    """
     index_of = {tok: i for i, tok in enumerate(scorer.candidates)}
     unk_index = index_of.get(UNK_TOKEN)
+    coverage = isinstance(conditioning, DetectionSet)
+    remaining = frozenset(conditioning.tokens()) if coverage else None
+    state = scorer.start(conditioning)
+    total = 0.0
+    for token in tokens:
+        lps, successor = scorer.logprobs(state, remaining)
+        total += float(lps[index_of.get(token, unk_index)])
+        state = successor(token)
+        if coverage:
+            remaining = remaining - {token}
+    lps, _ = scorer.logprobs(state, remaining)
+    return total + float(lps[index_of[END_TOKEN]])
+
+
+def rescore_logprob(nbest: NBestList, scorer, conditioning, feature_name: str) -> NBestList:
+    """Add a feature column with another model's log-probability per hypothesis.
+
+    ``conditioning`` is the image's feature vector or DetectionSet, as the
+    scorer's model was trained (see sequence_logprob).
+    """
+    rescored = []
     for hyp in nbest.hypotheses:
-        state = scorer.start(conditioning)
-        total = 0.0
-        for token in [*hyp.tokens, END_TOKEN]:
-            lps = scorer.logprobs(state, None)
-            total += float(lps[index_of.get(token, unk_index)])
-            if token != END_TOKEN:
-                state = scorer.advance(state, token, None)
         row = dict(hyp.features)
-        row[feature_name] = total
+        row[feature_name] = sequence_logprob(scorer, conditioning, hyp.tokens)
         rescored.append(DecodedHypothesis(hyp.tokens, hyp.logprob, row))
     return NBestList(nbest.image_id, rescored, complete=nbest.complete)

@@ -68,6 +68,11 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
+def _log_softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - scores.max()
+    return shifted - math.log(np.exp(shifted).sum())
+
+
 class MaxEntLM:
     """Log-linear next-word model over a vocabulary plus the END token."""
 
@@ -95,32 +100,7 @@ class MaxEntLM:
     def logprobs(self, history, remaining) -> np.ndarray:
         """Log-probabilities aligned with candidate_tokens()."""
         history = self.vocabulary.map_tokens(history)
-        scores = self._scores(self._candidate_features(history, remaining))
-        shifted = scores - scores.max()
-        return shifted - math.log(np.exp(shifted).sum())
-
-    def next_word_distribution(self, history, remaining) -> dict[str, float]:
-        """Probability of each emittable token given history and coverage set."""
-        history = self.vocabulary.map_tokens(history)
-        probs = _softmax(self._scores(self._candidate_features(history, remaining)))
-        return dict(zip(self._candidates, probs.tolist()))
-
-    def sequence_logprob(self, tokens, detections=None) -> tuple[float, int]:
-        """Total log-probability of a caption (END included) and its event count.
-
-        The remaining set starts from the detection words and loses each
-        word as the caption mentions it.
-        """
-        remaining = set(detections.tokens()) if detections is not None else set()
-        mapped = self.vocabulary.map_tokens(tokens)
-        history: list[str] = []
-        total = 0.0
-        for target in [*mapped, END_TOKEN]:
-            lps = self.logprobs(history, remaining)
-            total += float(lps[self._candidate_index[target]])
-            remaining.discard(target)
-            history.append(target)
-        return total, len(mapped) + 1
+        return _log_softmax(self._scores(self._candidate_features(history, remaining)))
 
 
 def _event_nll_and_grad(lm: MaxEntLM, history, target: str, remaining):
@@ -175,6 +155,8 @@ def train_maxent(pairs, config: MaxEntTrainConfig | None = None,
     stored on the returned model as ``epoch_losses``.
     """
     config = config or MaxEntTrainConfig()
+    if config.epochs < 1:
+        raise MalformedInput("epochs must be >= 1")
     pairs = list(pairs)
     if not pairs:
         raise DegenerateCorpus("no training captions")

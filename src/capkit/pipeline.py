@@ -347,6 +347,7 @@ def _stage_decode(ctx: PipelineContext) -> list[str]:
                 nbest, rnn_scorer, features.get(image_id), "mrnn"
             )
             nbests.append(nbest)
+        print(f"[decode] {split_name} {decoding.nbest_sizes(nbests, ctx.hp['nbest'])}")
         incomplete = sum(1 for nb in nbests if not nb.complete)
         if incomplete:
             print(f"[decode] warning: {incomplete} {split_name} images incomplete")

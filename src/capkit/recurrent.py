@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteLoss,
     UnknownToken,
 )
+from .maxent import _log_softmax, _softmax
 
 MODE_IMAGE_INITIAL = "initial_state"
 MODE_COVERAGE_AUX = "auxiliary_vector"
@@ -142,10 +143,7 @@ class RecurrentLM:
         """
         x, _ = self._step_input(h_prev, prev_id, remaining_ids)
         h = gru_cell(x, h_prev, self.params)
-        logits = h @ self.params["out_w"] + self.params["out_b"]
-        shifted = logits - logits.max()
-        logprobs = shifted - math.log(np.exp(shifted).sum())
-        return h, logprobs
+        return h, _log_softmax(h @ self.params["out_w"] + self.params["out_b"])
 
     def _step_input(self, h_prev, prev_id, remaining_ids):
         emb = self.params["embeddings"][prev_id]
@@ -171,13 +169,11 @@ def gru_cell(x: np.ndarray, h: np.ndarray, params) -> np.ndarray:
         raise DimensionMismatch(
             f"gru_cell got x{x.shape}, h{h.shape} for weights {wz.shape}"
         )
-    z = _sigmoid(x @ wz + h @ params["gru_uz"] + params["gru_bz"])
-    r = _sigmoid(x @ params["gru_wr"] + h @ params["gru_ur"] + params["gru_br"])
-    c = np.tanh(x @ params["gru_wc"] + (r * h) @ params["gru_uc"] + params["gru_bc"])
-    return (1.0 - z) * h + z * c
+    return _gru_step_cached(params, x, h)[0]
 
 
 def _gru_step_cached(params, x, h):
+    """gru_cell without the shape check; returns (h', cache for _gru_backward)."""
     z = _sigmoid(x @ params["gru_wz"] + h @ params["gru_uz"] + params["gru_bz"])
     r = _sigmoid(x @ params["gru_wr"] + h @ params["gru_ur"] + params["gru_br"])
     c = np.tanh(x @ params["gru_wc"] + (r * h) @ params["gru_uc"] + params["gru_bc"])
@@ -234,10 +230,7 @@ def _forward_cached(lm: RecurrentLM, conditioning, tokens):
         remaining_ids = sorted(remaining) if lm.mode == MODE_COVERAGE_AUX else None
         x, aux = lm._step_input(h, inp, remaining_ids)
         h_new, gru_cache = _gru_step_cached(lm.params, x, h)
-        logits = h_new @ out_w + out_b
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        probs = exp / exp.sum()
+        probs = _softmax(h_new @ out_w + out_b)
         prob_rows[t] = probs
         target_idx = tgt - 1
         nll -= math.log(max(probs[target_idx], 1e-300))
@@ -256,12 +249,6 @@ def forward(lm: RecurrentLM, conditioning, tokens):
     """
     nll, _, prob_rows, _, _ = _forward_cached(lm, conditioning, tokens)
     return prob_rows, -nll
-
-
-def sequence_logprob(lm: RecurrentLM, tokens, conditioning) -> tuple[float, int]:
-    """Total log-probability of a caption (END included) and its token count."""
-    nll, count, _, _, _ = _forward_cached(lm, conditioning, tokens)
-    return -nll, count
 
 
 def loss_and_gradients(lm: RecurrentLM, batch):
@@ -328,6 +315,8 @@ def train(lm: RecurrentLM, data, config: RnnTrainConfig | None = None) -> Recurr
     stored on the model as ``epoch_losses``.
     """
     config = config or RnnTrainConfig()
+    if config.epochs < 1:
+        raise MalformedInput("epochs must be >= 1")
     data = list(data)
     if not data:
         raise DegenerateCorpus("no training captions")

@@ -51,10 +51,7 @@ class TableScorer:
         return ()
 
     def logprobs(self, state, remaining):
-        return self.row(state)
-
-    def advance(self, state, token, remaining):
-        return state + (token,)
+        return self.row(state), lambda token: state + (token,)
 
 
 @pytest.fixture

@@ -306,12 +306,13 @@ def test_gradient_checks():
 
 class BoostRemainingScorer(TableScorer):
     def logprobs(self, state, remaining):
-        row = self.row(state).copy()
+        row, successor = super().logprobs(state, remaining)
+        row = row.copy()
         if remaining:
             for i, tok in enumerate(self.candidates):
                 if tok in remaining:
                     row[i] += 1.0
-        return row
+        return row, successor
 
 
 def test_decoder_equivalence_and_coverage():

@@ -193,6 +193,73 @@ class TestTrainAndDecode:
         assert read_nbest_tsv(nbest)
 
 
+    def _train(self, kind, fixture_dir, out, epochs):
+        if kind == "melm":
+            return run_cli(
+                "train-me",
+                "--captions", fixture_dir / "captions.json",
+                "--detections", fixture_dir / "detections.jsonl",
+                "--epochs", epochs, "--lr", "0.3",
+                "--out", out,
+            )
+        return run_cli(
+            "train-rnn",
+            "--mode", "dgrnn",
+            "--captions", fixture_dir / "captions.json",
+            "--detections", fixture_dir / "detections.jsonl",
+            "--embed", "8", "--hidden", "10", "--epochs", epochs,
+            "--out", out,
+        )
+
+    @pytest.mark.parametrize("kind", ["melm", "dgrnn"])
+    def test_rescore_with_decoding_model_reproduces_logprob(
+        self, fixture_dir, tmp_path, capsys, kind
+    ):
+        model = tmp_path / "model"
+        assert self._train(kind, fixture_dir, model, 2) == 0
+        nbest = tmp_path / "nbest.tsv"
+        capsys.readouterr()
+        code = run_cli(
+            "decode",
+            "--model", model,
+            "--mode", "coverage",
+            "--detections", fixture_dir / "detections.jsonl",
+            "--beam", "4", "--nbest", "50", "--max-len", "10",
+            # END always admissible, so every list finishes (partials lack the
+            # END term rescoring adds); the remaining set still shrinks per token
+            "--min-coverage", "0",
+            "--out", nbest,
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "of 50 requested" in out
+        assert "incomplete" not in out
+
+        rescored = tmp_path / "rescored.tsv"
+        code = run_cli("decode", "--model", model, "--rescore", nbest,
+                       "--feature-name", "again", "--out", rescored)
+        assert code == 2
+        assert "--detections" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not rescored.exists()
+
+        code = run_cli("decode", "--model", model, "--rescore", nbest,
+                       "--detections", fixture_dir / "detections.jsonl",
+                       "--feature-name", "again", "--out", rescored)
+        assert code == 0
+        hyps = [h for nb in read_nbest_tsv(rescored) for h in nb.hypotheses]
+        assert hyps
+        for hyp in hyps:
+            assert hyp.features["again"] == hyp.features["logprob"]
+
+    @pytest.mark.parametrize("kind", ["melm", "dgrnn"])
+    def test_zero_epochs_exits_2_without_model(self, fixture_dir, tmp_path, capsys, kind):
+        model = tmp_path / "model"
+        assert self._train(kind, fixture_dir, model, 0) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "MalformedInput", "message": "epochs must be >= 1"}
+        assert not model.exists()
+
+
 class TestAnalyzeCli:
     def test_text_and_json_reports(self, fixture_dir, tmp_path, capsys):
         from capkit.artifacts import write_captions_tsv

@@ -10,6 +10,7 @@ from capkit.decoding import (
     beam_search,
     coverage_beam_search,
     rescore_logprob,
+    sequence_logprob,
 )
 from capkit.maxent import MaxEntLM
 from capkit.recurrent import MODE_COVERAGE_AUX, MODE_IMAGE_INITIAL, RecurrentConfig, RecurrentLM
@@ -114,12 +115,13 @@ class CoverageAwareScorer(TableScorer):
     """Boosts tokens still in the remaining set so coverage decoding has signal."""
 
     def logprobs(self, state, remaining):
-        row = self.row(state).copy()
+        row, successor = super().logprobs(state, remaining)
+        row = row.copy()
         if remaining:
             for i, tok in enumerate(self.candidates):
                 if tok in remaining:
                     row[i] += 1.0
-        return row
+        return row, successor
 
 
 class TestCoverageBeamSearch:
@@ -207,7 +209,7 @@ class TestModelScorers:
         "mode", [MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX]
     )
     def test_recurrent_scorer_agrees_with_forward(self, mode):
-        from capkit.recurrent import sequence_logprob
+        from capkit.recurrent import forward
 
         vocab = Vocabulary(["a", "b", "c"])
         config = RecurrentConfig(
@@ -227,7 +229,7 @@ class TestModelScorers:
             )
         assert result.hypotheses
         for hyp in result.hypotheses:
-            lp, _ = sequence_logprob(lm, list(hyp.tokens), conditioning)
+            _, lp = forward(lm, conditioning, list(hyp.tokens))
             assert lp == pytest.approx(hyp.logprob, abs=1e-9)
 
     def test_rescore_adds_column(self):
@@ -243,3 +245,82 @@ class TestModelScorers:
                 total += other.row(history)[index_of[tok]]
                 history = history + (tok,)
             assert new.features["second"] == pytest.approx(total, abs=1e-12)
+
+
+class TestOneModelStepPerPosition:
+    """Each decoded or rescored position costs exactly one GRU step."""
+
+    def _counted(self, monkeypatch, mode):
+        vocab = Vocabulary(["a", "b", "c"])
+        config = RecurrentConfig(
+            mode=mode, embed_dim=3, hidden_dim=4,
+            feature_dim=5 if mode == MODE_IMAGE_INITIAL else None, seed=4,
+        )
+        lm = RecurrentLM(vocab, config)
+        scorer = RecurrentScorer(lm)
+        counts = {"step": 0, "logprobs": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(lm, "step", counting("step", lm.step))
+        monkeypatch.setattr(scorer, "logprobs", counting("logprobs", scorer.logprobs))
+        return scorer, counts
+
+    def test_beam_search_steps_once_per_scored_state(self, monkeypatch):
+        scorer, counts = self._counted(monkeypatch, MODE_IMAGE_INITIAL)
+        result = beam_search(scorer, np.linspace(-1, 1, 5), beam_size=3, max_len=5, n_best=5)
+        assert result.hypotheses
+        assert counts["logprobs"] > 0
+        assert counts["step"] == counts["logprobs"]
+
+    @pytest.mark.parametrize("mode", [MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX])
+    def test_rescore_steps_once_per_position(self, monkeypatch, mode):
+        scorer, counts = self._counted(monkeypatch, mode)
+        base = beam_search(TableScorer(["a", "b", "c"], 9), None, beam_size=4, max_len=5,
+                           n_best=10)
+        if mode == MODE_IMAGE_INITIAL:
+            conditioning = np.linspace(-1, 1, 5)
+        else:
+            conditioning = DetectionSet.from_scored_words(1, [("a", 0.9), ("c", 0.8)], 0.5)
+        rescore_logprob(base, scorer, conditioning, "rnn")
+        assert counts["step"] == sum(len(h.tokens) + 1 for h in base.hypotheses)
+
+
+class TestSequenceLogprob:
+    def test_detection_conditioning_shrinks_remaining(self):
+        detections = DetectionSet.from_scored_words(2, [("cat", 0.9), ("dog", 0.8)], 0.5)
+        seen = []
+
+        class Recording(CoverageAwareScorer):
+            def logprobs(self, state, remaining):
+                seen.append(remaining)
+                return super().logprobs(state, remaining)
+
+        scorer = Recording(["cat", "dog", "a"], 1)
+        sequence_logprob(scorer, detections, ("a", "cat", "dog"))
+        assert seen == [
+            frozenset({"cat", "dog"}), frozenset({"cat", "dog"}), frozenset({"dog"}),
+            frozenset(),
+        ]
+        seen.clear()
+        sequence_logprob(scorer, None, ("a", "cat"))
+        assert seen == [None, None, None]
+
+    def test_coverage_rescore_reproduces_search_logprob(self):
+        detections = DetectionSet.from_scored_words(2, [("cat", 0.9), ("dog", 0.8)], 0.5)
+        checked = 0
+        for seed in range(5):
+            scorer = CoverageAwareScorer(["cat", "dog", "a"], seed)
+            nbest = coverage_beam_search(scorer, detections, beam_size=4, max_len=6,
+                                         n_best=10, min_coverage=1)
+            if not nbest.complete:
+                continue  # partials lack the END term that rescoring adds
+            rescored = rescore_logprob(nbest, scorer, detections, "again")
+            for hyp in rescored.hypotheses:
+                assert hyp.features["again"] == hyp.features["logprob"]
+                checked += 1
+        assert checked > 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capkit.corpus import CaptionRecord, DetectionSet, Vocabulary, build_vocabulary, END_TOKEN
+from capkit.decoding import MaxEntScorer, sequence_logprob
 from capkit.errors import DegenerateCorpus, MalformedInput
 from capkit.maxent import (
     MaxEntLM,
@@ -64,11 +65,16 @@ def _toy_records(n=500):
     return [CaptionRecord.from_text(i, "a b") for i in range(n)]
 
 
+def _dist(lm, history, remaining):
+    """Next-token probabilities keyed by token."""
+    return dict(zip(lm.candidate_tokens(), np.exp(lm.logprobs(history, remaining))))
+
+
 class TestDistribution:
     def test_zero_weights_uniform(self):
         vocab = Vocabulary(["a", "b", "c"])
         lm = MaxEntLM(vocab)
-        dist = lm.next_word_distribution([], frozenset())
+        dist = _dist(lm, [], frozenset())
         n = len(lm.candidate_tokens())
         assert n == 5  # a, b, c, UNK, END
         for prob in dist.values():
@@ -78,7 +84,7 @@ class TestDistribution:
         records = _toy_records(50)
         lm = train_maxent([(r, None) for r in records], MaxEntTrainConfig(epochs=2))
         for history in ([], ["a"], ["b", "a"]):
-            total = sum(lm.next_word_distribution(history, frozenset()).values())
+            total = sum(_dist(lm, history, frozenset()).values())
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_learns_bigram(self):
@@ -86,7 +92,7 @@ class TestDistribution:
             [(r, None) for r in _toy_records()],
             MaxEntTrainConfig(epochs=5, learning_rate=0.2, seed=0),
         )
-        assert lm.next_word_distribution(["a"], frozenset())["b"] > 0.9
+        assert _dist(lm, ["a"], frozenset())["b"] > 0.9
 
     def test_score_shift_invariance(self):
         vocab = Vocabulary(["a", "b"])
@@ -95,14 +101,14 @@ class TestDistribution:
         for cand in lm.candidate_tokens():
             for f in extract_features((), cand, frozenset()):
                 lm.weights[f] = float(rng.standard_normal())
-        base = lm.next_word_distribution([], frozenset())
+        base = _dist(lm, [], frozenset())
         # the unigram feature is distinct per candidate, so bumping each one by
         # the same constant shifts every candidate's score equally
         shifted = MaxEntLM(vocab, weights=dict(lm.weights))
         for cand in lm.candidate_tokens():
             f_unigram = extract_features((), cand, frozenset())[0]
             shifted.weights[f_unigram] = shifted.weights.get(f_unigram, 0.0) + 7.5
-        new = shifted.next_word_distribution([], frozenset())
+        new = _dist(shifted, [], frozenset())
         for tok in base:
             assert new[tok] == pytest.approx(base[tok], abs=1e-9)
 
@@ -124,7 +130,7 @@ class TestTraining:
             MaxEntTrainConfig(epochs=5, learning_rate=0.005, l2=200.0),
         )
         assert max(abs(w) for w in lm.weights.values()) < 1e-2
-        dist = lm.next_word_distribution(["a"], frozenset())
+        dist = _dist(lm, ["a"], frozenset())
         n = len(dist)
         for prob in dist.values():
             assert prob == pytest.approx(1.0 / n, abs=1e-2)
@@ -146,25 +152,27 @@ class TestTraining:
 
         records = _toy_records(50)
         lm = train_maxent([(r, None) for r in records], MaxEntTrainConfig(epochs=2))
-        logprob, count = lm.sequence_logprob(["a", "b"], None)
-        assert count == 3  # two words plus END
-        # matches an explicit chain over next_word_distribution
+        scorer = MaxEntScorer(lm)
+        logprob = sequence_logprob(scorer, None, ["a", "b"])
+        # matches an explicit chain over the next-token distributions, END included
         chain = (
-            math.log(lm.next_word_distribution([], frozenset())["a"])
-            + math.log(lm.next_word_distribution(["a"], frozenset())["b"])
-            + math.log(lm.next_word_distribution(["a", "b"], frozenset())[END_TOKEN])
+            math.log(_dist(lm, [], frozenset())["a"])
+            + math.log(_dist(lm, ["a"], frozenset())["b"])
+            + math.log(_dist(lm, ["a", "b"], frozenset())[END_TOKEN])
         )
         assert logprob == pytest.approx(chain, abs=1e-9)
-        pplx = perplexity(lambda cap: lm.sequence_logprob(cap, None), [["a", "b"]] * 3)
-        assert pplx == pytest.approx(math.exp(-logprob / count))
+        pplx = perplexity(
+            lambda cap: (sequence_logprob(scorer, None, cap), len(cap) + 1), [["a", "b"]] * 3
+        )
+        assert pplx == pytest.approx(math.exp(-logprob / 3))
 
     def test_coverage_features_used(self):
         det = DetectionSet.from_scored_words(1, [("b", 0.9)], 0.5)
         records = [(CaptionRecord.from_text(i, "a b"), det) for i in range(100)]
         lm = train_maxent(records, MaxEntTrainConfig(epochs=4, learning_rate=0.3))
         # with "b" still uncovered, ending is penalized relative to covered state
-        p_end_pending = lm.next_word_distribution(["a"], frozenset({"b"}))[END_TOKEN]
-        p_end_done = lm.next_word_distribution(["a", "b"], frozenset())[END_TOKEN]
+        p_end_pending = _dist(lm, ["a"], frozenset({"b"}))[END_TOKEN]
+        p_end_done = _dist(lm, ["a", "b"], frozenset())[END_TOKEN]
         assert p_end_done > p_end_pending
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from capkit.corpus import Vocabulary
+from capkit.corpus import END_ID, Vocabulary
+from capkit.decoding import RecurrentScorer, sequence_logprob
 from capkit.errors import DegenerateCorpus, DimensionMismatch, MalformedInput
 from capkit.recurrent import (
     MODE_COVERAGE_AUX,
@@ -16,7 +17,6 @@ from capkit.recurrent import (
     load_recurrent,
     loss_and_gradients,
     save_recurrent,
-    sequence_logprob,
     train,
     _forward_cached,
 )
@@ -264,6 +264,11 @@ class TestSerialization:
 
     def test_sequence_logprob_counts_end(self):
         lm = small_lm(MODE_IMAGE_INITIAL, seed=14)
-        lp, count = sequence_logprob(lm, ["the", "cat"], np.zeros(6))
-        assert count == 3
+        lp = sequence_logprob(RecurrentScorer(lm), np.zeros(6), ["the", "cat"])
+        rows, total = forward(lm, np.zeros(6), ["the", "cat"])
+        # three terms: both words, then END (output index = vocabulary id - 1)
+        targets = [VOCAB.lookup("the"), VOCAB.lookup("cat"), END_ID]
+        chain = sum(math.log(rows[t, tid - 1]) for t, tid in enumerate(targets))
+        assert lp == pytest.approx(chain, abs=1e-9)
+        assert lp == pytest.approx(total, abs=1e-9)
         assert lp < 0.0
