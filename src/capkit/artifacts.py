@@ -29,7 +29,7 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInput(f"cannot read JSON file {path}: {exc}") from exc
 
 
@@ -54,7 +54,7 @@ def read_captions_tsv(path) -> dict[int, tuple[str, ...]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"cannot read captions TSV {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -108,7 +108,7 @@ def read_nbest_tsv(path) -> list[NBestList]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"cannot read n-best TSV {path}: {exc}") from exc
     lists: dict[int, NBestList] = {}
     for lineno, line in enumerate(lines, start=1):

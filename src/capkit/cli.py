@@ -13,47 +13,43 @@ import math
 import os
 import sys
 
-from . import analysis, artifacts, decoding, knn, maxent, metrics, recurrent, rerank
+from . import analysis, artifacts, decoding, knn, maxent, recurrent, rerank
 from .corpus import (
     build_vocabulary,
     captions_by_image,
     load_captions,
     load_detections,
     load_features,
-    split_dataset,
 )
 from .errors import InputDataError, MalformedInput, ToolkitError
-from .pipeline import STAGE_ORDER, PipelineConfig, run_pipeline
+from .pipeline import (
+    _STAGE_FNS,
+    STAGE_ORDER,
+    PipelineConfig,
+    PipelineContext,
+    _check_ranges,
+    caption_report,
+    run_pipeline,
+    score_captions,
+)
 
 
 def _cmd_ingest(args) -> int:
-    records = load_captions(args.captions)
-    features = load_features(args.features)
-    image_ids = sorted({rec.image_id for rec in records})
-    missing = [i for i in image_ids if i not in features]
-    if missing:
-        raise MalformedInput(f"images missing feature vectors: {missing[:5]}")
-    if args.detections:
-        load_detections(args.detections, args.alpha)
-    sizes = _parse_sizes(args.sizes)
-    split = split_dataset(image_ids, sizes, args.seed)
-    train = set(split.train_ids)
-    vocab = build_vocabulary([r for r in records if r.image_id in train], args.min_count)
+    config = PipelineConfig(
+        captions_path=args.captions,
+        features_path=args.features,
+        detections_path=args.detections,
+        split_sizes=_parse_sizes(args.sizes),
+        seed=args.seed,
+        hyperparameters={"alpha": args.alpha, "min_count": args.min_count},
+    )
     os.makedirs(args.out_dir, exist_ok=True)
-    artifacts.write_json(
-        os.path.join(args.out_dir, "vocab.json"), {"tokens": vocab.word_tokens()}
-    )
-    artifacts.write_json(
-        os.path.join(args.out_dir, "split.json"),
-        {
-            "train": sorted(split.train_ids),
-            "val": sorted(split.val_ids),
-            "testval": sorted(split.testval_ids),
-        },
-    )
+    ctx = PipelineContext(config, args.out_dir)
+    _STAGE_FNS["ingest"](ctx)
+    records = ctx.records()
     print(
-        f"ingested {len(image_ids)} images, {len(records)} captions, "
-        f"vocabulary {len(vocab.word_tokens())} words"
+        f"ingested {len({rec.image_id for rec in records})} images, {len(records)} captions, "
+        f"vocabulary {len(ctx.vocabulary().word_tokens())} words"
     )
     return 0
 
@@ -69,6 +65,7 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
 
 
 def _cmd_knn_caption(args) -> int:
+    _check_ranges({"k": args.k, "m": args.m})
     train_features = load_features(args.features_train)
     test_features = load_features(args.features_test)
     captions = captions_by_image(load_captions(args.captions))
@@ -87,6 +84,8 @@ def _cmd_knn_caption(args) -> int:
 
 
 def _cmd_train_me(args) -> int:
+    _check_ranges({"alpha": args.alpha, "me_lr": args.lr, "me_l2": args.l2,
+                   "min_count": args.min_count})
     records = load_captions(args.captions)
     detections = load_detections(args.detections, args.alpha) if args.detections else {}
     pairs = [(rec, detections.get(rec.image_id)) for rec in records]
@@ -109,6 +108,9 @@ def _cmd_train_me(args) -> int:
 
 
 def _cmd_train_rnn(args) -> int:
+    _check_ranges({"alpha": args.alpha, "rnn_lr": args.lr, "rnn_clip": args.clip,
+                   "rnn_embed": args.embed, "rnn_hidden": args.hidden,
+                   "min_count": args.min_count})
     records = load_captions(args.captions)
     vocab = build_vocabulary(records, args.min_count)
     if args.mode == "mrnn":
@@ -173,6 +175,8 @@ def _scorer_for(model):
 
 
 def _cmd_decode(args) -> int:
+    _check_ranges({"alpha": args.alpha, "beam": args.beam, "nbest": args.nbest,
+                   "max_len": args.max_len, "min_coverage": args.min_coverage})
     model = _load_any_model(args.model)
     scorer = _scorer_for(model)
     image_model = (isinstance(model, recurrent.RecurrentLM)
@@ -242,11 +246,11 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_mert(args) -> int:
+    feature_names = [f for f in args.features.split(",") if f]
+    _check_ranges({"mert_restarts": args.restarts, "mert_iters": args.iters,
+                   "mert_features": feature_names})
     nbests = artifacts.read_nbest_tsv(args.nbest)
     refs = captions_by_image(load_captions(args.refs))
-    feature_names = [f for f in args.features.split(",") if f]
-    if not feature_names:
-        raise MalformedInput("--features must name at least one feature column")
     init = {name: (1.0 if i == 0 else 0.0) for i, name in enumerate(feature_names)}
     log: list = []
     weights = rerank.mert_optimize(
@@ -264,59 +268,37 @@ def _cmd_mert(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    generated = artifacts.read_captions_tsv(args.hyp)
-    refs = captions_by_image(load_captions(args.refs))
-    pairs = []
-    for image_id, tokens in sorted(generated.items()):
-        if image_id not in refs:
-            raise MalformedInput(f"no reference captions for image {image_id}")
-        pairs.append((tokens, refs[image_id]))
+    scores = score_captions(args.hyp, captions_by_image(load_captions(args.refs)))
     if args.metric in ("bleu", "all"):
-        print(f"BLEU {metrics.corpus_bleu(pairs):.2f}")
+        print(f"BLEU {scores['bleu']:.2f}")
     if args.metric in ("meteor", "all"):
-        mean = sum(metrics.meteor(hyp, ref) for hyp, ref in pairs) / len(pairs)
-        print(f"METEOR {mean:.2f}")
+        print(f"METEOR {scores['meteor']:.2f}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    generated = artifacts.read_captions_tsv(args.generated)
+    _check_ranges({"top_k": args.top_k, "tail": args.tail})
     captions = captions_by_image(load_captions(args.captions))
     train_features = load_features(args.features_train)
     test_features = load_features(args.features_test)
     train_pool = [
         cap for image_id in train_features.ids() for cap in captions.get(image_id, ())
     ]
-    rep = analysis.repetition_stats(generated, train_pool)
     bins = analysis.overlap_bins(
         test_features, train_features, top_k=args.top_k, tail_fraction=args.tail
     )
-    refs = {}
-    for image_id in generated:
-        if image_id not in captions:
-            raise MalformedInput(f"no reference captions for image {image_id}")
-        refs[image_id] = captions[image_id]
-    per_bin = analysis.binned_bleu(generated, refs, bins)
-    report = {
-        "repetition": {
-            "total": rep.total,
-            "unique": rep.unique,
-            "seen_in_training": rep.seen_in_training,
-            "unique_fraction": round(rep.unique_fraction, 6),
-            "seen_in_training_fraction": round(rep.seen_in_training_fraction, 6),
-        },
-        "binned_bleu": {name: round(score, 6) for name, score in per_bin.items()},
-    }
+    report = caption_report(args.generated, captions, train_pool, bins)
     if args.report == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
+        rep = report["repetition"]
         print(
-            f"unique captions: {rep.unique}/{rep.total} "
-            f"({100 * rep.unique_fraction:.1f}%)"
+            f"unique captions: {rep['unique']}/{rep['total']} "
+            f"({100 * (rep['unique'] / rep['total']):.1f}%)"
         )
         print(
-            f"seen in training: {rep.seen_in_training}/{rep.total} "
-            f"({100 * rep.seen_in_training_fraction:.1f}%)"
+            f"seen in training: {rep['seen_in_training']}/{rep['total']} "
+            f"({100 * (rep['seen_in_training'] / rep['total']):.1f}%)"
         )
         for name, score in report["binned_bleu"].items():
             print(f"BLEU [{name}] {score:.2f}")

@@ -70,7 +70,7 @@ def load_captions(path) -> list[CaptionRecord]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInput(f"cannot read captions file {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("annotations"), list):
         raise MalformedInput(f"{path}: expected an object with an 'annotations' list")
@@ -83,7 +83,7 @@ def load_captions(path) -> list[CaptionRecord]:
             ann_id = int(entry["id"])
             image_id = int(entry["image_id"])
             caption = entry["caption"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"{path}: annotation missing id/image_id/caption") from exc
         if not isinstance(caption, str):
             raise MalformedInput(f"{path}: annotation {ann_id} caption must be a string")
@@ -311,7 +311,7 @@ def load_detections(path, threshold: float = 0.5) -> dict[int, DetectionSet]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"cannot read detections file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -321,8 +321,10 @@ def load_detections(path, threshold: float = 0.5) -> dict[int, DetectionSet]:
             doc = json.loads(line)
             image_id = int(doc["image_id"])
             words = [(w["token"], float(w["score"])) for w in doc["words"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise MalformedInput(f"{path}:{lineno}: bad detection record: {exc}") from exc
+        if not all(isinstance(token, str) and token for token, _ in words):
+            raise MalformedInput(f"{path}:{lineno}: detection tokens must be non-empty strings")
         if image_id in detections:
             raise MalformedInput(f"{path}:{lineno}: duplicate detections for image {image_id}")
         detections[image_id] = DetectionSet.from_scored_words(image_id, words, threshold)

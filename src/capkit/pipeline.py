@@ -55,29 +55,35 @@ DEFAULT_HYPERPARAMETERS: dict = {
 }
 
 
+# One rule per hyperparameter: (accepted types, range test, what the test
+# requires). bool is never accepted, although Python counts it as an int.
+_RULES = {
+    **{key: (int, lambda v: v >= 1, ">= 1") for key in (
+        "k", "m", "beam", "nbest", "top_k", "min_count", "me_epochs", "rnn_epochs",
+        "rnn_embed", "rnn_hidden", "mert_iters",
+    )},
+    **{key: ((int, float), lambda v: v > 0, "positive") for key in ("me_lr", "rnn_lr")},
+    **{key: ((int, float), lambda v: v >= 0, ">= 0") for key in ("me_l2", "rnn_clip")},
+    "mert_restarts": (int, lambda v: v >= 0, ">= 0"),
+    "alpha": ((int, float), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "tail": ((int, float), lambda v: 0.0 < v <= 0.5, "in (0, 0.5]"),
+    "max_len": (int, lambda v: v >= 2, ">= 2"),
+    "min_coverage": ((int, type(None)), lambda v: v is None or v >= 0, "null or >= 0"),
+    "mert_features": ((list, tuple), lambda v: len(v) > 0 and all(isinstance(f, str) for f in v),
+                      "a non-empty list of feature names"),
+}
+
+
 def _check_ranges(hp: dict) -> None:
-    checks = [
-        (0.0 <= hp["alpha"] <= 1.0, "alpha must be in [0, 1]"),
-        (hp["k"] >= 1, "k must be >= 1"),
-        (hp["m"] >= 1, "m must be >= 1"),
-        (hp["beam"] >= 1, "beam must be >= 1"),
-        (hp["nbest"] >= 1, "nbest must be >= 1"),
-        (hp["top_k"] >= 1, "top_k must be >= 1"),
-        (0.0 < hp["tail"] <= 0.5, "tail must be in (0, 0.5]"),
-        (hp["min_count"] >= 1, "min_count must be >= 1"),
-        (hp["max_len"] >= 2, "max_len must be >= 2"),
-        (hp["min_coverage"] is None or hp["min_coverage"] >= 0,
-         "min_coverage must be null or >= 0"),
-        (hp["me_epochs"] >= 1 and hp["rnn_epochs"] >= 1, "epochs must be >= 1"),
-        (hp["me_lr"] > 0 and hp["rnn_lr"] > 0, "learning rates must be positive"),
-        (hp["mert_restarts"] >= 0, "mert_restarts must be >= 0"),
-        (hp["mert_iters"] >= 1, "mert_iters must be >= 1"),
-        (isinstance(hp["mert_features"], (list, tuple)) and len(hp["mert_features"]) >= 1,
-         "mert_features must name at least one feature"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise MalformedInput(f"hyperparameter out of range: {message}")
+    """Raise MalformedInput for the first value in ``hp`` that breaks its rule."""
+    for key, (types, in_range, requirement) in _RULES.items():
+        if key not in hp:
+            continue
+        value = hp[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise MalformedInput(f"hyperparameter {key} has the wrong type: {value!r}")
+        if not in_range(value):
+            raise MalformedInput(f"hyperparameter out of range: {key} must be {requirement}")
 
 
 @dataclass
@@ -108,7 +114,6 @@ class PipelineConfig:
             features = paths["features"]
             detections = paths.get("detections")
             split = doc["split"]
-            seed = int(doc.get("seed", 0))
         except (KeyError, TypeError) as exc:
             raise MalformedInput(f"config missing required key: {exc}") from exc
         if not isinstance(split, (list, tuple)) or len(split) != 3:
@@ -117,21 +122,17 @@ class PipelineConfig:
         def resolve(p):
             return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
 
-        return cls(
-            captions_path=resolve(captions),
-            features_path=resolve(features),
-            detections_path=resolve(detections),
-            split_sizes=tuple(int(s) for s in split),
-            seed=seed,
-            hyperparameters=dict(doc.get("hyperparameters", {})),
-        )
-
-    @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        doc = artifacts.read_json(path)
-        if not isinstance(doc, dict):
-            raise MalformedInput(f"{path}: config must be a JSON object")
-        return cls.from_doc(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            return cls(
+                captions_path=resolve(captions),
+                features_path=resolve(features),
+                detections_path=resolve(detections),
+                split_sizes=tuple(int(s) for s in split),
+                seed=int(doc.get("seed", 0)),
+                hyperparameters=dict(doc.get("hyperparameters", {})),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInput(f"config value of the wrong type: {exc}") from exc
 
     def canonical_doc(self) -> dict:
         return {
@@ -219,14 +220,15 @@ class PipelineContext:
         train = set(self.split()["train"])
         return {i: caps for i, caps in self.captions().items() if i in train}
 
-    def refs_for(self, image_ids):
-        captions = self.captions()
-        refs = {}
-        for image_id in image_ids:
-            if image_id not in captions:
-                raise MalformedInput(f"no reference captions for image {image_id}")
-            refs[image_id] = captions[image_id]
-        return refs
+
+def references_for(captions, image_ids) -> dict:
+    """``captions`` (image id -> references) cut to ``image_ids``; each must have some."""
+    refs = {}
+    for image_id in image_ids:
+        if image_id not in captions:
+            raise MalformedInput(f"no reference captions for image {image_id}")
+        refs[image_id] = captions[image_id]
+    return refs
 
 
 def _stage_ingest(ctx: PipelineContext) -> list[str]:
@@ -374,7 +376,7 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
     val_nbests = artifacts.read_nbest_tsv(
         ctx.require_artifact("me_nbest_val.tsv", "decode")
     )
-    refs = ctx.refs_for([nb.image_id for nb in val_nbests])
+    refs = references_for(ctx.captions(), [nb.image_id for nb in val_nbests])
     feature_names = list(ctx.hp["mert_features"])
     init = {name: (1.0 if name == "logprob" else 0.0) for name in feature_names}
     weights = rerank.mert_optimize(
@@ -399,29 +401,64 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
 
 
 _EVAL_SYSTEMS = (
-    ("knn_consensus", "knn_consensus.tsv", "knn"),
-    ("knn_onenn", "knn_onenn.tsv", "knn"),
-    ("mrnn", "mrnn_testval.tsv", "decode"),
-    ("me_reranked", "reranked_testval.tsv", "rerank"),
+    ("knn_consensus", "knn_consensus.tsv"),
+    ("knn_onenn", "knn_onenn.tsv"),
+    ("mrnn", "mrnn_testval.tsv"),
+    ("me_reranked", "reranked_testval.tsv"),
 )
+
+
+def _system_files(ctx: PipelineContext):
+    """(system, path) for each generated caption file present in the run."""
+    for system, filename in _EVAL_SYSTEMS:
+        path = ctx.artifact(filename)
+        if os.path.exists(path):
+            yield system, path
+
+
+def _read_generated(path) -> dict:
+    generated = artifacts.read_captions_tsv(path)
+    if not generated:
+        raise MalformedInput(f"{path}: no generated captions")
+    return generated
+
+
+def score_captions(path, captions) -> dict[str, float]:
+    """Corpus BLEU and mean METEOR of the caption TSV at ``path`` against ``captions``."""
+    generated = _read_generated(path)
+    refs = references_for(captions, generated)
+    pairs = [(tokens, refs[image_id]) for image_id, tokens in sorted(generated.items())]
+    return {
+        "bleu": metrics.corpus_bleu(pairs),
+        "meteor": sum(metrics.meteor(hyp, ref) for hyp, ref in pairs) / len(pairs),
+    }
+
+
+def caption_report(path, captions, train_pool, bins) -> dict:
+    """Repetition (against ``train_pool``) and per-bin BLEU of the caption TSV at ``path``."""
+    generated = _read_generated(path)
+    refs = references_for(captions, generated)
+    rep = analysis.repetition_stats(generated, train_pool)
+    return {
+        "repetition": {
+            "total": rep.total,
+            "unique": rep.unique,
+            "seen_in_training": rep.seen_in_training,
+            "unique_fraction": round(rep.unique_fraction, 6),
+            "seen_in_training_fraction": round(rep.seen_in_training_fraction, 6),
+        },
+        "binned_bleu": {
+            name: round(score, 6)
+            for name, score in analysis.binned_bleu(generated, refs, bins).items()
+        },
+    }
 
 
 def _stage_eval(ctx: PipelineContext) -> list[str]:
     scores = {}
-    for system, filename, producer in _EVAL_SYSTEMS:
-        path = ctx.artifact(filename)
-        if not os.path.exists(path):
-            continue
-        generated = artifacts.read_captions_tsv(path)
-        refs = ctx.refs_for(generated)
-        bleu = metrics.corpus_bleu(
-            (tokens, refs[image_id]) for image_id, tokens in sorted(generated.items())
-        )
-        meteor_mean = sum(
-            metrics.meteor(tokens, refs[image_id])
-            for image_id, tokens in sorted(generated.items())
-        ) / len(generated)
-        scores[system] = {"bleu": round(bleu, 6), "meteor": round(meteor_mean, 6)}
+    for system, path in _system_files(ctx):
+        row = score_captions(path, ctx.captions())
+        scores[system] = {name: round(value, 6) for name, value in row.items()}
     if not scores:
         raise MalformedInput("eval stage found no generated caption files; run knn/decode")
     for system, row in scores.items():
@@ -433,41 +470,23 @@ def _stage_eval(ctx: PipelineContext) -> list[str]:
 def _stage_analyze(ctx: PipelineContext) -> list[str]:
     split = ctx.split()
     features = ctx.features()
-    train_store = features.subset(split["train"])
-    test_store = features.subset(split["testval"])
     bins = analysis.overlap_bins(
-        test_store, train_store, top_k=ctx.hp["top_k"], tail_fraction=ctx.hp["tail"]
+        features.subset(split["testval"]),
+        features.subset(split["train"]),
+        top_k=ctx.hp["top_k"],
+        tail_fraction=ctx.hp["tail"],
     )
-    train_caption_pool = [
-        cap for caps in ctx.train_captions().values() for cap in caps
-    ]
-    report: dict = {
+    train_pool = [cap for caps in ctx.train_captions().values() for cap in caps]
+    report = {
         "bins": {
             name: bins.images_in(name)
             for name in (analysis.BIN_LEAST, analysis.BIN_MIDDLE, analysis.BIN_MOST)
         },
-        "systems": {},
+        "systems": {
+            system: caption_report(path, ctx.captions(), train_pool, bins)
+            for system, path in _system_files(ctx)
+        },
     }
-    for system, filename, _ in _EVAL_SYSTEMS:
-        path = ctx.artifact(filename)
-        if not os.path.exists(path):
-            continue
-        generated = artifacts.read_captions_tsv(path)
-        refs = ctx.refs_for(generated)
-        rep = analysis.repetition_stats(generated, train_caption_pool)
-        report["systems"][system] = {
-            "repetition": {
-                "total": rep.total,
-                "unique": rep.unique,
-                "seen_in_training": rep.seen_in_training,
-                "unique_fraction": round(rep.unique_fraction, 6),
-                "seen_in_training_fraction": round(rep.seen_in_training_fraction, 6),
-            },
-            "binned_bleu": {
-                name: round(score, 6)
-                for name, score in analysis.binned_bleu(generated, refs, bins).items()
-            },
-        }
     if not report["systems"]:
         raise MalformedInput("analyze stage found no generated caption files")
     artifacts.write_json(ctx.artifact("analysis.json"), report)

@@ -42,6 +42,12 @@ class TestCaptionsTsv:
 
 
 class TestNbestTsv:
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "nbest.tsv"
+        path.write_bytes(b"\x80\x81\n")
+        with pytest.raises(MalformedInput):
+            read_nbest_tsv(path)
+
     def _nbests(self):
         rng = np.random.default_rng(0)
         lists = []

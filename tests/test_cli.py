@@ -18,6 +18,18 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def write_config(path, fixture_dir, detections=True, **fields):
+    """A pipeline config over the fixture, split [30, 5, 5] unless overridden."""
+    paths = {
+        "captions": str(fixture_dir / "captions.json"),
+        "features": str(fixture_dir / "features.fvec"),
+    }
+    if detections:
+        paths["detections"] = str(fixture_dir / "detections.jsonl")
+    path.write_text(json.dumps({"seed": 3, "paths": paths, "split": [30, 5, 5], **fields}))
+    return path
+
+
 class TestIngest:
     def test_writes_vocab_and_split(self, fixture_dir, tmp_path, capsys):
         code = run_cli(
@@ -355,16 +367,180 @@ class TestPipelineCli:
         doc = json.loads(capsys.readouterr().err.strip())
         assert "me.model" in doc["message"]
 
-    def test_hyperparameter_out_of_range(self, fixture_dir, tmp_path):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({
-            "seed": 3,
-            "paths": {
-                "captions": str(fixture_dir / "captions.json"),
-                "features": str(fixture_dir / "features.fvec"),
-            },
-            "split": [30, 5, 5],
-            "hyperparameters": {"alpha": 3.0},
-        }))
-        code = run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "y")
-        assert code == 2
+    def test_hyperparameter_out_of_range(self, fixture_dir, tmp_path, capsys):
+        # out-of-range and wrongly typed values both exit 2 with the JSON line
+        for change in (
+            {"hyperparameters": {"alpha": 3.0}},
+            {"seed": "abc"},
+            {"split": ["a", 5, 5]},
+            {"hyperparameters": {"k": "ten"}},
+        ):
+            config_path = write_config(tmp_path / "config.json", fixture_dir,
+                                       detections=False, **change)
+            code = run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "y")
+            assert code == 2, change
+            doc = json.loads(capsys.readouterr().err.strip())
+            assert doc["error"] == "MalformedInput", change
+
+
+@pytest.fixture(scope="module")
+def me_model(fixture_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "me.model"
+    assert run_cli("train-me", "--captions", fixture_dir / "captions.json",
+                   "--detections", fixture_dir / "detections.jsonl",
+                   "--epochs", "1", "--out", path) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def first_captions_tsv(fixture_dir, tmp_path_factory):
+    from capkit.artifacts import write_captions_tsv
+    from capkit.corpus import captions_by_image, load_captions
+
+    path = tmp_path_factory.mktemp("generated") / "first.tsv"
+    captions = captions_by_image(load_captions(fixture_dir / "captions.json"))
+    write_captions_tsv(path, {i: caps[0] for i, caps in captions.items()})
+    return path
+
+
+def _command_args(command, fixture_dir, me_model, generated, out):
+    """A valid invocation of ``command`` writing to ``out``."""
+    captions = fixture_dir / "captions.json"
+    features = fixture_dir / "features.fvec"
+    detections = fixture_dir / "detections.jsonl"
+    return {
+        "ingest": ["--captions", captions, "--features", features, "--sizes", "30,5,5",
+                   "--out-dir", out],
+        "knn-caption": ["--features-train", features, "--features-test", features,
+                        "--captions", captions, "--k", "5", "--m", "10", "--out", out],
+        "train-me": ["--captions", captions, "--detections", detections, "--epochs", "1",
+                     "--out", out],
+        "train-rnn": ["--mode", "mrnn", "--captions", captions, "--features", features,
+                      "--embed", "4", "--hidden", "4", "--epochs", "1", "--out", out],
+        "decode": ["--model", me_model, "--mode", "coverage", "--detections", detections,
+                   "--beam", "2", "--nbest", "2", "--max-len", "4", "--out", out],
+        "analyze": ["--generated", generated, "--captions", captions,
+                    "--features-train", features, "--features-test", features],
+    }[command]
+
+
+# Each option that maps to a pipeline hyperparameter, with a value the
+# pipeline's rule rejects and that rule's message.
+_OUT_OF_RANGE = [
+    ("ingest", "--min-count", "0", "min_count must be >= 1"),
+    ("analyze", "--tail", "0.9", "tail must be in (0, 0.5]"),
+    ("analyze", "--top-k", "0", "top_k must be >= 1"),
+    ("knn-caption", "--k", "0", "k must be >= 1"),
+    ("knn-caption", "--m", "0", "m must be >= 1"),
+    ("decode", "--beam", "0", "beam must be >= 1"),
+    ("decode", "--nbest", "0", "nbest must be >= 1"),
+    ("decode", "--min-coverage", "-1", "min_coverage must be null or >= 0"),
+    ("decode", "--max-len", "1", "max_len must be >= 2"),
+    ("train-me", "--alpha", "3", "alpha must be in [0, 1]"),
+    ("train-me", "--lr", "-1", "me_lr must be positive"),
+    ("train-rnn", "--lr", "-1", "rnn_lr must be positive"),
+]
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "command,option,value,rule", _OUT_OF_RANGE,
+        ids=[f"{command}{option}" for command, option, _, _ in _OUT_OF_RANGE],
+    )
+    def test_out_of_range_option_exits_2(
+        self, fixture_dir, me_model, first_captions_tsv, tmp_path, capsys,
+        command, option, value, rule,
+    ):
+        out = tmp_path / "out"
+        args = _command_args(command, fixture_dir, me_model, first_captions_tsv, out)
+        capsys.readouterr()
+        assert run_cli(command, *args, option, value) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "MalformedInput",
+                       "message": f"hyperparameter out of range: {rule}"}
+        assert not out.exists()
+
+
+class TestEmptyCaptionFile:
+    def test_eval_and_analyze_name_the_file(self, fixture_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        features = fixture_dir / "features.fvec"
+        for argv in (
+            ["eval", "--hyp", empty, "--refs", fixture_dir / "captions.json",
+             "--metric", "meteor"],
+            ["analyze", "--generated", empty, "--captions", fixture_dir / "captions.json",
+             "--features-train", features, "--features-test", features],
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2, argv[0]
+            doc = json.loads(capsys.readouterr().err.strip())
+            assert doc["error"] == "MalformedInput" and str(empty) in doc["message"]
+
+    def test_pipeline_with_empty_testval(self, fixture_dir, tmp_path, capsys):
+        config_path = write_config(tmp_path / "config.json", fixture_dir,
+                                   split=[40, 0, 0], hyperparameters={"k": 5, "m": 10})
+        out_dir = tmp_path / "run"
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", out_dir,
+                       "--stages", "ingest,knn") == 0
+        for stage in ("eval", "analyze"):
+            capsys.readouterr()
+            code = run_cli("pipeline", "--config", config_path, "--out-dir", out_dir,
+                           "--stages", stage)
+            assert code == 2, stage
+            doc = json.loads(capsys.readouterr().err.strip())
+            assert doc["error"] == "MalformedInput"
+            assert str(out_dir / "knn_consensus.tsv") in doc["message"]
+
+
+class TestCliMatchesPipeline:
+    """The subcommands and the pipeline stages compute the same things."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, fixture_dir, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("parity")
+        config_path = write_config(out_dir / "config.json", fixture_dir, seed=7,
+                                   hyperparameters={"k": 5, "m": 10, "top_k": 5})
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", out_dir / "run",
+                       "--stages", "ingest,knn,eval,analyze") == 0
+        return out_dir / "run"
+
+    def test_ingest_writes_the_same_files(self, fixture_dir, run_dir, tmp_path):
+        assert run_cli(
+            "ingest",
+            "--captions", fixture_dir / "captions.json",
+            "--features", fixture_dir / "features.fvec",
+            "--detections", fixture_dir / "detections.jsonl",
+            "--sizes", "30,5,5", "--seed", "7", "--out-dir", tmp_path,
+        ) == 0
+        for name in ("vocab.json", "split.json"):
+            assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_analyze_report_matches_stage(self, fixture_dir, run_dir, tmp_path, capsys):
+        from capkit.corpus import load_features
+
+        split = read_json(run_dir / "split.json")
+        full = load_features(fixture_dir / "features.fvec")
+        save_features(full.subset(split["train"]), tmp_path / "train.fvec")
+        save_features(full.subset(split["testval"]), tmp_path / "test.fvec")
+        capsys.readouterr()
+        assert run_cli(
+            "analyze",
+            "--generated", run_dir / "knn_consensus.tsv",
+            "--captions", fixture_dir / "captions.json",
+            "--features-train", tmp_path / "train.fvec",
+            "--features-test", tmp_path / "test.fvec",
+            "--top-k", "5", "--report", "json",
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == read_json(run_dir / "analysis.json")["systems"]["knn_consensus"]
+
+    def test_eval_prints_stage_scores(self, fixture_dir, run_dir, capsys):
+        scores = read_json(run_dir / "scores.json")["knn_consensus"]
+        capsys.readouterr()
+        assert run_cli("eval", "--hyp", run_dir / "knn_consensus.tsv",
+                       "--refs", fixture_dir / "captions.json") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"BLEU {scores['bleu']:.2f}", f"METEOR {scores['meteor']:.2f}",
+        ]

@@ -1,10 +1,14 @@
 import json
+import math
 import string
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capkit.artifacts import read_captions_tsv
 from capkit.corpus import (
     DetectionSet,
     FeatureStore,
@@ -75,6 +79,12 @@ class TestLoadCaptions:
     def test_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
+        with pytest.raises(MalformedInput):
+            load_captions(path)
+
+    def test_infinite_image_id(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"annotations": [{"id": 1, "image_id": Infinity, "caption": "a cat"}]}')
         with pytest.raises(MalformedInput):
             load_captions(path)
 
@@ -253,3 +263,93 @@ class TestDetections:
         path.write_text('{"image_id": 1}')
         with pytest.raises(MalformedInput):
             load_detections(path)
+
+    @pytest.mark.parametrize("token", [5, None, "", ["cat"]])
+    def test_token_must_be_a_non_empty_string(self, tmp_path, token):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"image_id": 1, "words": [{"token": token, "score": 0.9}]}))
+        with pytest.raises(MalformedInput):
+            load_detections(path)
+
+    def test_infinite_image_id(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"image_id": Infinity, "words": []}')
+        with pytest.raises(MalformedInput):
+            load_detections(path)
+
+
+# JSON values of any shape, including NaN and the infinities that Python's
+# json module reads and writes.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=10,
+)
+# Ids int() accepts ("7") or rejects with ValueError (NaN), OverflowError
+# (the infinities) or TypeError (lists, objects).
+_ids = st.integers() | st.sampled_from(["7", math.nan, math.inf, -math.inf]) | _json_values
+_detection_records = st.fixed_dictionaries({
+    "image_id": _ids,
+    "words": st.lists(
+        st.fixed_dictionaries({"token": st.text(max_size=4) | _json_values,
+                               "score": st.floats() | _json_values}),
+        max_size=3,
+    ) | _json_values,
+})
+_caption_docs = st.fixed_dictionaries({
+    "annotations": st.lists(
+        st.fixed_dictionaries(
+            {"id": _ids, "image_id": _ids, "caption": st.text(max_size=12) | _json_values}
+        ) | _json_values,
+        max_size=3,
+    ),
+})
+_tsv_lines = (
+    st.builds(lambda i, c: f"{i}\t{c}", _json_values, st.text(max_size=12))
+    | st.text(max_size=20)
+).map(lambda line: line.encode("utf-8", "surrogatepass")) | st.binary(max_size=20)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestParserFuzz:
+    """Outside input either parses or raises an input error (exit 2), never
+    anything else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=(_detection_records | _json_values).map(json.dumps) | st.text(max_size=20))
+    def test_detections_record(self, fuzz_dir, line):
+        path = fuzz_dir / "d.jsonl"
+        path.write_bytes(line.encode("utf-8", "surrogatepass"))
+        try:
+            detections = load_detections(path)
+        except MalformedInput:
+            return
+        for det in detections.values():
+            assert all(isinstance(tok, str) and tok for tok in det.tokens())
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=(_caption_docs | _json_values).map(json.dumps) | st.text(max_size=20))
+    def test_captions_document(self, fuzz_dir, doc):
+        path = fuzz_dir / "c.json"
+        path.write_bytes(doc.encode("utf-8", "surrogatepass"))
+        try:
+            records = load_captions(path)
+        except (MalformedInput, DuplicateAnnotationId):
+            return
+        assert all(rec.tokens for rec in records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=_tsv_lines)
+    def test_caption_tsv_line(self, fuzz_dir, line):
+        path = fuzz_dir / "c.tsv"
+        path.write_bytes(line)
+        try:
+            captions = read_captions_tsv(path)
+        except MalformedInput:
+            return
+        assert all(isinstance(image_id, int) for image_id in captions)
