@@ -41,7 +41,7 @@ from .metrics import (  # noqa: F401
     meteor,
     perplexity,
 )
-from .maxent import MaxEntLM, MaxEntTrainConfig, extract_features, train_maxent  # noqa: F401
+from .maxent import MaxEntLM, MaxEntTrainConfig, train_maxent  # noqa: F401
 from .recurrent import (  # noqa: F401
     RecurrentConfig,
     RecurrentLM,

@@ -50,7 +50,13 @@ class ByteReader:
 
     def read_str(self) -> str:
         (n,) = self.unpack("<I")
-        return self.take(n).decode("utf-8")
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(
+                f"{self.label}: string at offset {self.pos - n} is not UTF-8"
+            ) from exc
 
     def read_str_list(self) -> list[str]:
         (n,) = self.unpack("<I")

@@ -29,6 +29,7 @@ from .pipeline import (
     PipelineContext,
     _check_ranges,
     caption_report,
+    hyperparameters_of,
     run_pipeline,
     score_captions,
 )
@@ -311,11 +312,11 @@ def _cmd_pipeline(args) -> int:
         raise MalformedInput(f"{args.config}: config must be a JSON object")
     if args.seed is not None:
         doc["seed"] = args.seed
+    hyperparameters = doc["hyperparameters"] = dict(hyperparameters_of(doc))
     for override in args.set or []:
         key, sep, value = override.partition("=")
         if not sep:
             raise MalformedInput(f"--set needs key=value, got {override!r}")
-        hyperparameters = doc.setdefault("hyperparameters", {})
         try:
             hyperparameters[key] = json.loads(value)
         except json.JSONDecodeError:

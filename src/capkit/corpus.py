@@ -36,6 +36,16 @@ _PUNCT_TABLE = str.maketrans("", "", "".join(c for c in string.punctuation if c 
 _LOOSE_HYPHEN = re.compile(r"(?<![0-9a-z])-|-(?![0-9a-z])")
 
 
+def json_int(value, what: str) -> int:
+    """``value``, an id or count read from JSON, if it is an integer.
+
+    Booleans, floats (even integral ones) and strings raise MalformedInput.
+    """
+    if type(value) is not int:
+        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def tokenize(raw_text: str) -> list[str]:
     """Lowercase, delete ASCII punctuation (keeping intra-word hyphens), split.
 
@@ -80,11 +90,11 @@ def load_captions(path) -> list[CaptionRecord]:
         if not isinstance(entry, dict):
             raise MalformedInput(f"{path}: annotation entries must be objects")
         try:
-            ann_id = int(entry["id"])
-            image_id = int(entry["image_id"])
-            caption = entry["caption"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            ann_id, image_id, caption = entry["id"], entry["image_id"], entry["caption"]
+        except KeyError as exc:
             raise MalformedInput(f"{path}: annotation missing id/image_id/caption") from exc
+        ann_id = json_int(ann_id, f"{path}: annotation id")
+        image_id = json_int(image_id, f"{path}: annotation {ann_id} image_id")
         if not isinstance(caption, str):
             raise MalformedInput(f"{path}: annotation {ann_id} caption must be a string")
         if ann_id in seen:
@@ -319,7 +329,7 @@ def load_detections(path, threshold: float = 0.5) -> dict[int, DetectionSet]:
             continue
         try:
             doc = json.loads(line)
-            image_id = int(doc["image_id"])
+            image_id = json_int(doc["image_id"], f"{path}:{lineno}: image_id")
             words = [(w["token"], float(w["score"])) for w in doc["words"]]
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise MalformedInput(f"{path}:{lineno}: bad detection record: {exc}") from exc

@@ -19,6 +19,7 @@ from .corpus import (
     Vocabulary,
     build_vocabulary,
     captions_by_image,
+    json_int,
     load_captions,
     load_detections,
     load_features,
@@ -86,6 +87,14 @@ def _check_ranges(hp: dict) -> None:
             raise MalformedInput(f"hyperparameter out of range: {key} must be {requirement}")
 
 
+def hyperparameters_of(doc: dict) -> dict:
+    """The ``hyperparameters`` object of a config document ({} if absent)."""
+    hyperparameters = doc.get("hyperparameters", {})
+    if not isinstance(hyperparameters, dict):
+        raise MalformedInput("config hyperparameters must be a JSON object")
+    return hyperparameters
+
+
 @dataclass
 class PipelineConfig:
     """Validated pipeline configuration; see README for the JSON schema."""
@@ -122,14 +131,16 @@ class PipelineConfig:
         def resolve(p):
             return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
 
+        split_sizes = tuple(json_int(s, "config split entry") for s in split)
+        seed = json_int(doc.get("seed", 0), "config seed")
         try:
             return cls(
                 captions_path=resolve(captions),
                 features_path=resolve(features),
                 detections_path=resolve(detections),
-                split_sizes=tuple(int(s) for s in split),
-                seed=int(doc.get("seed", 0)),
-                hyperparameters=dict(doc.get("hyperparameters", {})),
+                split_sizes=split_sizes,
+                seed=seed,
+                hyperparameters=dict(hyperparameters_of(doc)),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"config value of the wrong type: {exc}") from exc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capkit.corpus import END_TOKEN
+from capkit.maxent import _event_nll_and_grad
 
 
 def write_captions_json(path, annotations):
@@ -52,6 +53,45 @@ class TableScorer:
 
     def logprobs(self, state, remaining):
         return self.row(state), lambda token: state + (token,)
+
+
+def randomize_maxent_event(lm, history, remaining, draw):
+    """Create the event's bigram and trigram rows and set every weight it
+    reads from ``draw()``, candidate by candidate in template order (unigram,
+    bigram, trigram, coverage). Returns (condition, touched rows)."""
+    condition = lm._condition(history, remaining)
+    h2, h1, slots = condition
+    width = len(lm.unigram)
+    rows = (
+        lm.unigram,
+        lm.bigram.setdefault(h1, np.zeros(width)),
+        lm.trigram.setdefault((h2, h1), np.zeros(width)),
+    )
+    for i, slot in enumerate(slots):
+        for row in rows:
+            row[i] = draw()
+        lm.coverage[slot] = draw()
+    return condition, rows
+
+
+def maxent_gradient_error(lm, condition, rows, target, eps):
+    """Largest relative error of the event gradient against central finite
+    differences, over every entry of the touched rows and every coverage
+    scalar the event uses."""
+    _, grad, coverage_grad = _event_nll_and_grad(lm, condition, target)
+    checks = [(row, i, grad[i]) for row in rows for i in range(len(row))]
+    checks += [(lm.coverage, slot, coverage_grad[slot]) for slot in np.unique(condition[2])]
+    worst = 0.0
+    for arr, i, analytic in checks:
+        orig = arr[i]
+        arr[i] = orig + eps
+        up = _event_nll_and_grad(lm, condition, target)[0]
+        arr[i] = orig - eps
+        down = _event_nll_and_grad(lm, condition, target)[0]
+        arr[i] = orig
+        numeric = (up - down) / (2 * eps)
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6))
+    return worst
 
 
 @pytest.fixture

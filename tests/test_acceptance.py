@@ -6,21 +6,41 @@ brute-force enumeration, grid search, finite differences) of the code
 paths they check.
 """
 
+import hashlib
 import itertools
 import math
 import time
 from collections import Counter
 from contextlib import contextmanager
+from functools import lru_cache
+from random import Random
 
 import numpy as np
 import pytest
 
 from capkit.artifacts import read_json
-from capkit.corpus import DetectionSet, END_TOKEN, Vocabulary
+from capkit.corpus import (
+    END_TOKEN,
+    START_TOKEN,
+    UNK_TOKEN,
+    DetectionSet,
+    Vocabulary,
+    build_vocabulary,
+    load_captions,
+    load_detections,
+)
 from capkit.decoding import DecodedHypothesis, NBestList, beam_search, coverage_beam_search
 from capkit.fixture import generate_fixture
 from capkit.knn import FeatureIndex, consensus_caption, nearest
-from capkit.maxent import MaxEntLM, _event_nll_and_grad, extract_features
+from capkit.maxent import (
+    END_DONE,
+    END_PENDING,
+    HIT,
+    MISS,
+    MaxEntLM,
+    MaxEntTrainConfig,
+    train_maxent,
+)
 from capkit.metrics import (
     BleuStats,
     MeteorConfig,
@@ -40,7 +60,7 @@ from capkit.recurrent import (
 )
 from capkit.rerank import MertConfig, _selection_bleu, mert_optimize
 
-from conftest import TableScorer
+from conftest import TableScorer, maxent_gradient_error, randomize_maxent_event
 
 
 @contextmanager
@@ -289,19 +309,153 @@ def test_gradient_checks():
             remaining = frozenset(
                 str(w) for w in rng.choice(["cat", "dog"], size=rng.integers(0, 2))
             )
-            for cand in lm.candidate_tokens():
-                for fid in extract_features(history, cand, remaining):
-                    lm.weights[fid] = float(rng.standard_normal() * 0.5)
-            _, grad = _event_nll_and_grad(lm, history, target, remaining)
-            for fid, g in grad.items():
-                orig = lm.weights.get(fid, 0.0)
-                lm.weights[fid] = orig + eps
-                up, _ = _event_nll_and_grad(lm, history, target, remaining)
-                lm.weights[fid] = orig - eps
-                down, _ = _event_nll_and_grad(lm, history, target, remaining)
-                lm.weights[fid] = orig
-                worst = max(worst, _relative_error(g, (up - down) / (2 * eps)))
+            condition, rows = randomize_maxent_event(
+                lm, history, remaining, lambda: float(rng.standard_normal() * 0.5)
+            )
+            target_idx = lm.candidate_tokens().index(target)
+            worst = max(worst, maxent_gradient_error(lm, condition, rows, target_idx, eps))
         assert worst < 1e-4, f"maxent: max relative error {worst:.2e}"
+
+
+@lru_cache(maxsize=None)
+def _oracle_fid(*parts):
+    key = "\x1f".join(parts).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+def _oracle_features(history, candidate, remaining):
+    h1 = history[-1] if len(history) >= 1 else START_TOKEN
+    h2 = history[-2] if len(history) >= 2 else START_TOKEN
+    if candidate == END_TOKEN:
+        coverage = _oracle_fid("end_done") if not remaining else _oracle_fid("end_pending")
+    else:
+        coverage = _oracle_fid("coverage_hit") if candidate in remaining else _oracle_fid(
+            "coverage_miss"
+        )
+    return (
+        _oracle_fid("unigram", candidate),
+        _oracle_fid("bigram", h1, candidate),
+        _oracle_fid("trigram", h2, h1, candidate),
+        coverage,
+    )
+
+
+def _oracle_scores(weights, vocabulary, history, remaining):
+    history = vocabulary.map_tokens(history)
+    feature_sets = [
+        _oracle_features(history, cand, remaining) for cand in vocabulary.candidate_tokens()
+    ]
+    scores = np.array(
+        [sum(weights.get(f, 0.0) for f in feats) for feats in feature_sets], dtype=np.float64
+    )
+    return feature_sets, scores
+
+
+def maxent_oracle_logprobs(weights, vocabulary, history, remaining):
+    _, scores = _oracle_scores(weights, vocabulary, history, remaining)
+    shifted = scores - scores.max()
+    return shifted - math.log(np.exp(shifted).sum())
+
+
+def _oracle_event_nll_and_grad(weights, vocabulary, history, target, remaining):
+    feature_sets, scores = _oracle_scores(weights, vocabulary, history, remaining)
+    shifted = scores - scores.max()
+    exp = np.exp(shifted)
+    probs = exp / exp.sum()
+    target_idx = vocabulary.candidate_tokens().index(target)
+    nll = -math.log(max(probs[target_idx], 1e-300))
+    grad = {}
+    for feats, p in zip(feature_sets, probs):
+        for f in feats:
+            grad[f] = grad.get(f, 0.0) + float(p)
+    for f in feature_sets[target_idx]:
+        grad[f] -= 1.0
+    return nll, grad
+
+
+def maxent_oracle(pairs, vocabulary, config):
+    """The log-linear LM as hashed feature weights in one dict, trained by the
+    same SGD: one blake2b id per (template, context, candidate), sparse L2
+    decay on the ids an event touches. Returns the weight dict."""
+    events_per_pair = []
+    for record, detections in pairs:
+        remaining = set(detections.tokens()) if detections is not None else set()
+        events, history = [], []
+        for target in [*vocabulary.map_tokens(record.tokens), END_TOKEN]:
+            events.append((tuple(history), target, frozenset(remaining)))
+            remaining.discard(target)
+            history.append(target)
+        events_per_pair.append(events)
+    rng = Random(config.seed)
+    weights = {}
+    for _ in range(config.epochs):
+        order = list(range(len(events_per_pair)))
+        rng.shuffle(order)
+        for idx in order:
+            for history, target, remaining in events_per_pair[idx]:
+                _, grad = _oracle_event_nll_and_grad(
+                    weights, vocabulary, history, target, remaining
+                )
+                for f, g in grad.items():
+                    w = weights.get(f, 0.0)
+                    weights[f] = w - config.learning_rate * (g + config.l2 * w)
+    return weights
+
+
+_ORACLE_COVERAGE = {
+    HIT: "coverage_hit", MISS: "coverage_miss", END_DONE: "end_done", END_PENDING: "end_pending",
+}
+
+
+def test_maxent_matches_hashed_oracle(tmp_path):
+    with criterion("maxent-oracle", 60.0):
+        generate_fixture(tmp_path, n_images=40, seed=3)
+        records = load_captions(tmp_path / "captions.json")
+        detections = load_detections(tmp_path / "detections.jsonl", 0.5)
+        pairs = [(rec, detections.get(rec.image_id)) for rec in records]
+        config = MaxEntTrainConfig(epochs=2, l2=1e-6)
+        base = build_vocabulary(records)
+        # the second vocabulary adds words no caption uses, so most
+        # trigram contexts of the scored histories are unseen
+        extra = [f"extra{i}" for i in range(200)]
+        for vocabulary in (base, Vocabulary([*base.word_tokens(), *extra])):
+            lm = train_maxent(pairs, config, vocabulary)
+            weights = maxent_oracle(pairs, vocabulary, config)
+
+            token = vocabulary.token_of
+            candidates = lm.candidate_tokens()
+            entries = [(lm.unigram, ("unigram",))]
+            entries += [(row, ("bigram", token[h1])) for h1, row in lm.bigram.items()]
+            entries += [
+                (row, ("trigram", token[h2], token[h1])) for (h2, h1), row in lm.trigram.items()
+            ]
+            for row, template in entries:
+                for cand, weight in zip(candidates, row):
+                    assert weight == weights[_oracle_fid(*template, cand)], (template, cand)
+            for slot, name in _ORACLE_COVERAGE.items():
+                assert lm.coverage[slot] == weights.get(_oracle_fid(name), 0.0), name
+            used = sum(_oracle_fid(name) in weights for name in _ORACLE_COVERAGE.values())
+            assert len(weights) == len(entries) * len(candidates) + used
+
+            rng = Random(17)
+            words = [*vocabulary.word_tokens(), UNK_TOKEN, "unseen"]
+            detected = sorted({tok for det in detections.values() for tok in det.tokens()})
+            unseen_trigrams = 0
+            for call in range(300):
+                if call % 2:
+                    tokens = rng.choice(records).tokens
+                    history = list(tokens[: rng.randrange(len(tokens) + 1)])
+                else:
+                    history = [rng.choice(words) for _ in range(rng.randrange(4))]
+                remaining = frozenset(
+                    rng.sample(detected + words, rng.randrange(4)) if call % 3 else ()
+                )
+                h2, h1, _ = lm._condition(history, remaining)
+                unseen_trigrams += (h2, h1) not in lm.trigram
+                got = lm.logprobs(history, remaining)
+                want = maxent_oracle_logprobs(weights, vocabulary, history, remaining)
+                assert got.tobytes() == want.tobytes(), (history, remaining)
+            assert 0 < unseen_trigrams < 300
 
 
 class BoostRemainingScorer(TableScorer):

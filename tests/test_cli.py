@@ -383,6 +383,53 @@ class TestPipelineCli:
             assert doc["error"] == "MalformedInput", change
 
 
+    def test_seed_and_split_must_be_json_integers(self, fixture_dir, tmp_path, capsys):
+        for change, message in (
+            ({"seed": 2.7}, "config seed must be an integer, got 2.7"),
+            ({"seed": True}, "config seed must be an integer, got True"),
+            ({"split": [30.0, 5, 5]}, "config split entry must be an integer, got 30.0"),
+        ):
+            config_path = write_config(tmp_path / "config.json", fixture_dir,
+                                       detections=False, **change)
+            code = run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "y")
+            assert code == 2, change
+            doc = json.loads(capsys.readouterr().err.strip())
+            assert doc == {"error": "MalformedInput", "message": message}
+        assert not (tmp_path / "y").exists()
+
+    def test_hyperparameters_must_be_an_object(self, fixture_dir, tmp_path, capsys):
+        for hyperparameters in ([], [["k", 5]], "k=5"):
+            config_path = write_config(tmp_path / "config.json", fixture_dir,
+                                       detections=False, hyperparameters=hyperparameters)
+            for extra in ((), ("--set", "k=5")):
+                code = run_cli("pipeline", "--config", config_path, "--out-dir",
+                               tmp_path / "y", "--stages", "ingest", *extra)
+                assert code == 2, (hyperparameters, extra)
+                doc = json.loads(capsys.readouterr().err.strip())
+                assert doc == {"error": "MalformedInput",
+                               "message": "config hyperparameters must be a JSON object"}
+        assert not (tmp_path / "y").exists()
+
+
+class TestModelVersion:
+    def test_decode_with_version_1_model_exits_2(self, fixture_dir, tmp_path, capsys):
+        import struct
+
+        from capkit._binio import pack_str_list
+
+        model = tmp_path / "v1.model"
+        model.write_bytes(b"MELM" + struct.pack("<Id", 1, 1e-6) + pack_str_list(["a"]))
+        out = tmp_path / "nbest.tsv"
+        code = run_cli("decode", "--model", model, "--mode", "coverage",
+                       "--detections", fixture_dir / "detections.jsonl", "--out", out)
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == "MalformedInput"
+        assert "unsupported MELM version 1" in doc["message"]
+        assert "retrain the model with `capkit train-me`" in doc["message"]
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def me_model(fixture_dir, tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "me.model"

@@ -88,6 +88,17 @@ class TestLoadCaptions:
         with pytest.raises(MalformedInput):
             load_captions(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("image_id", 3.7), ("image_id", 3.0), ("image_id", True), ("image_id", "3"),
+        ("id", "2"), ("id", False), ("id", 2.5),
+    ])
+    def test_ids_must_be_json_integers(self, tmp_path, field, value):
+        entry = {"id": 1, "image_id": 3, "caption": "a cat", field: value}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"annotations": [entry]}))
+        with pytest.raises(MalformedInput, match="must be an integer"):
+            load_captions(path)
+
     def test_duplicate_annotation_id(self, tmp_path):
         path = write_captions_json(
             tmp_path / "c.json", [(1, 10, "A cat."), (1, 11, "A dog.")]
@@ -271,6 +282,13 @@ class TestDetections:
         with pytest.raises(MalformedInput):
             load_detections(path)
 
+    @pytest.mark.parametrize("image_id", [2.5, 2.0, True, "2", None])
+    def test_image_id_must_be_a_json_integer(self, tmp_path, image_id):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"image_id": image_id, "words": []}))
+        with pytest.raises(MalformedInput, match="must be an integer"):
+            load_detections(path)
+
     def test_infinite_image_id(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"image_id": Infinity, "words": []}')
@@ -286,8 +304,8 @@ _json_values = st.recursive(
                    | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
     max_leaves=10,
 )
-# Ids int() accepts ("7") or rejects with ValueError (NaN), OverflowError
-# (the infinities) or TypeError (lists, objects).
+# Ids that are JSON integers, and values that are not: strings ("7"), NaN,
+# the infinities, booleans, floats, lists and objects.
 _ids = st.integers() | st.sampled_from(["7", math.nan, math.inf, -math.inf]) | _json_values
 _detection_records = st.fixed_dictionaries({
     "image_id": _ids,
@@ -329,7 +347,8 @@ class TestParserFuzz:
             detections = load_detections(path)
         except MalformedInput:
             return
-        for det in detections.values():
+        for image_id, det in detections.items():
+            assert type(image_id) is int
             assert all(isinstance(tok, str) and tok for tok in det.tokens())
 
     @settings(max_examples=300, deadline=None)
@@ -341,7 +360,7 @@ class TestParserFuzz:
             records = load_captions(path)
         except (MalformedInput, DuplicateAnnotationId):
             return
-        assert all(rec.tokens for rec in records)
+        assert all(rec.tokens and type(rec.image_id) is int for rec in records)
 
     @settings(max_examples=300, deadline=None)
     @given(line=_tsv_lines)

@@ -1,64 +1,104 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capkit.corpus import CaptionRecord, DetectionSet, Vocabulary, build_vocabulary, END_TOKEN
+from capkit.corpus import (
+    END_TOKEN,
+    START_ID,
+    CaptionRecord,
+    DetectionSet,
+    Vocabulary,
+    build_vocabulary,
+)
+from capkit._binio import pack_str_list
 from capkit.decoding import MaxEntScorer, sequence_logprob
 from capkit.errors import DegenerateCorpus, MalformedInput
 from capkit.maxent import (
+    END_DONE,
+    END_PENDING,
+    HIT,
+    MISS,
     MaxEntLM,
     MaxEntTrainConfig,
-    _event_nll_and_grad,
-    extract_features,
     load_maxent,
     save_maxent,
     train_maxent,
 )
 
-# ids frozen from the stable 64-bit feature hash; they must never change
-GOLDEN_FEATURES = {
-    (("a", "black"), "cat", frozenset({"cat", "dog"})): (
-        10195039588888383636,
-        7281759446009437530,
-        15742252250521272737,
-        6607044028687475995,
-    ),
-    ((), "a", frozenset()): (
-        16823494885137830572,
-        6505807567490515966,
-        13350433288851357652,
-        11475394142901820444,
-    ),
-    (("a", "cat"), END_TOKEN, frozenset({"dog"})): (
-        1346905262544910823,
-        10994893959031921237,
-        17295751356913996443,
-        9138491122303426888,
-    ),
-}
+from conftest import maxent_gradient_error, randomize_maxent_event
+
+def _all_weights(lm):
+    """Every stored weight: unigram, coverage, then bigram and trigram rows."""
+    rows = [lm.unigram, lm.coverage, *lm.bigram.values(), *lm.trigram.values()]
+    return np.concatenate(rows)
+
+
+def _random_lm(seed=0):
+    """A model over a few words with random rows for the contexts (a,) and
+    (<start>, a), and random coverage scalars."""
+    lm = MaxEntLM(Vocabulary(["a", "cat", "dog", "sat"]))
+    rng = np.random.default_rng(seed)
+    a = lm.vocabulary.lookup("a")
+    width = len(lm.unigram)
+    lm.unigram[:] = rng.standard_normal(width)
+    lm.bigram[a] = rng.standard_normal(width)
+    lm.trigram[(START_ID, a)] = rng.standard_normal(width)
+    lm.coverage[:] = rng.standard_normal(4)
+    return lm
+
+
+def _scores(lm, history, remaining):
+    return lm._scores(*lm._condition(history, remaining))
 
 
 class TestExtractFeatures:
-    def test_golden_ids(self):
-        for (history, cand, remaining), expected in GOLDEN_FEATURES.items():
-            assert extract_features(history, cand, remaining) == expected
+    """Which template terms a candidate's dense score reads."""
+
+    def _ngram_part(self, lm):
+        a = lm.vocabulary.lookup("a")
+        return lm.unigram + lm.bigram[a] + lm.trigram[(START_ID, a)]
 
     def test_coverage_indicator_flips(self):
-        hit = set(extract_features(("a",), "cat", frozenset({"cat"})))
-        miss = set(extract_features(("a",), "cat", frozenset()))
-        # only the coverage indicator differs
-        assert len(hit ^ miss) == 2
-        assert hit & miss == set(extract_features(("a",), "cat", frozenset({"cat"}))[:3])
+        lm = _random_lm()
+        cat = lm.candidate_tokens().index("cat")
+        hit = _scores(lm, ("a",), frozenset({"cat"}))
+        miss = _scores(lm, ("a",), frozenset())
+        ngram = self._ngram_part(lm)
+        # only the coverage term of "cat" differs
+        assert hit[cat] == ngram[cat] + lm.coverage[HIT]
+        assert miss[cat] == ngram[cat] + lm.coverage[MISS]
+        assert hit[cat] != miss[cat]
+        others = np.arange(1, len(hit)) != cat
+        assert np.array_equal(hit[1:][others], miss[1:][others])
 
     def test_removing_unrelated_word_changes_nothing(self):
-        a = extract_features(("a",), "cat", frozenset({"cat", "dog"}))
-        b = extract_features(("a",), "cat", frozenset({"cat"}))
-        assert a == b  # "dog" is not referenced by any template for this candidate
+        lm = _random_lm()
+        dog = lm.candidate_tokens().index("dog")
+        a = _scores(lm, ("a",), frozenset({"cat", "dog"}))
+        b = _scores(lm, ("a",), frozenset({"cat"}))
+        # "dog" is read only by its own coverage term
+        assert np.array_equal(np.delete(a, dog), np.delete(b, dog))
+        assert a[dog] == self._ngram_part(lm)[dog] + lm.coverage[HIT]
 
     def test_end_indicator_tracks_remaining(self):
-        done = extract_features(("a",), END_TOKEN, frozenset())
-        pending = extract_features(("a",), END_TOKEN, frozenset({"dog"}))
-        assert done[:3] == pending[:3]
-        assert done[3] != pending[3]
+        lm = _random_lm()
+        done = _scores(lm, ("a",), frozenset())
+        pending = _scores(lm, ("a",), frozenset({"dog"}))
+        ngram = self._ngram_part(lm)
+        assert done[0] == ngram[0] + lm.coverage[END_DONE]
+        assert pending[0] == ngram[0] + lm.coverage[END_PENDING]
+        assert done[0] != pending[0]
+
+    def test_unseen_context_reads_zeros(self):
+        lm = _random_lm()
+        scores = _scores(lm, ("dog", "sat"), frozenset())
+        expected = lm.unigram + np.where(
+            np.arange(len(lm.unigram)) == 0, lm.coverage[END_DONE], lm.coverage[MISS]
+        )
+        assert np.array_equal(scores, expected)
 
 
 def _toy_records(n=500):
@@ -98,17 +138,12 @@ class TestDistribution:
         vocab = Vocabulary(["a", "b"])
         lm = MaxEntLM(vocab)
         rng = np.random.default_rng(0)
-        for cand in lm.candidate_tokens():
-            for f in extract_features((), cand, frozenset()):
-                lm.weights[f] = float(rng.standard_normal())
+        randomize_maxent_event(lm, (), frozenset(), lambda: float(rng.standard_normal()))
         base = _dist(lm, [], frozenset())
-        # the unigram feature is distinct per candidate, so bumping each one by
-        # the same constant shifts every candidate's score equally
-        shifted = MaxEntLM(vocab, weights=dict(lm.weights))
-        for cand in lm.candidate_tokens():
-            f_unigram = extract_features((), cand, frozenset())[0]
-            shifted.weights[f_unigram] = shifted.weights.get(f_unigram, 0.0) + 7.5
-        new = _dist(shifted, [], frozenset())
+        # bumping every unigram weight by the same constant shifts every
+        # candidate's score equally
+        lm.unigram += 7.5
+        new = _dist(lm, [], frozenset())
         for tok in base:
             assert new[tok] == pytest.approx(base[tok], abs=1e-9)
 
@@ -129,7 +164,7 @@ class TestTraining:
             [(r, None) for r in records],
             MaxEntTrainConfig(epochs=5, learning_rate=0.005, l2=200.0),
         )
-        assert max(abs(w) for w in lm.weights.values()) < 1e-2
+        assert np.abs(_all_weights(lm)).max() < 1e-2
         dist = _dist(lm, ["a"], frozenset())
         n = len(dist)
         for prob in dist.values():
@@ -139,7 +174,9 @@ class TestTraining:
         pairs = [(r, None) for r in _toy_records(40)]
         lm1 = train_maxent(pairs, MaxEntTrainConfig(epochs=3, seed=11))
         lm2 = train_maxent(pairs, MaxEntTrainConfig(epochs=3, seed=11))
-        assert lm1.weights == lm2.weights
+        assert lm1.bigram.keys() == lm2.bigram.keys()
+        assert lm1.trigram.keys() == lm2.trigram.keys()
+        assert np.array_equal(_all_weights(lm1), _all_weights(lm2))
 
     def test_empty_corpus(self):
         with pytest.raises(DegenerateCorpus):
@@ -189,39 +226,73 @@ class TestGradient:
             remaining = frozenset(
                 str(w) for w in rng.choice(["cat", "dog"], size=rng.integers(0, 2))
             )
-            for cand in lm.candidate_tokens():
-                for f in extract_features(history, cand, remaining):
-                    lm.weights[f] = float(rng.standard_normal() * 0.5)
-            _, grad = _event_nll_and_grad(lm, history, target, remaining)
-            for f, g in grad.items():
-                orig = lm.weights.get(f, 0.0)
-                lm.weights[f] = orig + eps
-                up, _ = _event_nll_and_grad(lm, history, target, remaining)
-                lm.weights[f] = orig - eps
-                down, _ = _event_nll_and_grad(lm, history, target, remaining)
-                lm.weights[f] = orig
-                numeric = (up - down) / (2 * eps)
-                worst = max(worst, abs(g - numeric) / max(abs(g), abs(numeric), 1e-6))
+            condition, rows = randomize_maxent_event(
+                lm, history, remaining, lambda: float(rng.standard_normal() * 0.5)
+            )
+            target_idx = lm.candidate_tokens().index(target)
+            worst = max(worst, maxent_gradient_error(lm, condition, rows, target_idx, eps))
         assert worst < 1e-4
+
+
+def _trained_with_detections():
+    det = DetectionSet.from_scored_words(1, [("b", 0.9)], 0.5)
+    return train_maxent(
+        [(r, det) for r in _toy_records(20)], MaxEntTrainConfig(epochs=2)
+    )
+
+
+def _assert_same_rows(a, b):
+    assert a.unigram.tobytes() == b.unigram.tobytes()
+    assert a.coverage.tobytes() == b.coverage.tobytes()
+    for rows_a, rows_b in ((a.bigram, b.bigram), (a.trigram, b.trigram)):
+        assert rows_a.keys() == rows_b.keys()
+        for context, row in rows_a.items():
+            assert row.tobytes() == rows_b[context].tobytes()
+
+
+@pytest.fixture(scope="module")
+def melm_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("melm") / "m.melm"
+    save_maxent(_trained_with_detections(), path)
+    return path.read_bytes()
+
+
+def _melm_v1(path):
+    """The header of a version-1 model (hashed feature weights)."""
+    path.write_bytes(b"MELM" + struct.pack("<Id", 1, 1e-6) + pack_str_list(["a"]))
+    return path
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        lm = train_maxent(
-            [(r, None) for r in _toy_records(20)], MaxEntTrainConfig(epochs=2)
-        )
+        lm = _trained_with_detections()
+        assert len(lm.bigram) > 1 and len(lm.trigram) > 1
+        assert np.all(lm.coverage != 0.0)
         path = tmp_path / "m.melm"
         save_maxent(lm, path)
         loaded = load_maxent(path)
-        assert loaded.weights == lm.weights
+        _assert_same_rows(loaded, lm)
         assert loaded.vocabulary.id_of == lm.vocabulary.id_of
         assert loaded.l2 == lm.l2
+        # contexts are written sorted, whatever order training created them in
+        again = tmp_path / "again.melm"
+        save_maxent(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        for history, remaining in (
+            ([], frozenset({"b"})), (["a"], frozenset()), (["x", "y"], frozenset()),
+        ):
+            got = loaded.logprobs(history, remaining)
+            assert got.tobytes() == lm.logprobs(history, remaining).tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.melm"
         path.write_bytes(b"XXXX")
         with pytest.raises(MalformedInput):
             load_maxent(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        with pytest.raises(MalformedInput, match="unsupported MELM version 1.*train-me"):
+            load_maxent(_melm_v1(tmp_path / "m.melm"))
 
     def test_truncated(self, tmp_path):
         lm = MaxEntLM(build_vocabulary(_toy_records(5), 1))
@@ -230,3 +301,59 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(MalformedInput):
             load_maxent(path)
+
+    def test_rows_disagree_with_vocabulary(self, tmp_path):
+        lm = _trained_with_detections()
+        wider = MaxEntLM(Vocabulary([*lm.vocabulary.word_tokens(), "extra"]))
+        for name in ("unigram", "coverage", "bigram", "trigram"):
+            setattr(wider, name, getattr(lm, name))
+        path = tmp_path / "m.melm"
+        save_maxent(wider, path)
+        with pytest.raises(MalformedInput, match="disagree with the vocabulary"):
+            load_maxent(path)
+
+    def test_bad_contexts(self, tmp_path):
+        lm = _trained_with_detections()
+        path = tmp_path / "m.melm"
+        save_maxent(lm, path)
+        data = bytearray(path.read_bytes())
+        width = len(lm.unigram)
+        ids_at = 16 + len(pack_str_list(lm.vocabulary.word_tokens())) + 4 + 8 * (width + 4) + 8
+        first, second = sorted(lm.bigram)[:2]
+        for ids, message in (
+            ((second, first), "not in ascending order"),
+            ((first, first), "not in ascending order"),
+            ((first, len(lm.vocabulary)), "out of vocabulary"),
+        ):
+            data[ids_at:ids_at + 8] = struct.pack("<II", *ids)
+            path.write_bytes(bytes(data))
+            with pytest.raises(MalformedInput, match=message):
+                load_maxent(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoadFuzz:
+    """A damaged model file either loads or raises an input error (exit 2),
+    never anything else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut=st.integers(min_value=0), flips=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
+        max_size=4,
+    ))
+    def test_truncated_and_flipped(self, melm_bytes, fuzz_dir, cut, flips):
+        data = bytearray(melm_bytes[: len(melm_bytes) - cut % len(melm_bytes)])
+        for pos, mask in flips:
+            if data:
+                data[pos % len(data)] ^= mask
+        path = fuzz_dir / "m.melm"
+        path.write_bytes(bytes(data))
+        try:
+            lm = load_maxent(path)
+        except MalformedInput:
+            return
+        lm.logprobs(["a"], frozenset({"b"}))
