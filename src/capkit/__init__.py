@@ -34,7 +34,6 @@ from .knn import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     BleuStats,
-    MeteorConfig,
     bleu_from_stats,
     bleu_stats,
     corpus_bleu,

@@ -24,12 +24,18 @@ from .corpus import (
 from .errors import InputDataError, MalformedInput, ToolkitError
 from .pipeline import (
     _STAGE_FNS,
+    DEFAULT_HYPERPARAMETERS,
     STAGE_ORDER,
     PipelineConfig,
     PipelineContext,
     _check_ranges,
     caption_report,
+    decode_options,
     hyperparameters_of,
+    maxent_train_config,
+    mert_config,
+    recurrent_config,
+    rnn_train_config,
     run_pipeline,
     score_captions,
 )
@@ -66,7 +72,6 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
 
 
 def _cmd_knn_caption(args) -> int:
-    _check_ranges({"k": args.k, "m": args.m})
     train_features = load_features(args.features_train)
     test_features = load_features(args.features_test)
     captions = captions_by_image(load_captions(args.captions))
@@ -84,34 +89,24 @@ def _cmd_knn_caption(args) -> int:
     return 0
 
 
-def _cmd_train_me(args) -> int:
-    _check_ranges({"alpha": args.alpha, "me_lr": args.lr, "me_l2": args.l2,
-                   "min_count": args.min_count})
-    records = load_captions(args.captions)
-    detections = load_detections(args.detections, args.alpha) if args.detections else {}
-    pairs = [(rec, detections.get(rec.image_id)) for rec in records]
-    lm = maxent.train_maxent(
-        pairs,
-        maxent.MaxEntTrainConfig(
-            epochs=args.epochs,
-            learning_rate=args.lr,
-            l2=args.l2,
-            seed=args.seed,
-            min_count=args.min_count,
-        ),
-    )
-    maxent.save_maxent(lm, args.out)
+def _report_training(lm, out) -> int:
     for epoch, loss in enumerate(lm.epoch_losses, start=1):
         print(f"epoch {epoch} loss {loss:.4f}")
     print(f"train perplexity {math.exp(lm.epoch_losses[-1]):.2f}")
-    print(f"wrote model to {args.out}")
+    print(f"wrote model to {out}")
     return 0
 
 
+def _cmd_train_me(args) -> int:
+    records = load_captions(args.captions)
+    detections = load_detections(args.detections, args.alpha) if args.detections else {}
+    pairs = [(rec, detections.get(rec.image_id)) for rec in records]
+    lm = maxent.train_maxent(pairs, maxent_train_config(vars(args), args.seed))
+    maxent.save_maxent(lm, args.out)
+    return _report_training(lm, args.out)
+
+
 def _cmd_train_rnn(args) -> int:
-    _check_ranges({"alpha": args.alpha, "rnn_lr": args.lr, "rnn_clip": args.clip,
-                   "rnn_embed": args.embed, "rnn_hidden": args.hidden,
-                   "min_count": args.min_count})
     records = load_captions(args.captions)
     vocab = build_vocabulary(records, args.min_count)
     if args.mode == "mrnn":
@@ -119,12 +114,8 @@ def _cmd_train_rnn(args) -> int:
             raise MalformedInput("--mode mrnn needs --features")
         features = load_features(args.features)
         data = [(features.get(rec.image_id), list(rec.tokens)) for rec in records]
-        config = recurrent.RecurrentConfig(
-            mode=recurrent.MODE_IMAGE_INITIAL,
-            embed_dim=args.embed,
-            hidden_dim=args.hidden,
-            feature_dim=features.dim,
-            seed=args.seed,
+        config = recurrent_config(
+            vars(args), args.seed, recurrent.MODE_IMAGE_INITIAL, features.dim
         )
     else:
         if not args.detections:
@@ -134,26 +125,11 @@ def _cmd_train_rnn(args) -> int:
             (detections.get(rec.image_id, frozenset()), list(rec.tokens))
             for rec in records
         ]
-        config = recurrent.RecurrentConfig(
-            mode=recurrent.MODE_COVERAGE_AUX,
-            embed_dim=args.embed,
-            hidden_dim=args.hidden,
-            seed=args.seed,
-        )
+        config = recurrent_config(vars(args), args.seed, recurrent.MODE_COVERAGE_AUX)
     lm = recurrent.RecurrentLM(vocab, config)
-    recurrent.train(
-        lm,
-        data,
-        recurrent.RnnTrainConfig(
-            epochs=args.epochs, learning_rate=args.lr, clip=args.clip, seed=args.seed
-        ),
-    )
+    recurrent.train(lm, data, rnn_train_config(vars(args), args.seed))
     recurrent.save_recurrent(lm, args.out)
-    for epoch, loss in enumerate(lm.epoch_losses, start=1):
-        print(f"epoch {epoch} loss {loss:.4f}")
-    print(f"train perplexity {math.exp(lm.epoch_losses[-1]):.2f}")
-    print(f"wrote model to {args.out}")
-    return 0
+    return _report_training(lm, args.out)
 
 
 def _load_any_model(path):
@@ -176,8 +152,6 @@ def _scorer_for(model):
 
 
 def _cmd_decode(args) -> int:
-    _check_ranges({"alpha": args.alpha, "beam": args.beam, "nbest": args.nbest,
-                   "max_len": args.max_len, "min_coverage": args.min_coverage})
     model = _load_any_model(args.model)
     scorer = _scorer_for(model)
     image_model = (isinstance(model, recurrent.RecurrentLM)
@@ -212,12 +186,7 @@ def _cmd_decode(args) -> int:
         detections = load_detections(args.detections, args.alpha)
         for image_id in sorted(detections):
             nbest = decoding.coverage_beam_search(
-                scorer,
-                detections[image_id],
-                beam_size=args.beam,
-                max_len=args.max_len,
-                n_best=args.nbest,
-                min_coverage=args.min_coverage,
+                scorer, detections[image_id], **decode_options(vars(args), coverage=True)
             )
             incomplete += 0 if nbest.complete else 1
             nbests.append(nbest)
@@ -231,10 +200,8 @@ def _cmd_decode(args) -> int:
             nbest = decoding.beam_search(
                 scorer,
                 features.get(image_id),
-                beam_size=args.beam,
-                max_len=args.max_len,
-                n_best=args.nbest,
                 image_id=image_id,
+                **decode_options(vars(args), coverage=False),
             )
             incomplete += 0 if nbest.complete else 1
             nbests.append(nbest)
@@ -247,18 +214,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_mert(args) -> int:
-    feature_names = [f for f in args.features.split(",") if f]
-    _check_ranges({"mert_restarts": args.restarts, "mert_iters": args.iters,
-                   "mert_features": feature_names})
-    nbests = artifacts.read_nbest_tsv(args.nbest)
+    nbests = artifacts.read_nbest_tsv(args.nbest_path)
     refs = captions_by_image(load_captions(args.refs))
-    init = {name: (1.0 if i == 0 else 0.0) for i, name in enumerate(feature_names)}
     log: list = []
     weights = rerank.mert_optimize(
         nbests,
         refs,
-        init,
-        rerank.MertConfig(restarts=args.restarts, max_iters=args.iters, seed=args.seed),
+        rerank.initial_weights(args.mert_features),
+        mert_config(vars(args), args.seed),
         iteration_log=log,
     )
     artifacts.write_json(args.out, weights)
@@ -278,7 +241,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _check_ranges({"top_k": args.top_k, "tail": args.tail})
     captions = captions_by_image(load_captions(args.captions))
     train_features = load_features(args.features_train)
     test_features = load_features(args.features_test)
@@ -328,6 +290,17 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+def _hyperparameter(parser, flag, key, kind=None, **kwargs) -> None:
+    """Option ``flag`` setting hyperparameter ``key``; the pipeline's table gives
+    its default, and ``main`` checks its range."""
+    default = DEFAULT_HYPERPARAMETERS[key]
+    parser.add_argument(flag, dest=key, type=kind or type(default), default=default, **kwargs)
+
+
+def _feature_list(text: str) -> list[str]:
+    return [name for name in text.split(",") if name]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capkit",
@@ -339,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--detections")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--min-count", type=int, default=1)
+    _hyperparameter(p, "--alpha", "alpha")
+    _hyperparameter(p, "--min-count", "min_count")
     p.add_argument("--sizes", required=True, help="train,val,testval")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
@@ -350,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-train", required=True)
     p.add_argument("--features-test", required=True)
     p.add_argument("--captions", required=True, help="training captions JSON")
-    p.add_argument("--k", type=int, default=knn.DEFAULT_NEIGHBORS)
-    p.add_argument("--m", type=int, default=knn.DEFAULT_SIMILAR_CAPTIONS)
+    _hyperparameter(p, "--k", "k")
+    _hyperparameter(p, "--m", "m")
     p.add_argument("--mode", choices=knn.RETRIEVAL_MODES, default="consensus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -360,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-me", help="train the detection-conditioned log-linear LM")
     p.add_argument("--captions", required=True)
     p.add_argument("--detections")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-6)
+    _hyperparameter(p, "--alpha", "alpha")
+    _hyperparameter(p, "--epochs", "me_epochs")
+    _hyperparameter(p, "--lr", "me_lr")
+    _hyperparameter(p, "--l2", "me_l2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-count", type=int, default=1)
+    _hyperparameter(p, "--min-count", "min_count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_me)
 
@@ -373,15 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("mrnn", "dgrnn"), required=True)
     p.add_argument("--features")
     p.add_argument("--detections")
-    p.add_argument("--alpha", type=float, default=0.5)
+    _hyperparameter(p, "--alpha", "alpha")
     p.add_argument("--captions", required=True)
-    p.add_argument("--embed", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--clip", type=float, default=5.0)
+    _hyperparameter(p, "--embed", "rnn_embed")
+    _hyperparameter(p, "--hidden", "rnn_hidden")
+    _hyperparameter(p, "--epochs", "rnn_epochs")
+    _hyperparameter(p, "--lr", "rnn_lr")
+    _hyperparameter(p, "--clip", "rnn_clip")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-count", type=int, default=1)
+    _hyperparameter(p, "--min-count", "min_count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_rnn)
 
@@ -390,22 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("plain", "coverage"), default="plain")
     p.add_argument("--features")
     p.add_argument("--detections")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beam", type=int, default=decoding.DEFAULT_BEAM_SIZE)
-    p.add_argument("--nbest", type=int, default=decoding.DEFAULT_NBEST)
-    p.add_argument("--max-len", type=int, default=decoding.DEFAULT_MAX_LEN)
-    p.add_argument("--min-coverage", type=int, default=None)
+    _hyperparameter(p, "--alpha", "alpha")
+    _hyperparameter(p, "--beam", "beam")
+    _hyperparameter(p, "--nbest", "nbest")
+    _hyperparameter(p, "--max-len", "max_len")
+    _hyperparameter(p, "--min-coverage", "min_coverage", kind=int)
     p.add_argument("--rescore", help="existing n-best TSV to add a feature column to")
     p.add_argument("--feature-name", default="rescore")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("mert", help="optimize reranking weights to maximize BLEU")
-    p.add_argument("--nbest", required=True)
+    p.add_argument("--nbest", dest="nbest_path", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--features", required=True, help="comma-separated feature columns")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=30)
+    p.add_argument("--features", dest="mert_features", type=_feature_list, required=True,
+                   help="comma-separated feature columns; MERT starts at 1.0 for the first")
+    _hyperparameter(p, "--restarts", "mert_restarts")
+    _hyperparameter(p, "--iters", "mert_iters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mert)
@@ -421,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True)
     p.add_argument("--features-train", required=True)
     p.add_argument("--features-test", required=True)
-    p.add_argument("--top-k", type=int, default=analysis.DEFAULT_TOP_K)
-    p.add_argument("--tail", type=float, default=analysis.DEFAULT_TAIL_FRACTION)
+    _hyperparameter(p, "--top-k", "top_k")
+    _hyperparameter(p, "--tail", "tail")
     p.add_argument("--report", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_analyze)
 
@@ -441,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(vars(args))
         return args.func(args)
     except (InputDataError, OSError) as exc:
         print(

@@ -71,10 +71,6 @@ class DegenerateCorpus(ToolkitError):
     """A training corpus contains no usable examples."""
 
 
-class UnknownToken(ToolkitError):
-    """A token id is outside the model's vocabulary."""
-
-
 class SchemaMismatch(ToolkitError):
     """Feature rows or weight vectors do not share one feature schema."""
 

@@ -115,30 +115,12 @@ def corpus_bleu(pairs) -> float:
     return bleu_from_stats(total)
 
 
-@dataclass(frozen=True)
-class MeteorConfig:
-    """Knobs of the unigram-alignment metric.
-
-    alpha weighs precision against recall in the harmonic mean, gamma and
-    beta shape the fragmentation penalty gamma*(chunks/matches)**beta.
-    """
-
-    alpha: float = 0.9
-    beta: float = 3.0
-    gamma: float = 0.5
-    stemmer: bool = True
-    synonyms: dict[str, frozenset[str]] | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-
-
-_STEM_SUFFIXES = ("sses", "ies", "ing", "ed", "es", "s")
+# METEOR weights: alpha weighs precision against recall in the harmonic
+# mean; gamma and beta shape the fragmentation penalty
+# gamma * (chunks / matches) ** beta.
+METEOR_ALPHA = 0.9
+METEOR_BETA = 3.0
+METEOR_GAMMA = 0.5
 
 
 def light_stem(token: str) -> str:
@@ -155,24 +137,14 @@ def light_stem(token: str) -> str:
     return token
 
 
-def _synonym_match(a: str, b: str, synonyms) -> bool:
-    if synonyms is None:
-        return False
-    return b in synonyms.get(a, ()) or a in synonyms.get(b, ())
-
-
-def _align(hyp, ref, config: MeteorConfig) -> tuple[int, int]:
+def _align(hyp, ref) -> tuple[int, int]:
     """Stage-wise unigram alignment; returns (matches, chunks).
 
-    Stages run exact, then stemmed, then synonym matching; within a stage
-    each hypothesis token takes the first free reference token, which keeps
-    the alignment order-preserving per word type.
+    Stages run exact, then stemmed matching; within a stage each hypothesis
+    token takes the first free reference token, which keeps the alignment
+    order-preserving per word type.
     """
-    stages = [lambda a, b: a == b]
-    if config.stemmer:
-        stages.append(lambda a, b: light_stem(a) == light_stem(b))
-    if config.synonyms is not None:
-        stages.append(lambda a, b: _synonym_match(a, b, config.synonyms))
+    stages = (lambda a, b: a == b, lambda a, b: light_stem(a) == light_stem(b))
     hyp_free = [True] * len(hyp)
     ref_free = [True] * len(ref)
     pairs: list[tuple[int, int]] = []
@@ -196,13 +168,12 @@ def _align(hyp, ref, config: MeteorConfig) -> tuple[int, int]:
     return len(pairs), chunks
 
 
-def meteor(hyp, refs, config: MeteorConfig | None = None) -> float:
+def meteor(hyp, refs) -> float:
     """Best unigram-alignment score of ``hyp`` over the references, 0-100.
 
     F = P*R / (alpha*P + (1-alpha)*R), discounted by the fragmentation
     penalty; zero when nothing aligns.
     """
-    config = config or MeteorConfig()
     refs = [tuple(r) for r in refs]
     if not refs:
         raise EmptyReferences("meteor needs at least one reference")
@@ -211,13 +182,13 @@ def meteor(hyp, refs, config: MeteorConfig | None = None) -> float:
     for ref in refs:
         if not hyp or not ref:
             continue
-        matched, chunks = _align(hyp, ref, config)
+        matched, chunks = _align(hyp, ref)
         if matched == 0:
             continue
         precision = matched / len(hyp)
         recall = matched / len(ref)
-        fmean = (precision * recall) / (config.alpha * precision + (1.0 - config.alpha) * recall)
-        penalty = config.gamma * (chunks / matched) ** config.beta
+        fmean = (precision * recall) / (METEOR_ALPHA * precision + (1.0 - METEOR_ALPHA) * recall)
+        penalty = METEOR_GAMMA * (chunks / matched) ** METEOR_BETA
         best = max(best, 100.0 * fmean * (1.0 - penalty))
     return best
 

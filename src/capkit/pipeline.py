@@ -87,6 +87,50 @@ def _check_ranges(hp: dict) -> None:
             raise MalformedInput(f"hyperparameter out of range: {key} must be {requirement}")
 
 
+# Library configs from a mapping keyed like DEFAULT_HYPERPARAMETERS: the
+# stages pass the run's hyperparameters, the subcommands their options.
+
+def maxent_train_config(hp, seed: int) -> maxent.MaxEntTrainConfig:
+    return maxent.MaxEntTrainConfig(
+        epochs=hp["me_epochs"],
+        learning_rate=hp["me_lr"],
+        l2=hp["me_l2"],
+        seed=seed,
+        min_count=hp["min_count"],
+    )
+
+
+def recurrent_config(hp, seed: int, mode: str,
+                     feature_dim: int | None = None) -> recurrent.RecurrentConfig:
+    return recurrent.RecurrentConfig(
+        mode=mode,
+        embed_dim=hp["rnn_embed"],
+        hidden_dim=hp["rnn_hidden"],
+        feature_dim=feature_dim,
+        seed=seed,
+    )
+
+
+def rnn_train_config(hp, seed: int) -> recurrent.RnnTrainConfig:
+    return recurrent.RnnTrainConfig(
+        epochs=hp["rnn_epochs"], learning_rate=hp["rnn_lr"], clip=hp["rnn_clip"], seed=seed
+    )
+
+
+def mert_config(hp, seed: int) -> rerank.MertConfig:
+    return rerank.MertConfig(
+        restarts=hp["mert_restarts"], max_iters=hp["mert_iters"], seed=seed
+    )
+
+
+def decode_options(hp, coverage: bool) -> dict:
+    """Keyword arguments of ``coverage_beam_search`` (``coverage``) or ``beam_search``."""
+    options = {"beam_size": hp["beam"], "max_len": hp["max_len"], "n_best": hp["nbest"]}
+    if coverage:
+        options["min_coverage"] = hp["min_coverage"]
+    return options
+
+
 def hyperparameters_of(doc: dict) -> dict:
     """The ``hyperparameters`` object of a config document ({} if absent)."""
     hyperparameters = doc.get("hyperparameters", {})
@@ -291,14 +335,9 @@ def _stage_train_me(ctx: PipelineContext) -> list[str]:
         for rec in ctx.records()
         if rec.image_id in train
     ]
-    config = maxent.MaxEntTrainConfig(
-        epochs=ctx.hp["me_epochs"],
-        learning_rate=ctx.hp["me_lr"],
-        l2=ctx.hp["me_l2"],
-        seed=ctx.config.seed,
-        min_count=ctx.hp["min_count"],
+    lm = maxent.train_maxent(
+        pairs, maxent_train_config(ctx.hp, ctx.config.seed), vocabulary=ctx.vocabulary()
     )
-    lm = maxent.train_maxent(pairs, config, vocabulary=ctx.vocabulary())
     maxent.save_maxent(lm, ctx.artifact("me.model"))
     return ["me.model"]
 
@@ -311,26 +350,12 @@ def _stage_train_rnn(ctx: PipelineContext) -> list[str]:
         for rec in ctx.records()
         if rec.image_id in train
     ]
+    seed = ctx.config.seed
     lm = recurrent.RecurrentLM(
         ctx.vocabulary(),
-        recurrent.RecurrentConfig(
-            mode=recurrent.MODE_IMAGE_INITIAL,
-            embed_dim=ctx.hp["rnn_embed"],
-            hidden_dim=ctx.hp["rnn_hidden"],
-            feature_dim=features.dim,
-            seed=ctx.config.seed,
-        ),
+        recurrent_config(ctx.hp, seed, recurrent.MODE_IMAGE_INITIAL, features.dim),
     )
-    recurrent.train(
-        lm,
-        data,
-        recurrent.RnnTrainConfig(
-            epochs=ctx.hp["rnn_epochs"],
-            learning_rate=ctx.hp["rnn_lr"],
-            clip=ctx.hp["rnn_clip"],
-            seed=ctx.config.seed,
-        ),
-    )
+    recurrent.train(lm, data, rnn_train_config(ctx.hp, seed))
     recurrent.save_recurrent(lm, ctx.artifact("rnn.model"))
     return ["rnn.model"]
 
@@ -349,12 +374,7 @@ def _stage_decode(ctx: PipelineContext) -> list[str]:
             if image_id not in detections:
                 raise MalformedInput(f"no detections for image {image_id}")
             nbest = decoding.coverage_beam_search(
-                me_scorer,
-                detections[image_id],
-                beam_size=ctx.hp["beam"],
-                max_len=ctx.hp["max_len"],
-                n_best=ctx.hp["nbest"],
-                min_coverage=ctx.hp["min_coverage"],
+                me_scorer, detections[image_id], **decode_options(ctx.hp, coverage=True)
             )
             nbest = decoding.rescore_logprob(
                 nbest, rnn_scorer, features.get(image_id), "mrnn"
@@ -372,10 +392,8 @@ def _stage_decode(ctx: PipelineContext) -> list[str]:
         result = decoding.beam_search(
             rnn_scorer,
             features.get(image_id),
-            beam_size=ctx.hp["beam"],
-            max_len=ctx.hp["max_len"],
-            n_best=1,
             image_id=image_id,
+            **dict(decode_options(ctx.hp, coverage=False), n_best=1),
         )
         mrnn_captions[image_id] = result.hypotheses[0].tokens if result.hypotheses else ()
     artifacts.write_captions_tsv(ctx.artifact("mrnn_testval.tsv"), mrnn_captions)
@@ -388,17 +406,11 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
         ctx.require_artifact("me_nbest_val.tsv", "decode")
     )
     refs = references_for(ctx.captions(), [nb.image_id for nb in val_nbests])
-    feature_names = list(ctx.hp["mert_features"])
-    init = {name: (1.0 if name == "logprob" else 0.0) for name in feature_names}
     weights = rerank.mert_optimize(
         val_nbests,
         refs,
-        init,
-        rerank.MertConfig(
-            restarts=ctx.hp["mert_restarts"],
-            max_iters=ctx.hp["mert_iters"],
-            seed=ctx.config.seed,
-        ),
+        rerank.initial_weights(ctx.hp["mert_features"]),
+        mert_config(ctx.hp, ctx.config.seed),
     )
     artifacts.write_json(ctx.artifact("weights.json"), weights)
     test_nbests = artifacts.read_nbest_tsv(

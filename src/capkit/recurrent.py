@@ -30,13 +30,14 @@ from .errors import (
     DimensionMismatch,
     MalformedInput,
     NonFiniteLoss,
-    UnknownToken,
 )
 from .maxent import _log_softmax, _softmax
 
 MODE_IMAGE_INITIAL = "initial_state"
 MODE_COVERAGE_AUX = "auxiliary_vector"
 MODES = (MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX)
+# Parameters start uniform in [-INIT_SCALE, INIT_SCALE].
+INIT_SCALE = 0.08
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -51,8 +52,35 @@ class RecurrentConfig:
     embed_dim: int = 32
     hidden_dim: int = 64
     feature_dim: int | None = None  # required in initial_state mode
-    init_scale: float = 0.08
     seed: int = 0
+
+
+def param_shapes(config: RecurrentConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter tensor, in initialization order."""
+    d_e, d_h = config.embed_dim, config.hidden_dim
+    d_x = d_e if config.mode == MODE_IMAGE_INITIAL else 2 * d_e
+    n_out = vocab_size - 1
+    shapes = {
+        "embeddings": (vocab_size, d_e),
+        "gru_wz": (d_x, d_h),
+        "gru_wr": (d_x, d_h),
+        "gru_wc": (d_x, d_h),
+        "gru_uz": (d_h, d_h),
+        "gru_ur": (d_h, d_h),
+        "gru_uc": (d_h, d_h),
+        "gru_bz": (d_h,),
+        "gru_br": (d_h,),
+        "gru_bc": (d_h,),
+        "out_w": (d_h, n_out),
+        "out_b": (n_out,),
+    }
+    if config.mode == MODE_IMAGE_INITIAL:
+        shapes["img_w"] = (config.feature_dim, d_h)
+        shapes["img_b"] = (d_h,)
+    else:
+        shapes["det_embeddings"] = (vocab_size, d_e)
+        shapes["hist_w"] = (d_h, d_e)
+    return shapes
 
 
 class RecurrentLM:
@@ -62,7 +90,9 @@ class RecurrentLM:
     corresponds to vocabulary id i + 1.
     """
 
-    def __init__(self, vocabulary: Vocabulary, config: RecurrentConfig):
+    def __init__(self, vocabulary: Vocabulary, config: RecurrentConfig, params=None):
+        """A model with seeded uniform parameters, or with ``params`` when given
+        (their shapes are the caller's to check against ``param_shapes``)."""
         if config.mode not in MODES:
             raise ValueError(f"unknown conditioning mode {config.mode!r}")
         if config.mode == MODE_IMAGE_INITIAL and not config.feature_dim:
@@ -70,52 +100,20 @@ class RecurrentLM:
         self.vocabulary = vocabulary
         self.config = config
         self.mode = config.mode
-        vocab_size = len(vocabulary)
-        self.n_out = vocab_size - 1
-        d_e, d_h = config.embed_dim, config.hidden_dim
-        d_x = d_e if config.mode == MODE_IMAGE_INITIAL else 2 * d_e
-        self.input_dim = d_x
-        rng = np.random.default_rng(config.seed)
-
-        def init(*shape):
-            return rng.uniform(-config.init_scale, config.init_scale, size=shape)
-
-        self.params: dict[str, np.ndarray] = {
-            "embeddings": init(vocab_size, d_e),
-            "gru_wz": init(d_x, d_h),
-            "gru_wr": init(d_x, d_h),
-            "gru_wc": init(d_x, d_h),
-            "gru_uz": init(d_h, d_h),
-            "gru_ur": init(d_h, d_h),
-            "gru_uc": init(d_h, d_h),
-            "gru_bz": init(d_h),
-            "gru_br": init(d_h),
-            "gru_bc": init(d_h),
-            "out_w": init(d_h, self.n_out),
-            "out_b": init(self.n_out),
-        }
-        if config.mode == MODE_IMAGE_INITIAL:
-            self.params["img_w"] = init(config.feature_dim, d_h)
-            self.params["img_b"] = init(d_h)
-        else:
-            self.params["det_embeddings"] = init(vocab_size, d_e)
-            self.params["hist_w"] = init(d_h, d_e)
+        self.n_out = len(vocabulary) - 1
+        if params is None:
+            rng = np.random.default_rng(config.seed)
+            params = {
+                name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+                for name, shape in param_shapes(config, len(vocabulary)).items()
+            }
+        self.params: dict[str, np.ndarray] = params
 
     # -- encoding helpers -------------------------------------------------
 
     def encode_tokens(self, tokens) -> list[int]:
-        """Vocabulary ids for a token sequence; unknown strings map to UNK,
-        integer ids are validated against the vocabulary."""
-        ids = []
-        for tok in tokens:
-            if isinstance(tok, str):
-                ids.append(self.vocabulary.lookup(tok))
-            else:
-                tid = int(tok)
-                if not 0 <= tid < len(self.vocabulary):
-                    raise UnknownToken(f"token id {tid} outside vocabulary")
-                ids.append(tid)
-        return ids
+        """Vocabulary ids for a token sequence; unknown tokens map to UNK."""
+        return [self.vocabulary.lookup(tok) for tok in tokens]
 
     def encode_detections(self, detections) -> list[int]:
         """Sorted unique vocabulary ids of a detection word set."""
@@ -375,6 +373,11 @@ def save_recurrent(lm: RecurrentLM, path) -> None:
 
 
 def load_recurrent(path) -> RecurrentLM:
+    """Read a GRLM file; anything inconsistent in it raises MalformedInput.
+
+    Every tensor's shape is checked against the sizes in the header before
+    the model is built, so a damaged header allocates nothing.
+    """
     try:
         with open(path, "rb") as fh:
             reader = ByteReader(fh.read(), str(path))
@@ -385,29 +388,34 @@ def load_recurrent(path) -> RecurrentLM:
     if version != _GRLM_VERSION:
         raise MalformedInput(f"{path}: unsupported GRLM version {version}")
     mode = reader.read_str()
+    if mode not in MODES:
+        raise MalformedInput(f"{path}: unknown conditioning mode {mode!r}")
     embed_dim, hidden_dim, feature_dim = reader.unpack("<III")
-    words = reader.read_str_list()
+    if mode == MODE_IMAGE_INITIAL and not feature_dim:
+        raise MalformedInput(f"{path}: initial_state mode needs a feature dimension")
+    try:
+        vocabulary = Vocabulary(reader.read_str_list())
+    except ValueError as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
     config = RecurrentConfig(
         mode=mode,
         embed_dim=embed_dim,
         hidden_dim=hidden_dim,
         feature_dim=feature_dim or None,
     )
-    lm = RecurrentLM(Vocabulary(words), config)
+    expected = param_shapes(config, len(vocabulary))
     (n_tensors,) = reader.unpack("<I")
-    loaded: dict[str, np.ndarray] = {}
+    if n_tensors != len(expected):
+        raise MalformedInput(f"{path}: {n_tensors} tensors, mode {mode} has {len(expected)}")
+    params: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         name = reader.read_str()
+        if name not in expected or name in params:
+            raise MalformedInput(f"{path}: unexpected tensor {name!r} for mode {mode}")
         (ndim,) = reader.unpack("<I")
-        shape = tuple(reader.unpack("<" + "Q" * ndim)) if ndim else ()
-        loaded[name] = reader.read_f64_array(shape)
+        shape = expected[name]
+        if ndim != len(shape) or reader.unpack("<" + "Q" * ndim) != shape:
+            raise MalformedInput(f"{path}: tensor {name} does not have shape {shape}")
+        params[name] = reader.read_f64_array(shape)
     reader.expect_end()
-    if set(loaded) != set(lm.params):
-        raise MalformedInput(f"{path}: tensor names do not match mode {mode}")
-    for name, arr in loaded.items():
-        if arr.shape != lm.params[name].shape:
-            raise MalformedInput(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {lm.params[name].shape}"
-            )
-        lm.params[name] = arr
-    return lm
+    return RecurrentLM(vocabulary, config, {name: params[name] for name in expected})

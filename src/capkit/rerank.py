@@ -8,7 +8,7 @@ gives the finitely many intervals on which the corpus selection is
 constant; corpus BLEU is evaluated once per interval through additive
 statistics and the midpoint of the best interval becomes the new weight.
 Coordinate passes repeat until no direction improves BLEU by more than
-``min_gain``; seeded random restarts guard against local optima and the
+``MIN_GAIN``; seeded random restarts guard against local optima and the
 best weights across restarts (never worse than the initial point) win.
 """
 
@@ -31,7 +31,6 @@ class EnvelopeSegment:
     lo: float
     hi: float
     winner: int
-    stats: BleuStats | None = None
 
 
 def _line_params(rows, base_weights, direction):
@@ -114,13 +113,23 @@ def apply_weights(nbest: NBestList, weights) -> DecodedHypothesis:
     return nbest.hypotheses[_argmax_index(nbest, weights)]
 
 
+# A coordinate step is taken only when it raises BLEU by more than
+# MIN_GAIN; restart r > 0 starts from the initial weights plus
+# PERTURBATION times a standard normal draw per feature.
+MIN_GAIN = 1e-6
+PERTURBATION = 1.0
+
+
 @dataclass(frozen=True)
 class MertConfig:
     restarts: int = 8
     max_iters: int = 30
     seed: int = 0
-    min_gain: float = 1e-6
-    perturbation: float = 1.0
+
+
+def initial_weights(feature_names) -> dict[str, float]:
+    """MERT's starting point: 1.0 for the first listed feature, 0.0 for the rest."""
+    return {name: (1.0 if i == 0 else 0.0) for i, name in enumerate(feature_names)}
 
 
 def _selection_bleu(nbests, hyp_stats, weights):
@@ -199,7 +208,7 @@ def mert_optimize(nbests, refs, init, config: MertConfig | None = None,
             weights = {k: float(v) for k, v in init.items()}
         else:
             weights = {
-                k: float(init[k]) + config.perturbation * float(rng.standard_normal())
+                k: float(init[k]) + PERTURBATION * float(rng.standard_normal())
                 for k in directions
             }
         bleu = _selection_bleu(nbests, hyp_stats, weights)
@@ -210,7 +219,7 @@ def mert_optimize(nbests, refs, init, config: MertConfig | None = None,
                 if step is None:
                     continue
                 step_bleu, gamma = step
-                if step_bleu > bleu + config.min_gain:
+                if step_bleu > bleu + MIN_GAIN:
                     weights[direction] = gamma
                     bleu = step_bleu
                     improved = True

@@ -43,7 +43,6 @@ from capkit.maxent import (
 )
 from capkit.metrics import (
     BleuStats,
-    MeteorConfig,
     bleu_from_stats,
     bleu_stats,
     corpus_bleu,
@@ -515,8 +514,7 @@ def test_metrics_sanity():
         corpus = [["w"] * int(n) for n in (3, 8, 5)]
         assert perplexity(uniform, corpus) == pytest.approx(vocab_size, abs=1e-9)
 
-        config = MeteorConfig(alpha=0.9, beta=3.0, gamma=0.5)
-        got = meteor("the cat sat".split(), ["the cat ran".split()], config)
+        got = meteor("the cat sat".split(), ["the cat ran".split()])
         assert got == pytest.approx(62.5, abs=0.1)
 
         pairs = [("a cat sat".split(), ["a cat sat".split()])]

@@ -268,7 +268,9 @@ class TestTrainAndDecode:
         model = tmp_path / "model"
         assert self._train(kind, fixture_dir, model, 0) == 2
         doc = json.loads(capsys.readouterr().err.strip())
-        assert doc == {"error": "MalformedInput", "message": "epochs must be >= 1"}
+        key = "me_epochs" if kind == "melm" else "rnn_epochs"
+        assert doc == {"error": "MalformedInput",
+                       "message": f"hyperparameter out of range: {key} must be >= 1"}
         assert not model.exists()
 
 
@@ -429,6 +431,51 @@ class TestModelVersion:
         assert "retrain the model with `capkit train-me`" in doc["message"]
         assert not out.exists()
 
+    def test_decode_with_bad_grlm_exits_2(self, fixture_dir, tmp_path, capsys):
+        from capkit._binio import pack_str
+        from capkit.corpus import RESERVED_TOKENS, Vocabulary
+        from capkit.recurrent import RecurrentConfig, RecurrentLM, save_recurrent
+
+        good = tmp_path / "good.model"
+        save_recurrent(RecurrentLM(Vocabulary(["cat", "dog"]), RecurrentConfig(
+            embed_dim=3, hidden_dim=3, feature_dim=8)), good)
+        data = good.read_bytes()
+        for name, damaged, message in (
+            ("mode", data.replace(pack_str("initial_state"), pack_str("initial_stat3"), 1),
+             "unknown conditioning mode 'initial_stat3'"),
+            ("word", data.replace(pack_str("cat"), pack_str(RESERVED_TOKENS[1]), 1),
+             "collides with a reserved token"),
+        ):
+            model = tmp_path / f"{name}.model"
+            model.write_bytes(damaged)
+            out = tmp_path / f"{name}.tsv"
+            capsys.readouterr()
+            code = run_cli("decode", "--model", model, "--mode", "plain",
+                           "--features", fixture_dir / "features.fvec", "--out", out)
+            assert code == 2, name
+            doc = json.loads(capsys.readouterr().err.strip())
+            assert doc["error"] == "MalformedInput" and message in doc["message"], name
+            assert not out.exists()
+
+
+class TestMertStartingPoint:
+    def test_pipeline_and_cli_start_from_the_first_feature(self, fixture_dir, tmp_path):
+        features = ["mrnn", "logprob", "length", "covered"]
+        config_path = write_config(tmp_path / "config.json", fixture_dir, hyperparameters={
+            "me_epochs": 1, "rnn_epochs": 1, "rnn_embed": 4, "rnn_hidden": 4,
+            "beam": 3, "nbest": 5, "max_len": 8,
+            "mert_features": features, "mert_restarts": 2, "mert_iters": 5,
+        })
+        run_dir = tmp_path / "run"
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", run_dir,
+                       "--stages", "ingest,train_me,train_rnn,decode,rerank") == 0
+        weights = tmp_path / "weights.json"
+        assert run_cli("mert", "--nbest", run_dir / "me_nbest_val.tsv",
+                       "--refs", fixture_dir / "captions.json",
+                       "--features", ",".join(features), "--seed", "3",
+                       "--restarts", "2", "--iters", "5", "--out", weights) == 0
+        assert weights.read_bytes() == (run_dir / "weights.json").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def me_model(fixture_dir, tmp_path_factory):
@@ -486,6 +533,8 @@ _OUT_OF_RANGE = [
     ("train-me", "--alpha", "3", "alpha must be in [0, 1]"),
     ("train-me", "--lr", "-1", "me_lr must be positive"),
     ("train-rnn", "--lr", "-1", "rnn_lr must be positive"),
+    ("train-me", "--epochs", "0", "me_epochs must be >= 1"),
+    ("train-rnn", "--epochs", "0", "rnn_epochs must be >= 1"),
 ]
 
 

@@ -1,8 +1,10 @@
 """Pin the documented default hyperparameters so they cannot drift."""
 
+import argparse
+
 from capkit import analysis, decoding, knn
 from capkit.cli import build_parser
-from capkit.pipeline import DEFAULT_HYPERPARAMETERS
+from capkit.pipeline import _RULES, DEFAULT_HYPERPARAMETERS
 
 
 def test_library_defaults():
@@ -27,20 +29,19 @@ def test_pipeline_defaults():
 
 
 def test_cli_defaults():
+    """Every option that sets a hyperparameter defaults to the pipeline's value."""
     parser = build_parser()
-    knn_args = parser.parse_args(
-        ["knn-caption", "--features-train", "a", "--features-test", "b",
-         "--captions", "c", "--out", "d"]
+    subparsers = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
     )
-    assert knn_args.k == 90 and knn_args.m == 125 and knn_args.mode == "consensus"
-
-    decode_args = parser.parse_args(["decode", "--model", "m", "--out", "o"])
-    assert decode_args.beam == 10 and decode_args.nbest == 500
-
-    mert_args = parser.parse_args(
-        ["mert", "--nbest", "n", "--refs", "r", "--features", "f", "--out", "o"]
-    )
-    assert mert_args.restarts == 8
-
-    me_args = parser.parse_args(["train-me", "--captions", "c", "--out", "o"])
-    assert me_args.alpha == 0.5
+    covered = set()
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest not in _RULES:
+                continue
+            covered.add(action.dest)
+            if not action.required:
+                assert action.default == DEFAULT_HYPERPARAMETERS[action.dest], (
+                    command, action.option_strings)
+    # every hyperparameter can be set from some subcommand
+    assert covered == set(_RULES)

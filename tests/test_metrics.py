@@ -5,7 +5,6 @@ import pytest
 
 from capkit.metrics import (
     BleuStats,
-    MeteorConfig,
     bleu_from_stats,
     bleu_stats,
     corpus_bleu,
@@ -105,17 +104,15 @@ class TestBleuScore:
 class TestMeteor:
     def test_identical_caption(self):
         cap = "a small dog".split()
-        cfg = MeteorConfig()
-        expected = 100.0 * (1.0 - cfg.gamma * (1.0 / len(cap)) ** cfg.beta)
-        assert meteor(cap, [cap], cfg) == pytest.approx(expected)
+        # gamma 0.5, beta 3: one chunk of three matches
+        expected = 100.0 * (1.0 - 0.5 * (1.0 / len(cap)) ** 3.0)
+        assert meteor(cap, [cap]) == pytest.approx(expected)
 
     def test_disjoint(self):
-        cfg = MeteorConfig(stemmer=False)
-        assert meteor("a b".split(), ["c d".split()], cfg) == 0.0
+        assert meteor("a b".split(), ["c d".split()]) == 0.0
 
     def test_hand_case(self):
-        cfg = MeteorConfig(alpha=0.9, beta=3.0, gamma=0.5)
-        got = meteor("the cat sat".split(), ["the cat ran".split()], cfg)
+        got = meteor("the cat sat".split(), ["the cat ran".split()])
         assert got == pytest.approx(62.5, abs=0.1)
 
     def test_reference_order_invariance(self):
@@ -124,28 +121,11 @@ class TestMeteor:
         assert meteor(hyp, refs) == meteor(hyp, refs[::-1])
 
     def test_stem_match(self):
-        cfg = MeteorConfig(stemmer=True)
-        assert meteor(["cats"], [["cat"]], cfg) > 0.0
-        assert meteor(["cats"], [["cat"]], MeteorConfig(stemmer=False)) == 0.0
-
-    def test_synonym_match(self):
-        syn = {"kitten": frozenset({"cat"})}
-        with_syn = MeteorConfig(stemmer=False, synonyms=syn)
-        without = MeteorConfig(stemmer=False)
-        assert meteor(["kitten"], [["cat"]], with_syn) > 0.0
-        assert meteor(["kitten"], [["cat"]], without) == 0.0
+        assert meteor(["cats"], [["cat"]]) > 0.0
 
     def test_empty_references(self):
         with pytest.raises(EmptyReferences):
             meteor(["a"], [])
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MeteorConfig(alpha=1.5)
-        with pytest.raises(ValueError):
-            MeteorConfig(gamma=2.0)
-        with pytest.raises(ValueError):
-            MeteorConfig(beta=0.0)
 
     def test_light_stem(self):
         assert light_stem("cats") == "cat"

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capkit.corpus import END_ID, Vocabulary
+from capkit._binio import pack_str
+from capkit.corpus import END_ID, RESERVED_TOKENS, Vocabulary
 from capkit.decoding import RecurrentScorer, sequence_logprob
 from capkit.errors import DegenerateCorpus, DimensionMismatch, MalformedInput
 from capkit.recurrent import (
@@ -262,6 +265,22 @@ class TestSerialization:
         with pytest.raises(MalformedInput):
             load_recurrent(path)
 
+    def test_bad_mode(self, tmp_path):
+        path = tmp_path / "m.grlm"
+        save_recurrent(small_lm(MODE_IMAGE_INITIAL), path)
+        path.write_bytes(path.read_bytes().replace(
+            pack_str("initial_state"), pack_str("initial_stat3"), 1))
+        with pytest.raises(MalformedInput, match="unknown conditioning mode 'initial_stat3'"):
+            load_recurrent(path)
+
+    def test_word_colliding_with_reserved_token(self, tmp_path):
+        path = tmp_path / "m.grlm"
+        save_recurrent(small_lm(MODE_COVERAGE_AUX), path)
+        path.write_bytes(path.read_bytes().replace(
+            pack_str("cat"), pack_str(RESERVED_TOKENS[2]), 1))
+        with pytest.raises(MalformedInput, match="collides with a reserved token"):
+            load_recurrent(path)
+
     def test_sequence_logprob_counts_end(self):
         lm = small_lm(MODE_IMAGE_INITIAL, seed=14)
         lp = sequence_logprob(RecurrentScorer(lm), np.zeros(6), ["the", "cat"])
@@ -272,3 +291,40 @@ class TestSerialization:
         assert lp == pytest.approx(chain, abs=1e-9)
         assert lp == pytest.approx(total, abs=1e-9)
         assert lp < 0.0
+
+
+def _header_length(lm) -> int:
+    """Bytes of a saved model before its first tensor name."""
+    return (4 + 4 + len(pack_str(lm.mode)) + 12
+            + 4 + sum(len(pack_str(w)) for w in lm.vocabulary.word_tokens()) + 4)
+
+
+@pytest.fixture(scope="module", params=[MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX])
+def grlm(request, tmp_path_factory):
+    lm = small_lm(request.param, seed=15)
+    path = tmp_path_factory.mktemp("grlm") / "m.grlm"
+    save_recurrent(lm, path)
+    return path.read_bytes(), _header_length(lm), path.with_name("fuzz.grlm")
+
+
+class TestLoadFuzz:
+    """A model file with a damaged header, or cut short, either loads or
+    raises an input error (exit 2), never anything else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(min_value=0), flips=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
+        max_size=4,
+    ))
+    def test_truncated_and_flipped_header(self, grlm, cut, flips):
+        data, header, path = grlm
+        damaged = bytearray(data)
+        for pos, mask in flips:
+            damaged[pos % header] ^= mask
+        damaged = damaged[: len(damaged) - cut % len(damaged)]
+        path.write_bytes(bytes(damaged))
+        try:
+            lm = load_recurrent(path)
+        except MalformedInput:
+            return
+        forward(lm, conditioning_for(lm.mode), ["the", "cat"])
