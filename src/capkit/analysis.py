@@ -18,8 +18,6 @@ from .metrics import BleuStats, bleu_from_stats, bleu_stats
 BIN_LEAST = "least"
 BIN_MIDDLE = "middle"
 BIN_MOST = "most"
-DEFAULT_TOP_K = 50
-DEFAULT_TAIL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,8 @@ def _unit_index(store, label: str) -> FeatureIndex:
         raise ZeroVector(f"{label} {exc}") from None
 
 
-def overlap_bins(test_features, train_features, top_k: int = DEFAULT_TOP_K,
-                 tail_fraction: float = DEFAULT_TAIL_FRACTION) -> OverlapBinAssignment:
+def overlap_bins(test_features, train_features, top_k: int,
+                 tail_fraction: float) -> OverlapBinAssignment:
     """Bin test images by mean cosine similarity to their ``top_k`` closest
     training images.
 

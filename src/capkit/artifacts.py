@@ -2,15 +2,17 @@
 
 Caption TSV: ``image_id \\t caption`` per line. N-best TSV: ``image_id \\t
 rank \\t caption \\t name=value;name=value`` with feature names sorted and
-values in shortest round-trip float notation. JSON artifacts are written
-with sorted keys so byte-level comparisons are meaningful. All writers go
-through an atomic temp-file rename.
+values in shortest round-trip float notation; the reader rejects a
+non-finite value. JSON artifacts are written with sorted keys so
+byte-level comparisons are meaningful. All writers go through an atomic
+temp-file rename.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from ._binio import atomic_write_bytes
 from .decoding import DecodedHypothesis, NBestList
@@ -89,6 +91,8 @@ def _parse_features(text: str, where: str) -> dict[str, float]:
             features[name] = float(value)
         except ValueError as exc:
             raise MalformedInput(f"{where}: bad feature value {part!r}") from exc
+        if not math.isfinite(features[name]):
+            raise MalformedInput(f"{where}: non-finite feature value {part!r}")
     return features
 
 

@@ -101,7 +101,8 @@ def _cmd_train_me(args) -> int:
     records = load_captions(args.captions)
     detections = load_detections(args.detections, args.alpha) if args.detections else {}
     pairs = [(rec, detections.get(rec.image_id)) for rec in records]
-    lm = maxent.train_maxent(pairs, maxent_train_config(vars(args), args.seed))
+    vocabulary = build_vocabulary(records, args.min_count)
+    lm = maxent.train_maxent(pairs, maxent_train_config(vars(args), args.seed), vocabulary)
     maxent.save_maxent(lm, args.out)
     return _report_training(lm, args.out)
 
@@ -125,7 +126,7 @@ def _cmd_train_rnn(args) -> int:
             (detections.get(rec.image_id, frozenset()), list(rec.tokens))
             for rec in records
         ]
-        config = recurrent_config(vars(args), args.seed, recurrent.MODE_COVERAGE_AUX)
+        config = recurrent_config(vars(args), args.seed, recurrent.MODE_COVERAGE_AUX, None)
     lm = recurrent.RecurrentLM(vocab, config)
     recurrent.train(lm, data, rnn_train_config(vars(args), args.seed))
     recurrent.save_recurrent(lm, args.out)

@@ -7,6 +7,7 @@ construction, so they can be shared freely across worker threads.
 from __future__ import annotations
 
 import json
+import math
 import re
 import string
 import struct
@@ -216,8 +217,10 @@ class Vocabulary:
     def __init__(self, word_tokens):
         self.id_of: dict[str, int] = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
         for tok in word_tokens:
-            if tok in self.id_of:
+            if tok in RESERVED_TOKENS:
                 raise ValueError(f"token {tok!r} collides with a reserved token")
+            if tok in self.id_of:
+                raise ValueError(f"duplicate token {tok!r}")
             self.id_of[tok] = len(self.id_of)
         self.token_of: dict[int, str] = {i: t for t, i in self.id_of.items()}
 
@@ -243,7 +246,7 @@ class Vocabulary:
         return [self.token_of[i] for i in range(len(RESERVED_TOKENS), len(self.token_of))]
 
 
-def build_vocabulary(records, min_count: int = 1) -> Vocabulary:
+def build_vocabulary(records, min_count: int) -> Vocabulary:
     """Frequency-filtered vocabulary; ids ordered by count desc, then token."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -315,7 +318,14 @@ class DetectionSet:
         return len(self.words)
 
 
-def load_detections(path, threshold: float = 0.5) -> dict[int, DetectionSet]:
+def _detection_score(value, where: str) -> float:
+    """A score read from JSON, if it is a finite int or float (never a bool)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise MalformedInput(f"{where}: detection score must be a finite number, got {value!r}")
+    return float(value)
+
+
+def load_detections(path, threshold: float) -> dict[int, DetectionSet]:
     """Read detections from JSON-lines: one ``{"image_id", "words": [...]}`` per line."""
     detections: dict[int, DetectionSet] = {}
     try:
@@ -329,8 +339,9 @@ def load_detections(path, threshold: float = 0.5) -> dict[int, DetectionSet]:
             continue
         try:
             doc = json.loads(line)
-            image_id = json_int(doc["image_id"], f"{path}:{lineno}: image_id")
-            words = [(w["token"], float(w["score"])) for w in doc["words"]]
+            where = f"{path}:{lineno}"
+            image_id = json_int(doc["image_id"], f"{where}: image_id")
+            words = [(w["token"], _detection_score(w["score"], where)) for w in doc["words"]]
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise MalformedInput(f"{path}:{lineno}: bad detection record: {exc}") from exc
         if not all(isinstance(token, str) and token for token, _ in words):

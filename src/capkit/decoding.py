@@ -24,13 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import END_TOKEN, START_ID, UNK_TOKEN, DetectionSet
-from .errors import ToolkitError
+from .errors import InputDataError, ToolkitError
 from .maxent import MaxEntLM
 from .recurrent import MODE_COVERAGE_AUX, RecurrentLM
-
-DEFAULT_BEAM_SIZE = 10
-DEFAULT_NBEST = 500
-DEFAULT_MAX_LEN = 16
 
 
 @dataclass(frozen=True)
@@ -127,8 +123,9 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
         if min_coverage is None:
             min_coverage = min(len(detected), max_len - 1)
         if min_coverage > len(detected):
-            raise ToolkitError(
-                f"min_coverage {min_coverage} exceeds detection count {len(detected)}"
+            raise InputDataError(
+                f"image {image_id}: min_coverage {min_coverage} exceeds "
+                f"detection count {len(detected)}"
             )
     candidates = scorer.candidates
     try:
@@ -190,8 +187,7 @@ def nbest_sizes(nbests, requested: int) -> str:
     return f"n-best sizes {min(sizes)}..{max(sizes)} of {requested} requested"
 
 
-def beam_search(scorer, conditioning, beam_size: int = DEFAULT_BEAM_SIZE,
-                max_len: int = DEFAULT_MAX_LEN, n_best: int = 1,
+def beam_search(scorer, conditioning, beam_size: int, max_len: int, n_best: int,
                 image_id: int = 0) -> NBestList:
     """Plain beam search; emits up to ``max_len`` tokens, END included.
 
@@ -202,18 +198,17 @@ def beam_search(scorer, conditioning, beam_size: int = DEFAULT_BEAM_SIZE,
                    detections=None, min_coverage=None, image_id=image_id)
 
 
-def coverage_beam_search(scorer, detections, beam_size: int = DEFAULT_BEAM_SIZE,
-                         max_len: int = DEFAULT_MAX_LEN, n_best: int = DEFAULT_NBEST,
-                         min_coverage: int | None = None,
-                         image_id: int | None = None) -> NBestList:
+def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_best: int,
+                         min_coverage: int | None, image_id: int | None = None) -> NBestList:
     """Beam search that must mention at least ``min_coverage`` detected words.
 
     Each hypothesis tracks the detection words it has not yet emitted and
     the scorer sees that set every step; END is only admissible once
-    enough words are covered. ``min_coverage`` defaults to all detected
-    words, capped at ``max_len - 1``. Feature rows gain a ``covered``
-    column. If coverage is unreachable within ``max_len``, best-effort
-    partials come back with ``complete=False``.
+    enough words are covered. ``min_coverage`` None means all detected
+    words, capped at ``max_len - 1``; a value above the detection count
+    raises InputDataError. Feature rows gain a ``covered`` column. If
+    coverage is unreachable within ``max_len``, best-effort partials come
+    back with ``complete=False``.
     """
     if image_id is None:
         image_id = detections.image_id

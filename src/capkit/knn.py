@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyIndex, EmptyPool, NoCaptions, ZeroVector
 
-DEFAULT_NEIGHBORS = 90
-DEFAULT_SIMILAR_CAPTIONS = 125
 DEFAULT_MAX_ORDER = 4
 
 
@@ -187,8 +185,7 @@ class ConsensusResult:
     candidate_pool_size: int
 
 
-def consensus_caption(pool, m: int = DEFAULT_SIMILAR_CAPTIONS,
-                      max_n: int = DEFAULT_MAX_ORDER) -> ConsensusResult:
+def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> ConsensusResult:
     """Pick the pool caption with the highest mean n-gram overlap with its
     ``m`` most-overlapping pool mates.
 
@@ -220,15 +217,12 @@ def _caption_pool(captions, image_ids) -> list[tuple[str, ...]]:
     return [tuple(cap) for image_id in image_ids for cap in captions.get(image_id, ())]
 
 
-def neighbor_caption_pool(index: FeatureIndex, captions, query,
-                          k: int = DEFAULT_NEIGHBORS) -> list[tuple[str, ...]]:
+def neighbor_caption_pool(index: FeatureIndex, captions, query, k: int) -> list[tuple[str, ...]]:
     """Union of the captions of the ``k`` nearest images, in neighbor order."""
     return _caption_pool(captions, nearest(index, query, k).ids())
 
 
-def consensus_for_query(index: FeatureIndex, captions, query,
-                        k: int = DEFAULT_NEIGHBORS,
-                        m: int = DEFAULT_SIMILAR_CAPTIONS,
+def consensus_for_query(index: FeatureIndex, captions, query, k: int, m: int,
                         max_n: int = DEFAULT_MAX_ORDER) -> ConsensusResult:
     """Consensus caption over the pooled captions of the k nearest images."""
     pool = neighbor_caption_pool(index, captions, query, k)
@@ -238,9 +232,7 @@ def consensus_for_query(index: FeatureIndex, captions, query,
 RETRIEVAL_MODES = ("consensus", "onenn")
 
 
-def retrieve_captions(index: FeatureIndex, captions, queries, rng_seed: int,
-                      k: int = DEFAULT_NEIGHBORS,
-                      m: int = DEFAULT_SIMILAR_CAPTIONS,
+def retrieve_captions(index: FeatureIndex, captions, queries, rng_seed: int, k: int, m: int,
                       modes=RETRIEVAL_MODES) -> dict[str, dict[int, tuple[str, ...]]]:
     """Retrieval captions for ``queries``, an iterable of (image_id, vector).
 

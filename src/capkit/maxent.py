@@ -27,7 +27,7 @@ from random import Random
 import numpy as np
 
 from ._binio import ByteReader, atomic_write_bytes, pack_str_list
-from .corpus import END_TOKEN, START_ID, Vocabulary, build_vocabulary
+from .corpus import END_TOKEN, START_ID, Vocabulary
 from .errors import DegenerateCorpus, MalformedInput, NonFiniteLoss
 
 # Slots of MaxEntLM.coverage.
@@ -124,11 +124,10 @@ def _event_nll_and_grad(lm: MaxEntLM, condition, target: int):
 
 @dataclass(frozen=True)
 class MaxEntTrainConfig:
-    epochs: int = 10
-    learning_rate: float = 0.1
-    l2: float = 1e-6
-    seed: int = 0
-    min_count: int = 1
+    epochs: int
+    learning_rate: float
+    l2: float
+    seed: int
 
 
 def _training_events(lm: MaxEntLM, record, detections, conditions: dict):
@@ -151,23 +150,19 @@ def _training_events(lm: MaxEntLM, record, detections, conditions: dict):
     return events
 
 
-def train_maxent(pairs, config: MaxEntTrainConfig | None = None,
-                 vocabulary: Vocabulary | None = None) -> MaxEntLM:
-    """Train a MaxEntLM on (CaptionRecord, DetectionSet-or-None) pairs.
+def train_maxent(pairs, config: MaxEntTrainConfig, vocabulary: Vocabulary) -> MaxEntLM:
+    """Train a MaxEntLM over ``vocabulary`` on (CaptionRecord, DetectionSet-or-None) pairs.
 
     Plain SGD with a fixed learning rate and L2 decay on the rows and
     coverage scalars each event touches; example order is reshuffled per
     epoch from the seed, so results are bit-reproducible. Per-epoch mean NLL
     is stored on the returned model as ``epoch_losses``.
     """
-    config = config or MaxEntTrainConfig()
     if config.epochs < 1:
         raise MalformedInput("epochs must be >= 1")
     pairs = list(pairs)
     if not pairs:
         raise DegenerateCorpus("no training captions")
-    if vocabulary is None:
-        vocabulary = build_vocabulary([rec for rec, _ in pairs], config.min_count)
     lm = MaxEntLM(vocabulary, l2=config.l2)
     conditions: dict = {}
     events_per_pair = [_training_events(lm, rec, det, conditions) for rec, det in pairs]

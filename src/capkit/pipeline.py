@@ -96,12 +96,11 @@ def maxent_train_config(hp, seed: int) -> maxent.MaxEntTrainConfig:
         learning_rate=hp["me_lr"],
         l2=hp["me_l2"],
         seed=seed,
-        min_count=hp["min_count"],
     )
 
 
 def recurrent_config(hp, seed: int, mode: str,
-                     feature_dim: int | None = None) -> recurrent.RecurrentConfig:
+                     feature_dim: int | None) -> recurrent.RecurrentConfig:
     return recurrent.RecurrentConfig(
         mode=mode,
         embed_dim=hp["rnn_embed"],

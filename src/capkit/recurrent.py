@@ -48,11 +48,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class RecurrentConfig:
     """Shape and initialization knobs for RecurrentLM."""
 
-    mode: str = MODE_IMAGE_INITIAL
-    embed_dim: int = 32
-    hidden_dim: int = 64
-    feature_dim: int | None = None  # required in initial_state mode
-    seed: int = 0
+    mode: str
+    embed_dim: int
+    hidden_dim: int
+    feature_dim: int | None  # required in initial_state mode
+    seed: int
 
 
 def param_shapes(config: RecurrentConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -299,20 +299,19 @@ def loss_and_gradients(lm: RecurrentLM, batch):
 
 @dataclass(frozen=True)
 class RnnTrainConfig:
-    epochs: int = 10
-    learning_rate: float = 0.1
-    clip: float = 5.0
-    seed: int = 0
+    epochs: int
+    learning_rate: float
+    clip: float
+    seed: int
 
 
-def train(lm: RecurrentLM, data, config: RnnTrainConfig | None = None) -> RecurrentLM:
+def train(lm: RecurrentLM, data, config: RnnTrainConfig) -> RecurrentLM:
     """Per-example SGD with global gradient-norm clipping.
 
     ``data`` is a list of (conditioning, tokens) items; example order is
     reshuffled each epoch from the seed. Per-epoch mean per-token loss is
     stored on the model as ``epoch_losses``.
     """
-    config = config or RnnTrainConfig()
     if config.epochs < 1:
         raise MalformedInput("epochs must be >= 1")
     data = list(data)
@@ -402,6 +401,7 @@ def load_recurrent(path) -> RecurrentLM:
         embed_dim=embed_dim,
         hidden_dim=hidden_dim,
         feature_dim=feature_dim or None,
+        seed=0,  # unused: the seed only draws parameters, and the file holds them
     )
     expected = param_shapes(config, len(vocabulary))
     (n_tensors,) = reader.unpack("<I")

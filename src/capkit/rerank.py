@@ -122,9 +122,9 @@ PERTURBATION = 1.0
 
 @dataclass(frozen=True)
 class MertConfig:
-    restarts: int = 8
-    max_iters: int = 30
-    seed: int = 0
+    restarts: int
+    max_iters: int
+    seed: int
 
 
 def initial_weights(feature_names) -> dict[str, float]:
@@ -177,7 +177,7 @@ def _best_step(nbests, hyp_stats, weights, direction):
     return best_bleu, best_gamma
 
 
-def mert_optimize(nbests, refs, init, config: MertConfig | None = None,
+def mert_optimize(nbests, refs, init, config: MertConfig,
                   iteration_log: list | None = None) -> dict[str, float]:
     """Coordinate line search over reranking weights maximizing corpus BLEU.
 
@@ -188,7 +188,6 @@ def mert_optimize(nbests, refs, init, config: MertConfig | None = None,
     initial weights. When given, ``iteration_log`` receives one
     (restart, iteration, bleu) triple per completed coordinate pass.
     """
-    config = config or MertConfig()
     nbests = list(nbests)
     if not nbests:
         raise EmptyNBest("MERT needs at least one n-best list")

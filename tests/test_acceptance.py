@@ -412,8 +412,8 @@ def test_maxent_matches_hashed_oracle(tmp_path):
         records = load_captions(tmp_path / "captions.json")
         detections = load_detections(tmp_path / "detections.jsonl", 0.5)
         pairs = [(rec, detections.get(rec.image_id)) for rec in records]
-        config = MaxEntTrainConfig(epochs=2, l2=1e-6)
-        base = build_vocabulary(records)
+        config = MaxEntTrainConfig(epochs=2, learning_rate=0.1, l2=1e-6, seed=0)
+        base = build_vocabulary(records, 1)
         # the second vocabulary adds words no caption uses, so most
         # trigram contexts of the scored histories are unseen
         extra = [f"extra{i}" for i in range(200)]

@@ -105,29 +105,30 @@ class TestOverlapBins:
         scaled = test_vecs.copy()
         scaled[2] *= 4.0  # power of two keeps normalization bit-exact
         test_b = store_from(scaled, start_id=100)
-        bins_a = overlap_bins(test_a, train, top_k=3)
-        bins_b = overlap_bins(test_b, train, top_k=3)
+        bins_a = overlap_bins(test_a, train, top_k=3, tail_fraction=0.2)
+        bins_b = overlap_bins(test_b, train, top_k=3, tail_fraction=0.2)
         assert bins_a == bins_b
 
     def test_top_k_capped_at_train_size(self):
         rng = np.random.default_rng(8)
         train = store_from(rng.standard_normal((3, 4)), start_id=0)
         test = store_from(rng.standard_normal((5, 4)), start_id=100)
-        assert overlap_bins(test, train, top_k=50) == overlap_bins(test, train, top_k=3)
+        assert (overlap_bins(test, train, top_k=50, tail_fraction=0.2)
+                == overlap_bins(test, train, top_k=3, tail_fraction=0.2))
 
     def test_dim_mismatch(self):
         train = store_from([[1.0, 0.0]], start_id=0)
         test = store_from([[1.0, 0.0, 0.0]], start_id=10)
         with pytest.raises(DimensionMismatch):
-            overlap_bins(test, train)
+            overlap_bins(test, train, top_k=50, tail_fraction=0.2)
 
     def test_zero_vector_names_its_side(self):
         good = store_from([[1.0, 0.0], [0.0, 1.0]], start_id=0)
         zero = store_from([[1.0, 1.0], [0.0, 0.0]], start_id=10)
         with pytest.raises(ZeroVector, match="^test image 11 "):
-            overlap_bins(zero, good)
+            overlap_bins(zero, good, top_k=50, tail_fraction=0.2)
         with pytest.raises(ZeroVector, match="^train image 11 "):
-            overlap_bins(good, zero)
+            overlap_bins(good, zero, top_k=50, tail_fraction=0.2)
 
 
 class TestBinnedBleu:

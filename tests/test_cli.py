@@ -438,13 +438,15 @@ class TestModelVersion:
 
         good = tmp_path / "good.model"
         save_recurrent(RecurrentLM(Vocabulary(["cat", "dog"]), RecurrentConfig(
-            embed_dim=3, hidden_dim=3, feature_dim=8)), good)
+            mode="initial_state", embed_dim=3, hidden_dim=3, feature_dim=8, seed=0)), good)
         data = good.read_bytes()
         for name, damaged, message in (
             ("mode", data.replace(pack_str("initial_state"), pack_str("initial_stat3"), 1),
              "unknown conditioning mode 'initial_stat3'"),
             ("word", data.replace(pack_str("cat"), pack_str(RESERVED_TOKENS[1]), 1),
              "collides with a reserved token"),
+            ("repeat", data.replace(pack_str("dog"), pack_str("cat"), 1),
+             "duplicate token 'cat'"),
         ):
             model = tmp_path / f"{name}.model"
             model.write_bytes(damaged)
@@ -554,6 +556,32 @@ class TestOptionRanges:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc == {"error": "MalformedInput",
                        "message": f"hyperparameter out of range: {rule}"}
+        assert not out.exists()
+
+
+class TestBadValuesExit2:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_mert_on_non_finite_nbest_value(self, fixture_dir, tmp_path, capsys, value):
+        nbest = tmp_path / "nbest.tsv"
+        nbest.write_text(f"101\t1\ta bus\tlogprob=-1.5\n101\t2\ta cat\tlogprob={value}\n")
+        out = tmp_path / "weights.json"
+        capsys.readouterr()
+        assert run_cli("mert", "--nbest", nbest, "--refs", fixture_dir / "captions.json",
+                       "--features", "logprob", "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "MalformedInput",
+                       "message": f"{nbest}:2: non-finite feature value 'logprob={value}'"}
+        assert not out.exists()
+
+    def test_min_coverage_above_detection_count(self, fixture_dir, me_model, tmp_path, capsys):
+        out = tmp_path / "nbest.tsv"
+        capsys.readouterr()
+        assert run_cli("decode", "--model", me_model, "--mode", "coverage",
+                       "--detections", fixture_dir / "detections.jsonl",
+                       "--min-coverage", "4", "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "InputDataError",
+                       "message": "image 101: min_coverage 4 exceeds detection count 3"}
         assert not out.exists()
 
 

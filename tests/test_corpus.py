@@ -23,6 +23,7 @@ from capkit.corpus import (
     END_TOKEN,
     START_TOKEN,
     UNK_TOKEN,
+    Vocabulary,
 )
 from capkit.errors import (
     DimensionMismatch,
@@ -218,6 +219,15 @@ class TestVocabulary:
         assert vocab.id_of[UNK_TOKEN] == 2
         assert vocab.candidate_tokens()[0] == END_TOKEN
 
+    @pytest.mark.parametrize("words,message", [
+        (["cat", END_TOKEN], "token '<end>' collides with a reserved token"),
+        (["cat", "dog", "cat"], "duplicate token 'cat'"),
+    ])
+    def test_rejected_word_lists(self, words, message):
+        with pytest.raises(ValueError) as info:
+            Vocabulary(words)
+        assert str(info.value) == message
+
 
 class TestSplitDataset:
     def test_deterministic_and_disjoint(self):
@@ -267,33 +277,55 @@ class TestDetections:
         path = tmp_path / "d.jsonl"
         path.write_text("\n".join(lines))
         with pytest.raises(MalformedInput):
-            load_detections(path)
+            load_detections(path, 0.5)
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"image_id": 1}')
         with pytest.raises(MalformedInput):
-            load_detections(path)
+            load_detections(path, 0.5)
 
     @pytest.mark.parametrize("token", [5, None, "", ["cat"]])
     def test_token_must_be_a_non_empty_string(self, tmp_path, token):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"image_id": 1, "words": [{"token": token, "score": 0.9}]}))
         with pytest.raises(MalformedInput):
-            load_detections(path)
+            load_detections(path, 0.5)
 
     @pytest.mark.parametrize("image_id", [2.5, 2.0, True, "2", None])
     def test_image_id_must_be_a_json_integer(self, tmp_path, image_id):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"image_id": image_id, "words": []}))
         with pytest.raises(MalformedInput, match="must be an integer"):
-            load_detections(path)
+            load_detections(path, 0.5)
 
     def test_infinite_image_id(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"image_id": Infinity, "words": []}')
         with pytest.raises(MalformedInput):
-            load_detections(path)
+            load_detections(path, 0.5)
+
+    @pytest.mark.parametrize("score", ['"0.9"', "true", "null", "[0.9]", "1e999", "-1e999",
+                                       "NaN", "Infinity"])
+    def test_score_must_be_a_finite_json_number(self, tmp_path, score):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"image_id": 1, "words": []}\n'
+                        f'{{"image_id": 2, "words": [{{"token": "cat", "score": {score}}}]}}')
+        with pytest.raises(MalformedInput) as info:
+            load_detections(path, 0.5)
+        assert str(info.value) == (
+            f"{path}:2: detection score must be a finite number, got {json.loads(score)!r}"
+        )
+
+    def test_score_beyond_float_range(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"image_id": 1, "words": [{"token": "cat", "score": 1%s}]}' % ("0" * 400))
+        with pytest.raises(MalformedInput, match=f"^{path}:1: "):
+            load_detections(path, 0.5)
+
+    def test_integer_score_accepted(self, tmp_path):
+        path = write_detections_jsonl(tmp_path / "d.jsonl", {7: [("cat", 1), ("mat", 0)]})
+        assert load_detections(path, 0.5)[7].words == {"cat": 1.0}
 
 
 # JSON values of any shape, including NaN and the infinities that Python's
@@ -344,12 +376,14 @@ class TestParserFuzz:
         path = fuzz_dir / "d.jsonl"
         path.write_bytes(line.encode("utf-8", "surrogatepass"))
         try:
-            detections = load_detections(path)
+            detections = load_detections(path, 0.5)
         except MalformedInput:
             return
         for image_id, det in detections.items():
             assert type(image_id) is int
             assert all(isinstance(tok, str) and tok for tok in det.tokens())
+            assert all(type(score) is float and math.isfinite(score)
+                       for score in det.words.values())
 
     @settings(max_examples=300, deadline=None)
     @given(doc=(_caption_docs | _json_values).map(json.dumps) | st.text(max_size=20))

@@ -67,9 +67,10 @@ class TestBeamSearch:
                 assert not result.complete
 
     def test_default_beam_size_is_ten(self):
-        import inspect
+        from capkit.pipeline import DEFAULT_HYPERPARAMETERS, decode_options
 
-        assert inspect.signature(beam_search).parameters["beam_size"].default == 10
+        # beam_search has no default; the pipeline's table supplies it
+        assert decode_options(DEFAULT_HYPERPARAMETERS, coverage=False)["beam_size"] == 10
 
     def test_scores_rescore_consistently(self):
         # every returned log-prob equals the sum of its per-step log-probs
@@ -106,9 +107,9 @@ class TestBeamSearch:
     def test_invalid_args(self):
         scorer = TableScorer(["a"], 0)
         with pytest.raises(ValueError):
-            beam_search(scorer, None, beam_size=0)
+            beam_search(scorer, None, beam_size=0, max_len=16, n_best=1)
         with pytest.raises(ValueError):
-            beam_search(scorer, None, max_len=0)
+            beam_search(scorer, None, beam_size=10, max_len=0, n_best=1)
 
 
 class CoverageAwareScorer(TableScorer):
@@ -187,14 +188,9 @@ class TestCoverageBeamSearch:
         scorer = TableScorer(["a"], 0)
         with pytest.raises(ToolkitError):
             coverage_beam_search(
-                scorer, self._detections(["a"]), min_coverage=2
+                scorer, self._detections(["a"]), beam_size=10, max_len=16, n_best=500,
+                min_coverage=2,
             )
-
-    def test_default_nbest_is_500(self):
-        import inspect
-
-        sig = inspect.signature(coverage_beam_search)
-        assert sig.parameters["n_best"].default == 500
 
 
 class TestModelScorers:

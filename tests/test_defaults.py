@@ -1,20 +1,52 @@
-"""Pin the documented default hyperparameters so they cannot drift."""
+"""Pin the documented default hyperparameters so they cannot drift, and keep
+the pipeline's table the only place they are written."""
 
 import argparse
+import dataclasses
+import inspect
 
-from capkit import analysis, decoding, knn
+from capkit import analysis, corpus, decoding, knn, maxent, pipeline, recurrent, rerank
 from capkit.cli import build_parser
 from capkit.pipeline import _RULES, DEFAULT_HYPERPARAMETERS
 
+# Library parameters that a hyperparameter (or a value derived from one) sets.
+_CALLER_SET = {
+    corpus.load_detections: ["threshold"],
+    corpus.build_vocabulary: ["min_count"],
+    knn.consensus_caption: ["m"],
+    knn.neighbor_caption_pool: ["k"],
+    knn.consensus_for_query: ["k", "m"],
+    knn.retrieve_captions: ["k", "m"],
+    decoding.beam_search: ["beam_size", "max_len", "n_best"],
+    decoding.coverage_beam_search: ["beam_size", "max_len", "n_best", "min_coverage"],
+    analysis.overlap_bins: ["top_k", "tail_fraction"],
+    maxent.train_maxent: ["config", "vocabulary"],
+    recurrent.train: ["config"],
+    rerank.mert_optimize: ["config"],
+}
+_CALLER_SET_CONFIGS = (
+    maxent.MaxEntTrainConfig, recurrent.RecurrentConfig, recurrent.RnnTrainConfig,
+    rerank.MertConfig,
+)
 
-def test_library_defaults():
-    assert knn.DEFAULT_NEIGHBORS == 90
-    assert knn.DEFAULT_SIMILAR_CAPTIONS == 125
+
+def test_library_has_no_hyperparameter_defaults():
+    for fn, names in _CALLER_SET.items():
+        parameters = inspect.signature(fn).parameters
+        for name in names:
+            assert parameters[name].default is inspect.Parameter.empty, (fn.__name__, name)
+    for config in _CALLER_SET_CONFIGS:
+        for f in dataclasses.fields(config):
+            assert f.default is dataclasses.MISSING, (config.__name__, f.name)
+            assert f.default_factory is dataclasses.MISSING, (config.__name__, f.name)
+    constants = {
+        f"{module.__name__}.{name}"
+        for module in (analysis, corpus, decoding, knn, maxent, pipeline, recurrent, rerank)
+        for name in vars(module) if name.startswith("DEFAULT_")
+    }
+    assert constants == {"capkit.knn.DEFAULT_MAX_ORDER", "capkit.pipeline.DEFAULT_HYPERPARAMETERS"}
+    # the consensus n-gram order is a constant of the method, not a hyperparameter
     assert knn.DEFAULT_MAX_ORDER == 4
-    assert decoding.DEFAULT_BEAM_SIZE == 10
-    assert decoding.DEFAULT_NBEST == 500
-    assert analysis.DEFAULT_TOP_K == 50
-    assert analysis.DEFAULT_TAIL_FRACTION == 0.2
 
 
 def test_pipeline_defaults():

@@ -30,6 +30,11 @@ from capkit.maxent import (
 
 from conftest import maxent_gradient_error, randomize_maxent_event
 
+def _train(pairs, config):
+    """``train_maxent`` over the vocabulary of the pairs' captions."""
+    return train_maxent(pairs, config, build_vocabulary([rec for rec, _ in pairs], 1))
+
+
 def _all_weights(lm):
     """Every stored weight: unigram, coverage, then bigram and trigram rows."""
     rows = [lm.unigram, lm.coverage, *lm.bigram.values(), *lm.trigram.values()]
@@ -122,15 +127,16 @@ class TestDistribution:
 
     def test_normalization(self):
         records = _toy_records(50)
-        lm = train_maxent([(r, None) for r in records], MaxEntTrainConfig(epochs=2))
+        lm = _train([(r, None) for r in records],
+                    MaxEntTrainConfig(epochs=2, learning_rate=0.1, l2=1e-6, seed=0))
         for history in ([], ["a"], ["b", "a"]):
             total = sum(_dist(lm, history, frozenset()).values())
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_learns_bigram(self):
-        lm = train_maxent(
+        lm = _train(
             [(r, None) for r in _toy_records()],
-            MaxEntTrainConfig(epochs=5, learning_rate=0.2, seed=0),
+            MaxEntTrainConfig(epochs=5, learning_rate=0.2, l2=1e-6, seed=0),
         )
         assert _dist(lm, ["a"], frozenset())["b"] > 0.9
 
@@ -150,9 +156,9 @@ class TestDistribution:
 
 class TestTraining:
     def test_loss_decreases(self):
-        lm = train_maxent(
+        lm = _train(
             [(CaptionRecord.from_text(1, "a b c"), None)],
-            MaxEntTrainConfig(epochs=3, learning_rate=0.5, l2=0.0),
+            MaxEntTrainConfig(epochs=3, learning_rate=0.5, l2=0.0, seed=0),
         )
         assert lm.epoch_losses[1] < lm.epoch_losses[0]
         assert lm.epoch_losses[2] <= lm.epoch_losses[1]
@@ -160,9 +166,9 @@ class TestTraining:
     def test_huge_l2_flattens(self):
         # lr * l2 = 1 keeps the sparse decay stable while crushing weights
         records = _toy_records(30)
-        lm = train_maxent(
+        lm = _train(
             [(r, None) for r in records],
-            MaxEntTrainConfig(epochs=5, learning_rate=0.005, l2=200.0),
+            MaxEntTrainConfig(epochs=5, learning_rate=0.005, l2=200.0, seed=0),
         )
         assert np.abs(_all_weights(lm)).max() < 1e-2
         dist = _dist(lm, ["a"], frozenset())
@@ -172,15 +178,16 @@ class TestTraining:
 
     def test_seeded_determinism(self):
         pairs = [(r, None) for r in _toy_records(40)]
-        lm1 = train_maxent(pairs, MaxEntTrainConfig(epochs=3, seed=11))
-        lm2 = train_maxent(pairs, MaxEntTrainConfig(epochs=3, seed=11))
+        config = MaxEntTrainConfig(epochs=3, learning_rate=0.1, l2=1e-6, seed=11)
+        lm1 = _train(pairs, config)
+        lm2 = _train(pairs, config)
         assert lm1.bigram.keys() == lm2.bigram.keys()
         assert lm1.trigram.keys() == lm2.trigram.keys()
         assert np.array_equal(_all_weights(lm1), _all_weights(lm2))
 
     def test_empty_corpus(self):
         with pytest.raises(DegenerateCorpus):
-            train_maxent([], MaxEntTrainConfig())
+            _train([], MaxEntTrainConfig(epochs=10, learning_rate=0.1, l2=1e-6, seed=0))
 
     def test_sequence_logprob_feeds_perplexity(self):
         import math
@@ -188,7 +195,8 @@ class TestTraining:
         from capkit.metrics import perplexity
 
         records = _toy_records(50)
-        lm = train_maxent([(r, None) for r in records], MaxEntTrainConfig(epochs=2))
+        lm = _train([(r, None) for r in records],
+                    MaxEntTrainConfig(epochs=2, learning_rate=0.1, l2=1e-6, seed=0))
         scorer = MaxEntScorer(lm)
         logprob = sequence_logprob(scorer, None, ["a", "b"])
         # matches an explicit chain over the next-token distributions, END included
@@ -206,7 +214,7 @@ class TestTraining:
     def test_coverage_features_used(self):
         det = DetectionSet.from_scored_words(1, [("b", 0.9)], 0.5)
         records = [(CaptionRecord.from_text(i, "a b"), det) for i in range(100)]
-        lm = train_maxent(records, MaxEntTrainConfig(epochs=4, learning_rate=0.3))
+        lm = _train(records, MaxEntTrainConfig(epochs=4, learning_rate=0.3, l2=1e-6, seed=0))
         # with "b" still uncovered, ending is penalized relative to covered state
         p_end_pending = _dist(lm, ["a"], frozenset({"b"}))[END_TOKEN]
         p_end_done = _dist(lm, ["a", "b"], frozenset())[END_TOKEN]
@@ -236,8 +244,9 @@ class TestGradient:
 
 def _trained_with_detections():
     det = DetectionSet.from_scored_words(1, [("b", 0.9)], 0.5)
-    return train_maxent(
-        [(r, det) for r in _toy_records(20)], MaxEntTrainConfig(epochs=2)
+    return _train(
+        [(r, det) for r in _toy_records(20)],
+        MaxEntTrainConfig(epochs=2, learning_rate=0.1, l2=1e-6, seed=0),
     )
 
 

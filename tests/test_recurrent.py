@@ -217,13 +217,15 @@ class TestTrain:
 
     def test_loss_improves(self):
         lm = small_lm(MODE_IMAGE_INITIAL, seed=9)
-        train(lm, self._data(MODE_IMAGE_INITIAL), RnnTrainConfig(epochs=30, learning_rate=0.3))
+        train(lm, self._data(MODE_IMAGE_INITIAL),
+              RnnTrainConfig(epochs=30, learning_rate=0.3, clip=5.0, seed=0))
         assert lm.epoch_losses[-1] < lm.epoch_losses[0]
 
     def test_zero_learning_rate_is_identity(self):
         lm = small_lm(MODE_IMAGE_INITIAL, seed=10)
         before = {k: v.copy() for k, v in lm.params.items()}
-        train(lm, self._data(MODE_IMAGE_INITIAL, n=10), RnnTrainConfig(epochs=2, learning_rate=0.0))
+        train(lm, self._data(MODE_IMAGE_INITIAL, n=10),
+              RnnTrainConfig(epochs=2, learning_rate=0.0, clip=5.0, seed=0))
         for key, arr in before.items():
             np.testing.assert_array_equal(lm.params[key], arr)
 
@@ -233,14 +235,15 @@ class TestTrain:
         lms = []
         for _ in range(2):
             lm = small_lm(mode, seed=12)
-            train(lm, data, RnnTrainConfig(epochs=2, seed=5))
+            train(lm, data, RnnTrainConfig(epochs=2, learning_rate=0.1, clip=5.0, seed=5))
             lms.append(lm)
         for key in lms[0].params:
             np.testing.assert_array_equal(lms[0].params[key], lms[1].params[key])
 
     def test_empty_data(self):
         with pytest.raises(DegenerateCorpus):
-            train(small_lm(MODE_IMAGE_INITIAL), [], RnnTrainConfig())
+            train(small_lm(MODE_IMAGE_INITIAL), [],
+                  RnnTrainConfig(epochs=10, learning_rate=0.1, clip=5.0, seed=0))
 
 
 class TestSerialization:

@@ -159,12 +159,17 @@ def grid_search_bleu(nbests, refs, grid=200, limit=2.0):
     return float(bleu.max())
 
 
+_CONFIG = MertConfig(restarts=8, max_iters=30, seed=0)
+
+
 class TestMertOptimize:
     def test_single_hypothesis_returns_init(self):
         nbests = [NBestList(i, [hyp(["a", "b"], x=1.0, y=2.0)]) for i in range(3)]
         refs = {i: [["a", "b"]] for i in range(3)}
         init = {"x": 0.25, "y": -1.5}
-        weights = mert_optimize(nbests, refs, init, MertConfig(restarts=3, seed=0))
+        weights = mert_optimize(
+            nbests, refs, init, MertConfig(restarts=3, max_iters=30, seed=0)
+        )
         assert weights == init
 
     def test_beats_grid_search(self):
@@ -172,7 +177,8 @@ class TestMertOptimize:
             nbests, refs = make_problem(seed)
             optimum = grid_search_bleu(nbests, refs)
             weights = mert_optimize(
-                nbests, refs, {"x": 1.0, "y": 0.0}, MertConfig(restarts=8, seed=seed)
+                nbests, refs, {"x": 1.0, "y": 0.0},
+                MertConfig(restarts=8, max_iters=30, seed=seed),
             )
             stats = [
                 [bleu_stats(h.tokens, refs[nb.image_id]) for h in nb.hypotheses]
@@ -186,7 +192,7 @@ class TestMertOptimize:
             log: list = []
             mert_optimize(
                 nbests, refs, {"x": 1.0, "y": 0.0},
-                MertConfig(restarts=4, seed=seed), iteration_log=log,
+                MertConfig(restarts=4, max_iters=30, seed=seed), iteration_log=log,
             )
             by_restart: dict = {}
             for restart, _, bleu in log:
@@ -203,20 +209,22 @@ class TestMertOptimize:
                 for nb in nbests
             ]
             before = _selection_bleu(nbests, stats, init)
-            weights = mert_optimize(nbests, refs, init, MertConfig(restarts=2, seed=seed))
+            weights = mert_optimize(
+                nbests, refs, init, MertConfig(restarts=2, max_iters=30, seed=seed)
+            )
             assert _selection_bleu(nbests, stats, weights) >= before - 1e-12
 
     def test_missing_references(self):
         nbests, refs = make_problem(0)
         del refs[2]
         with pytest.raises(MissingReferences):
-            mert_optimize(nbests, refs, {"x": 1.0, "y": 0.0})
+            mert_optimize(nbests, refs, {"x": 1.0, "y": 0.0}, _CONFIG)
 
     def test_schema_mismatch(self):
         nbests, refs = make_problem(0)
         with pytest.raises(SchemaMismatch):
-            mert_optimize(nbests, refs, {"x": 1.0, "nope": 0.0})
+            mert_optimize(nbests, refs, {"x": 1.0, "nope": 0.0}, _CONFIG)
 
     def test_empty(self):
         with pytest.raises(EmptyNBest):
-            mert_optimize([], {}, {"x": 1.0})
+            mert_optimize([], {}, {"x": 1.0}, _CONFIG)
