@@ -27,7 +27,6 @@ from .knn import (  # noqa: F401
     FeatureIndex,
     NeighborList,
     consensus_caption,
-    cosine_similarity,
     nearest,
     ngram_overlap_fscore,
     one_nn_caption,

@@ -5,8 +5,9 @@ expanded over the full candidate set and the best ``beam_size`` expansions
 overall are kept; those ending in END retire into the n-best pool (so a
 beam of one is exactly greedy decoding) and the rest stay live. Ties are
 broken by the candidate-index sequence, so decoding is fully
-deterministic. In coverage mode each hypothesis tracks the detection words
-it has not yet mentioned; END only becomes admissible once the mentioned
+deterministic. In coverage mode each hypothesis tracks the detected words
+it has not yet mentioned, leaving out words the scorer cannot emit (they
+can never be covered); END only becomes admissible once the mentioned
 count reaches ``min_coverage``.
 
 A scorer provides two methods (duck-typed, see MaxEntScorer and
@@ -109,6 +110,11 @@ class RecurrentScorer:
         return lps, lambda token: (h, self.lm.vocabulary.lookup(token))
 
 
+def _coverable(scorer, detections) -> frozenset[str]:
+    """Detected words among the scorer's candidates, END excluded."""
+    return detections.tokens().intersection(scorer.candidates) - {END_TOKEN}
+
+
 def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_coverage,
             image_id):
     if beam_size < 1:
@@ -118,14 +124,14 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
     coverage_mode = detections is not None
-    detected = frozenset(detections.tokens()) if coverage_mode else frozenset()
+    detected = _coverable(scorer, detections) if coverage_mode else frozenset()
     if coverage_mode:
         if min_coverage is None:
             min_coverage = min(len(detected), max_len - 1)
-        if min_coverage > len(detected):
+        if min_coverage > len(detections):
             raise InputDataError(
                 f"image {image_id}: min_coverage {min_coverage} exceeds "
-                f"detection count {len(detected)}"
+                f"detection count {len(detections)}"
             )
     candidates = scorer.candidates
     try:
@@ -202,11 +208,12 @@ def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_bes
                          min_coverage: int | None, image_id: int | None = None) -> NBestList:
     """Beam search that must mention at least ``min_coverage`` detected words.
 
-    Each hypothesis tracks the detection words it has not yet emitted and
-    the scorer sees that set every step; END is only admissible once
-    enough words are covered. ``min_coverage`` None means all detected
-    words, capped at ``max_len - 1``; a value above the detection count
-    raises InputDataError. Feature rows gain a ``covered`` column. If
+    Each hypothesis tracks the detected words among ``scorer.candidates``
+    (END excluded) that it has not yet emitted, and the scorer sees that
+    set every step; END is only admissible once enough words are covered.
+    ``min_coverage`` None means all of those words, capped at
+    ``max_len - 1``; a value above the detection count raises
+    InputDataError. Feature rows gain a ``covered`` column. If
     coverage is unreachable within ``max_len``, best-effort partials come
     back with ``complete=False``.
     """
@@ -220,14 +227,15 @@ def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_bes
 def sequence_logprob(scorer, conditioning, tokens) -> float:
     """Total log-probability of ``tokens`` followed by END under ``scorer``.
 
-    A DetectionSet ``conditioning`` gives the scorer the detection words not
-    yet emitted, exactly as coverage search does; otherwise the remaining
-    set is None. Tokens outside ``scorer.candidates`` score as UNK.
+    A DetectionSet ``conditioning`` gives the scorer the detected words it
+    can emit that are not yet emitted, exactly as coverage search does;
+    otherwise the remaining set is None. Tokens outside
+    ``scorer.candidates`` score as UNK.
     """
     index_of = {tok: i for i, tok in enumerate(scorer.candidates)}
     unk_index = index_of.get(UNK_TOKEN)
     coverage = isinstance(conditioning, DetectionSet)
-    remaining = frozenset(conditioning.tokens()) if coverage else None
+    remaining = _coverable(scorer, conditioning) if coverage else None
     state = scorer.start(conditioning)
     total = 0.0
     for token in tokens:

@@ -18,19 +18,6 @@ from .errors import DimensionMismatch, EmptyIndex, EmptyPool, NoCaptions, ZeroVe
 DEFAULT_MAX_ORDER = 4
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two equal-length nonzero vectors."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape or va.ndim != 1:
-        raise DimensionMismatch(f"cosine needs equal-length vectors, got {va.shape} and {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity is undefined for zero vectors")
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
-
-
 class FeatureIndex:
     """L2-normalized row matrix over image ids, sorted by ascending id."""
 

@@ -12,6 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     EmptyHypothesis,
     EmptyReferences,
@@ -56,31 +58,39 @@ def _ngrams(tokens, n: int) -> Counter:
     return Counter(toks[i:i + n] for i in range(len(toks) - n + 1))
 
 
-def bleu_stats(hyp, refs) -> BleuStats:
-    """Per-sentence statistics of ``hyp`` against multiple references.
+def nbest_bleu_stats(hyps, refs) -> np.ndarray:
+    """Statistics of every hypothesis in ``hyps`` against the same references.
 
-    Match counts are clipped against the per-n-gram maximum over the
-    references; the reference-length term picks the reference closest in
-    length to the hypothesis, preferring the shorter one on ties.
+    Returns an int64 ``(len(hyps), 10)`` matrix whose rows are laid out as
+    ``BleuStats.as_tuple()``. The per-n-gram maximum over the references,
+    which clips the match counts, and the reference lengths are built once
+    for all hypotheses; the reference-length term picks the reference
+    closest in length to each hypothesis, preferring the shorter one on
+    ties.
     """
     refs = [tuple(r) for r in refs]
     if not refs:
         raise EmptyReferences("bleu_stats needs at least one reference")
-    hyp = tuple(hyp)
-    matches = []
-    totals = []
-    for n in range(1, BLEU_MAX_ORDER + 1):
-        hyp_grams = _ngrams(hyp, n)
-        totals.append(sum(hyp_grams.values()))
-        if not hyp_grams:
-            matches.append(0)
-            continue
-        max_ref = Counter()
-        for ref in refs:
-            max_ref |= _ngrams(ref, n)
-        matches.append(sum((hyp_grams & max_ref).values()))
-    closest = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
-    return BleuStats(tuple(matches), tuple(totals), len(hyp), closest)
+    orders = range(1, BLEU_MAX_ORDER + 1)
+    max_ref = [Counter() for _ in orders]
+    for ref in refs:
+        for n, table in zip(orders, max_ref):
+            table |= _ngrams(ref, n)
+    ref_lens = [len(r) for r in refs]
+    rows = []
+    for hyp in hyps:
+        hyp = tuple(hyp)
+        grams = [_ngrams(hyp, n) for n in orders]
+        closest = min(ref_lens, key=lambda L: (abs(L - len(hyp)), L))
+        matches = [sum((g & table).values()) for g, table in zip(grams, max_ref)]
+        totals = [sum(g.values()) for g in grams]
+        rows.append((*matches, *totals, len(hyp), closest))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 10)
+
+
+def bleu_stats(hyp, refs) -> BleuStats:
+    """Per-sentence statistics of ``hyp`` against multiple references."""
+    return BleuStats.from_tuple(nbest_bleu_stats([hyp], refs)[0])
 
 
 def bleu_from_stats(stats: BleuStats) -> float:

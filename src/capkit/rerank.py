@@ -21,7 +21,7 @@ import numpy as np
 
 from .decoding import DecodedHypothesis, NBestList
 from .errors import EmptyNBest, MissingReferences, SchemaMismatch
-from .metrics import BleuStats, bleu_from_stats, bleu_stats
+from .metrics import BleuStats, bleu_from_stats, nbest_bleu_stats
 
 
 @dataclass(frozen=True)
@@ -33,28 +33,18 @@ class EnvelopeSegment:
     winner: int
 
 
-def _line_params(rows, base_weights, direction):
-    lines = []
-    for idx, row in enumerate(rows):
-        slope = float(row[direction])
-        offset = sum(float(w) * float(row[name])
-                     for name, w in base_weights.items() if name != direction)
-        lines.append((slope, offset, idx))
-    return lines
+def line_envelope(slopes, offsets) -> list[EnvelopeSegment]:
+    """Upper envelope of the hypothesis score lines ``offset + gamma * slope``.
 
-
-def line_envelope(rows, base_weights, direction: str) -> list[EnvelopeSegment]:
-    """Upper envelope of the hypothesis score lines along one feature.
-
-    ``rows`` are feature mappings sharing a schema that contains
-    ``direction``. Segments partition the real line left to right; exact
-    ties prefer the lower hypothesis index.
+    ``slopes`` and ``offsets`` hold one value per hypothesis. Segments
+    partition the real line left to right; exact ties prefer the lower
+    hypothesis index.
     """
-    rows = list(rows)
-    if not rows:
+    lines = list(zip(np.asarray(slopes).tolist(), np.asarray(offsets).tolist(),
+                     range(len(slopes))))
+    if not lines:
         raise EmptyNBest("envelope of an empty n-best list")
-    lines = sorted(_line_params(rows, base_weights, direction),
-                   key=lambda l: (l[0], -l[1], l[2]))
+    lines.sort(key=lambda l: (l[0], -l[1], l[2]))
     hull: list[tuple[float, float, int, float]] = []  # slope, offset, idx, start
     for slope, offset, idx in lines:
         if hull and slope == hull[-1][0]:
@@ -75,42 +65,36 @@ def line_envelope(rows, base_weights, direction: str) -> list[EnvelopeSegment]:
     return segments
 
 
-def _check_schema(nbests, init):
-    schema = frozenset(init)
-    for nb in nbests:
-        if not nb.hypotheses:
-            raise EmptyNBest(f"image {nb.image_id} has an empty n-best list")
-        for hyp in nb.hypotheses:
-            if not schema <= frozenset(hyp.features):
-                raise SchemaMismatch(
-                    f"image {nb.image_id}: feature row {sorted(hyp.features)} "
-                    f"lacks weights schema {sorted(schema)}"
-                )
-    return schema
-
-
-def _argmax_index(nbest: NBestList, weights) -> int:
-    schema = frozenset(weights)
-    best_idx = 0
-    best_score = -math.inf
-    for idx, hyp in enumerate(nbest.hypotheses):
-        if not schema <= frozenset(hyp.features):
+def _feature_columns(nbest: NBestList, names) -> dict[str, np.ndarray]:
+    """One float64 column per feature in ``names`` over the n-best's rows."""
+    if not nbest.hypotheses:
+        raise EmptyNBest(f"image {nbest.image_id} has an empty n-best list")
+    schema = set(names)
+    for hyp in nbest.hypotheses:
+        if not hyp.features.keys() >= schema:
             raise SchemaMismatch(
                 f"image {nbest.image_id}: feature row {sorted(hyp.features)} "
                 f"lacks weights schema {sorted(schema)}"
             )
-        score = sum(float(w) * float(hyp.features[name]) for name, w in weights.items())
-        if score > best_score:
-            best_score = score
-            best_idx = idx
-    return best_idx
+    return {name: np.array([float(h.features[name]) for h in nbest.hypotheses])
+            for name in names}
+
+
+def _scores(columns, weights, size: int, skip=None) -> np.ndarray:
+    """Weighted sums of ``size`` feature rows, added in the order of
+    ``weights`` (as a plain ``sum`` would), leaving out feature ``skip``."""
+    total = np.zeros(size)
+    for name, w in weights.items():
+        if name != skip:
+            total = total + float(w) * columns[name]
+    return total
 
 
 def apply_weights(nbest: NBestList, weights) -> DecodedHypothesis:
     """Hypothesis maximizing the weighted feature sum; ties keep the lower rank."""
-    if not nbest.hypotheses:
-        raise EmptyNBest(f"image {nbest.image_id} has an empty n-best list")
-    return nbest.hypotheses[_argmax_index(nbest, weights)]
+    columns = _feature_columns(nbest, weights)
+    scores = _scores(columns, weights, len(nbest.hypotheses))
+    return nbest.hypotheses[int(np.argmax(scores))]
 
 
 # A coordinate step is taken only when it raises BLEU by more than
@@ -132,29 +116,26 @@ def initial_weights(feature_names) -> dict[str, float]:
     return {name: (1.0 if i == 0 else 0.0) for i, name in enumerate(feature_names)}
 
 
-def _selection_bleu(nbests, hyp_stats, weights):
-    total = BleuStats()
-    for nb_idx, nb in enumerate(nbests):
-        total = total + hyp_stats[nb_idx][_argmax_index(nb, weights)]
-    return bleu_from_stats(total)
+def _selection_bleu(columns, stats, weights) -> float:
+    total = sum(st[np.argmax(_scores(cols, weights, len(st)))]
+                for cols, st in zip(columns, stats))
+    return bleu_from_stats(BleuStats.from_tuple(total))
 
 
-def _best_step(nbests, hyp_stats, weights, direction):
+def _best_step(columns, stats, weights, direction):
     """Best (bleu, gamma) along ``direction``; None when nothing can change."""
     winners = []
     events = []  # (gamma, sentence index, new winner index)
-    for nb_idx, nb in enumerate(nbests):
-        rows = [h.features for h in nb.hypotheses]
-        segments = line_envelope(rows, weights, direction)
+    for nb_idx, (cols, st) in enumerate(zip(columns, stats)):
+        offsets = _scores(cols, weights, len(st), skip=direction)
+        segments = line_envelope(cols[direction], offsets)
         winners.append(segments[0].winner)
         for seg in segments[1:]:
             events.append((seg.lo, nb_idx, seg.winner))
     if not events:
         return None
     events.sort(key=lambda e: (e[0], e[1]))
-    totals = np.zeros(10, dtype=np.int64)
-    for nb_idx, winner in enumerate(winners):
-        totals += hyp_stats[nb_idx][winner].as_tuple()
+    totals = sum(st[winner] for st, winner in zip(stats, winners))
     boundaries = sorted({gamma for gamma, _, _ in events})
     best_bleu = bleu_from_stats(BleuStats.from_tuple(totals))
     best_gamma = boundaries[0] - 1.0
@@ -162,8 +143,7 @@ def _best_step(nbests, hyp_stats, weights, direction):
     for b_idx, boundary in enumerate(boundaries):
         while pos < len(events) and events[pos][0] == boundary:
             _, nb_idx, new_winner = events[pos]
-            totals -= np.asarray(hyp_stats[nb_idx][winners[nb_idx]].as_tuple(), dtype=np.int64)
-            totals += np.asarray(hyp_stats[nb_idx][new_winner].as_tuple(), dtype=np.int64)
+            totals += stats[nb_idx][new_winner] - stats[nb_idx][winners[nb_idx]]
             winners[nb_idx] = new_winner
             pos += 1
         if b_idx + 1 < len(boundaries):
@@ -191,13 +171,12 @@ def mert_optimize(nbests, refs, init, config: MertConfig,
     nbests = list(nbests)
     if not nbests:
         raise EmptyNBest("MERT needs at least one n-best list")
-    _check_schema(nbests, init)
-    hyp_stats = []
+    columns = [_feature_columns(nb, init) for nb in nbests]
+    stats = []
     for nb in nbests:
         if nb.image_id not in refs:
             raise MissingReferences(f"no references for image {nb.image_id}")
-        image_refs = refs[nb.image_id]
-        hyp_stats.append([bleu_stats(h.tokens, image_refs) for h in nb.hypotheses])
+        stats.append(nbest_bleu_stats([h.tokens for h in nb.hypotheses], refs[nb.image_id]))
     directions = sorted(init)
     rng = np.random.default_rng(config.seed)
     best_weights: dict[str, float] | None = None
@@ -210,11 +189,11 @@ def mert_optimize(nbests, refs, init, config: MertConfig,
                 k: float(init[k]) + PERTURBATION * float(rng.standard_normal())
                 for k in directions
             }
-        bleu = _selection_bleu(nbests, hyp_stats, weights)
+        bleu = _selection_bleu(columns, stats, weights)
         for iteration in range(config.max_iters):
             improved = False
             for direction in directions:
-                step = _best_step(nbests, hyp_stats, weights, direction)
+                step = _best_step(columns, stats, weights, direction)
                 if step is None:
                     continue
                 step_bleu, gamma = step

@@ -47,6 +47,7 @@ from capkit.metrics import (
     bleu_stats,
     corpus_bleu,
     meteor,
+    nbest_bleu_stats,
     perplexity,
 )
 from capkit.pipeline import PipelineConfig, run_pipeline
@@ -57,7 +58,7 @@ from capkit.recurrent import (
     RecurrentLM,
     loss_and_gradients,
 )
-from capkit.rerank import MertConfig, _selection_bleu, mert_optimize
+from capkit.rerank import MIN_GAIN, PERTURBATION, MertConfig, apply_weights, mert_optimize
 
 from conftest import TableScorer, maxent_gradient_error, randomize_maxent_event
 
@@ -104,6 +105,46 @@ def test_bleu_oracle():
             whole = sum((bleu_stats(h, r) for h, r in corpus_a + corpus_b), BleuStats())
             assert whole == stats_a + stats_b  # bit-exact integer additivity
             assert bleu_from_stats(whole) == bleu_from_stats(stats_a + stats_b)
+
+
+def bleu_stats_oracle(hyp, refs):
+    """Per-hypothesis statistics, the reference maxima rebuilt for each call."""
+    refs = [tuple(r) for r in refs]
+    hyp = tuple(hyp)
+
+    def grams(tokens, n):
+        return Counter(tokens[i:i + n] for i in range(len(tokens) - n + 1))
+
+    matches = []
+    totals = []
+    for n in range(1, 5):
+        hyp_grams = grams(hyp, n)
+        totals.append(sum(hyp_grams.values()))
+        if not hyp_grams:
+            matches.append(0)
+            continue
+        max_ref = Counter()
+        for ref in refs:
+            max_ref |= grams(ref, n)
+        matches.append(sum((hyp_grams & max_ref).values()))
+    closest = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
+    return BleuStats(tuple(matches), tuple(totals), len(hyp), closest)
+
+
+def test_nbest_bleu_stats_matches_oracle():
+    with criterion("nbest-bleu-oracle", 10.0):
+        rng = np.random.default_rng(101)
+        vocab = ["a", "b", "c"]  # small, so n-grams repeat within a sentence
+        for _ in range(200):
+            refs = [random_sentence(rng, vocab, 1, 12) for _ in range(int(rng.integers(1, 5)))]
+            hyps = [random_sentence(rng, vocab, 0, 12) for _ in range(int(rng.integers(1, 8)))]
+            hyps.append([])
+            rows = nbest_bleu_stats(hyps, refs)
+            assert rows.dtype == np.int64 and rows.shape == (len(hyps), 10)
+            for hyp, row in zip(hyps, rows):
+                want = bleu_stats_oracle(hyp, refs)
+                assert tuple(int(v) for v in row) == want.as_tuple()
+                assert bleu_stats(hyp, refs) == want
 
 
 def consensus_oracle(pool, m, max_n=4):
@@ -243,17 +284,178 @@ def test_mert_matches_grid_search():
                 MertConfig(restarts=8, max_iters=30, seed=seed),
                 iteration_log=log,
             )
-            hyp_stats = [
-                [bleu_stats(h.tokens, refs[nb.image_id]) for h in nb.hypotheses]
-                for nb in nbests
-            ]
-            final = _selection_bleu(nbests, hyp_stats, weights)
+            final = corpus_bleu(
+                [(apply_weights(nb, weights).tokens, refs[nb.image_id]) for nb in nbests]
+            )
             assert final >= optimum - 0.1
             by_restart: dict = {}
             for restart, _, bleu in log:
                 by_restart.setdefault(restart, []).append(bleu)
             for seq in by_restart.values():
                 assert all(b >= a - 1e-12 for a, b in zip(seq, seq[1:]))
+
+
+def _mert_oracle_line_params(rows, base_weights, direction):
+    lines = []
+    for idx, row in enumerate(rows):
+        slope = float(row[direction])
+        offset = sum(float(w) * float(row[name])
+                     for name, w in base_weights.items() if name != direction)
+        lines.append((slope, offset, idx))
+    return lines
+
+
+def _mert_oracle_envelope(rows, base_weights, direction):
+    """(lo, hi, winner) segments of the upper envelope, from feature dicts."""
+    lines = sorted(_mert_oracle_line_params(rows, base_weights, direction),
+                   key=lambda l: (l[0], -l[1], l[2]))
+    hull = []  # slope, offset, idx, start
+    for slope, offset, idx in lines:
+        if hull and slope == hull[-1][0]:
+            continue
+        while hull:
+            top_slope, top_offset, _, top_start = hull[-1]
+            cross = (top_offset - offset) / (slope - top_slope)
+            if cross <= top_start:
+                hull.pop()
+            else:
+                break
+        start = float("-inf") if not hull else cross
+        hull.append((slope, offset, idx, start))
+    return [
+        (start, hull[pos + 1][3] if pos + 1 < len(hull) else float("inf"), idx)
+        for pos, (_, _, idx, start) in enumerate(hull)
+    ]
+
+
+def _mert_oracle_argmax(nbest, weights):
+    best_idx, best_score = 0, -math.inf
+    for idx, hyp in enumerate(nbest.hypotheses):
+        score = sum(float(w) * float(hyp.features[name]) for name, w in weights.items())
+        if score > best_score:
+            best_idx, best_score = idx, score
+    return best_idx
+
+
+def _mert_oracle_selection_bleu(nbests, hyp_stats, weights):
+    total = BleuStats()
+    for nb_idx, nb in enumerate(nbests):
+        total = total + hyp_stats[nb_idx][_mert_oracle_argmax(nb, weights)]
+    return bleu_from_stats(total)
+
+
+def _mert_oracle_best_step(nbests, hyp_stats, weights, direction):
+    winners = []
+    events = []
+    for nb_idx, nb in enumerate(nbests):
+        segments = _mert_oracle_envelope([h.features for h in nb.hypotheses], weights,
+                                         direction)
+        winners.append(segments[0][2])
+        events.extend((lo, nb_idx, winner) for lo, _, winner in segments[1:])
+    if not events:
+        return None
+    events.sort(key=lambda e: (e[0], e[1]))
+    total = sum((hyp_stats[i][w] for i, w in enumerate(winners)), BleuStats())
+    boundaries = sorted({gamma for gamma, _, _ in events})
+    best_bleu = bleu_from_stats(total)
+    best_gamma = boundaries[0] - 1.0
+    pos = 0
+    for b_idx, boundary in enumerate(boundaries):
+        while pos < len(events) and events[pos][0] == boundary:
+            _, nb_idx, new_winner = events[pos]
+            old = hyp_stats[nb_idx][winners[nb_idx]].as_tuple()
+            new = hyp_stats[nb_idx][new_winner].as_tuple()
+            total = BleuStats.from_tuple(
+                t - o + n for t, o, n in zip(total.as_tuple(), old, new)
+            )
+            winners[nb_idx] = new_winner
+            pos += 1
+        if b_idx + 1 < len(boundaries):
+            gamma = 0.5 * (boundary + boundaries[b_idx + 1])
+        else:
+            gamma = boundary + 1.0
+        bleu = bleu_from_stats(total)
+        if bleu > best_bleu:
+            best_bleu, best_gamma = bleu, gamma
+    return best_bleu, best_gamma
+
+
+def mert_oracle(nbests, refs, init, config, iteration_log):
+    """Coordinate-ascent MERT over feature dicts, one BleuStats per hypothesis."""
+    hyp_stats = [
+        [bleu_stats_oracle(h.tokens, refs[nb.image_id]) for h in nb.hypotheses]
+        for nb in nbests
+    ]
+    directions = sorted(init)
+    rng = np.random.default_rng(config.seed)
+    best_weights, best_bleu = None, -math.inf
+    for restart in range(config.restarts + 1):
+        if restart == 0:
+            weights = {k: float(v) for k, v in init.items()}
+        else:
+            weights = {
+                k: float(init[k]) + PERTURBATION * float(rng.standard_normal())
+                for k in directions
+            }
+        bleu = _mert_oracle_selection_bleu(nbests, hyp_stats, weights)
+        for iteration in range(config.max_iters):
+            improved = False
+            for direction in directions:
+                step = _mert_oracle_best_step(nbests, hyp_stats, weights, direction)
+                if step is not None and step[0] > bleu + MIN_GAIN:
+                    bleu, weights[direction] = step
+                    improved = True
+            iteration_log.append((restart, iteration, bleu))
+            if not improved:
+                break
+        if bleu > best_bleu:
+            best_bleu, best_weights = bleu, dict(weights)
+    return best_weights
+
+
+def mert_wide_problem(seed, n_sentences=6, n_hyps=30):
+    """Four small-integer features, so slopes tie, plus exact duplicate rows."""
+    rng = np.random.default_rng(seed)
+    vocab = ["a", "b", "c", "d", "e", "f"]
+    nbests, refs = [], {}
+    for s in range(n_sentences):
+        refs[s] = [random_sentence(rng, vocab, 5, 10) for _ in range(2)]
+        hyps = []
+        for h in range(n_hyps):
+            tokens = list(refs[s][0])
+            for pos in rng.choice(len(tokens), size=int(rng.integers(0, 4)), replace=False):
+                tokens[pos] = vocab[rng.integers(0, len(vocab))]
+            if h > 0 and rng.random() < 0.2:
+                features = dict(hyps[int(rng.integers(0, h))].features)
+            else:
+                features = {name: float(rng.integers(-3, 4)) for name in "abcd"}
+            hyps.append(DecodedHypothesis(tuple(tokens), 0.0, features))
+        nbests.append(NBestList(s, hyps))
+    return nbests, refs
+
+
+def test_mert_matches_dict_oracle():
+    with criterion("mert-dict-oracle", 60.0):
+        cases = [
+            (mert_toy_problem(seed), {"x": 1.0, "y": 0.0}, MertConfig(8, 30, seed))
+            for seed in range(5)
+        ]
+        cases += [
+            (mert_wide_problem(seed), {"d": 1.0, "b": 0.0, "a": 0.5, "c": 0.0},
+             MertConfig(3, 30, seed))
+            for seed in range(3)
+        ]
+        for (nbests, refs), init, config in cases:
+            log: list = []
+            want_log: list = []
+            weights = mert_optimize(nbests, refs, init, config, iteration_log=log)
+            want = mert_oracle(nbests, refs, init, config, want_log)
+            assert weights == want
+            assert list(weights) == list(want)
+            assert log == want_log
+            for nb in nbests:
+                chosen = nb.hypotheses[_mert_oracle_argmax(nb, weights)]
+                assert apply_weights(nb, weights) is chosen
 
 
 def _relative_error(analytic, numeric):

@@ -585,6 +585,34 @@ class TestBadValuesExit2:
         assert not out.exists()
 
 
+class TestDetectionOutsideTheModel:
+    def test_coverage_decode_ignores_the_word(self, fixture_dir, me_model, tmp_path, capsys):
+        lines = (fixture_dir / "detections.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        assert first["image_id"] == 101
+        first["words"].append({"token": "zebra", "score": 0.9})
+        zebra = tmp_path / "zebra.jsonl"
+        zebra.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        outputs = []
+        for detections in (fixture_dir / "detections.jsonl", zebra):
+            out = tmp_path / f"{detections.stem}.tsv"
+            capsys.readouterr()
+            assert run_cli("decode", "--model", me_model, "--mode", "coverage",
+                           "--detections", detections, "--beam", "4", "--max-len", "10",
+                           "--out", out) == 0
+            assert "incomplete" not in capsys.readouterr().out
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+        out = tmp_path / "over.tsv"
+        assert run_cli("decode", "--model", me_model, "--mode", "coverage",
+                       "--detections", zebra, "--min-coverage", "5", "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "InputDataError",
+                       "message": "image 101: min_coverage 5 exceeds detection count 4"}
+        assert not out.exists()
+
+
 class TestEmptyCaptionFile:
     def test_eval_and_analyze_name_the_file(self, fixture_dir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"

@@ -182,6 +182,20 @@ class TestCoverageBeamSearch:
         assert not result.complete
         assert result.hypotheses  # best-effort partials
 
+    def test_word_the_model_cannot_emit_is_ignored(self):
+        # "zebra" is not a candidate, so no hypothesis can ever cover it
+        for seed in range(10):
+            scorer = CoverageAwareScorer(["cat", "dog", "a"], seed)
+            with_zebra = self._detections(["cat", "dog", "zebra"])
+            got = coverage_beam_search(scorer, with_zebra, beam_size=6, max_len=8,
+                                       n_best=8, min_coverage=None)
+            want = coverage_beam_search(scorer, self._detections(["cat", "dog"]),
+                                        beam_size=6, max_len=8, n_best=8, min_coverage=None)
+            assert want.complete
+            assert got == want
+            for hyp in got.hypotheses:
+                assert sequence_logprob(scorer, with_zebra, hyp.tokens) == hyp.logprob
+
     def test_min_coverage_above_detections_rejected(self):
         from capkit.errors import ToolkitError
 

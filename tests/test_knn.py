@@ -12,7 +12,6 @@ from capkit.knn import (
     FeatureIndex,
     consensus_caption,
     consensus_for_query,
-    cosine_similarity,
     nearest,
     ngram_overlap_fscore,
     one_nn_caption,
@@ -25,25 +24,6 @@ from capkit.errors import (
     NoCaptions,
     ZeroVector,
 )
-
-
-class TestCosine:
-    def test_identical(self):
-        assert cosine_similarity([1, 2, 2], [1, 2, 2]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-
-    def test_hand_value(self):
-        assert cosine_similarity([1, 2, 2], [2, 1, 2]) == pytest.approx(8 / 9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_similarity([1, 2], [1, 2, 3])
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            cosine_similarity([0, 0], [1, 2])
 
 
 def _sort_oracle(ids, vectors, query, k):

@@ -3,11 +3,10 @@ import pytest
 
 from capkit.decoding import DecodedHypothesis, NBestList
 from capkit.errors import EmptyNBest, MissingReferences, SchemaMismatch
-from capkit.metrics import bleu_stats
+from capkit.metrics import bleu_stats, corpus_bleu
 from capkit.rerank import (
     EnvelopeSegment,
     MertConfig,
-    _selection_bleu,
     apply_weights,
     line_envelope,
     mert_optimize,
@@ -18,15 +17,29 @@ def hyp(tokens, **features):
     return DecodedHypothesis(tuple(tokens), features.get("logprob", 0.0), features)
 
 
+def lines(rows, base, direction):
+    """Slopes and offsets of the score lines of ``rows`` along ``direction``."""
+    slopes = [row[direction] for row in rows]
+    offsets = [sum(w * row[name] for name, w in base.items() if name != direction)
+               for row in rows]
+    return slopes, offsets
+
+
+def selected_bleu(nbests, refs, weights):
+    return corpus_bleu(
+        [(apply_weights(nb, weights).tokens, refs[nb.image_id]) for nb in nbests]
+    )
+
+
 class TestLineEnvelope:
     def test_single_hypothesis(self):
-        segs = line_envelope([{"f": 1.0, "g": 2.0}], {"f": 1.0, "g": 1.0}, "f")
+        segs = line_envelope(*lines([{"f": 1.0, "g": 2.0}], {"f": 1.0, "g": 1.0}, "f"))
         assert segs == [EnvelopeSegment(float("-inf"), float("inf"), 0)]
 
     def test_two_line_crossing(self):
         # line 0: 0 + gamma*1, line 1: 1 - gamma*1; they cross at gamma = 0.5
         rows = [{"f": 1.0, "c": 0.0}, {"f": -1.0, "c": 1.0}]
-        segs = line_envelope(rows, {"f": 0.0, "c": 1.0}, "f")
+        segs = line_envelope(*lines(rows, {"f": 0.0, "c": 1.0}, "f"))
         assert len(segs) == 2
         assert segs[0].winner == 1 and segs[1].winner == 0
         assert segs[0].hi == pytest.approx(0.5)
@@ -40,7 +53,7 @@ class TestLineEnvelope:
                 for _ in range(20)
             ]
             base = {"f": 0.0, "g": float(rng.standard_normal())}
-            segs = line_envelope(rows, base, "f")
+            segs = line_envelope(*lines(rows, base, "f"))
             for gamma in rng.uniform(-10, 10, size=1000):
                 scores = [gamma * r["f"] + base["g"] * r["g"] for r in rows]
                 expect = int(np.argmax(scores))
@@ -54,7 +67,7 @@ class TestLineEnvelope:
                 {"f": float(rng.standard_normal()), "g": float(rng.standard_normal())}
                 for _ in range(12)
             ]
-            segs = line_envelope(rows, {"f": 0.0, "g": 1.0}, "f")
+            segs = line_envelope(*lines(rows, {"f": 0.0, "g": 1.0}, "f"))
             assert segs[0].lo == float("-inf")
             assert segs[-1].hi == float("inf")
             for a, b in zip(segs, segs[1:]):
@@ -63,12 +76,12 @@ class TestLineEnvelope:
 
     def test_duplicate_lines_prefer_lower_index(self):
         rows = [{"f": 1.0, "g": 1.0}, {"f": 1.0, "g": 1.0}]
-        segs = line_envelope(rows, {"f": 0.0, "g": 1.0}, "f")
+        segs = line_envelope(*lines(rows, {"f": 0.0, "g": 1.0}, "f"))
         assert segs == [EnvelopeSegment(float("-inf"), float("inf"), 0)]
 
     def test_empty(self):
         with pytest.raises(EmptyNBest):
-            line_envelope([], {"f": 1.0}, "f")
+            line_envelope(*lines([], {"f": 1.0}, "f"))
 
 
 class TestApplyWeights:
@@ -180,11 +193,7 @@ class TestMertOptimize:
                 nbests, refs, {"x": 1.0, "y": 0.0},
                 MertConfig(restarts=8, max_iters=30, seed=seed),
             )
-            stats = [
-                [bleu_stats(h.tokens, refs[nb.image_id]) for h in nb.hypotheses]
-                for nb in nbests
-            ]
-            assert _selection_bleu(nbests, stats, weights) >= optimum - 0.1
+            assert selected_bleu(nbests, refs, weights) >= optimum - 0.1
 
     def test_iterations_never_decrease(self):
         for seed in (3, 4, 5):
@@ -204,15 +213,11 @@ class TestMertOptimize:
         for seed in range(6, 10):
             nbests, refs = make_problem(seed)
             init = {"x": 0.4, "y": 0.4}
-            stats = [
-                [bleu_stats(h.tokens, refs[nb.image_id]) for h in nb.hypotheses]
-                for nb in nbests
-            ]
-            before = _selection_bleu(nbests, stats, init)
+            before = selected_bleu(nbests, refs, init)
             weights = mert_optimize(
                 nbests, refs, init, MertConfig(restarts=2, max_iters=30, seed=seed)
             )
-            assert _selection_bleu(nbests, stats, weights) >= before - 1e-12
+            assert selected_bleu(nbests, refs, weights) >= before - 1e-12
 
     def test_missing_references(self):
         nbests, refs = make_problem(0)
