@@ -71,8 +71,8 @@ class DegenerateCorpus(ToolkitError):
     """A training corpus contains no usable examples."""
 
 
-class SchemaMismatch(ToolkitError):
-    """Feature rows or weight vectors do not share one feature schema."""
+class SchemaMismatch(InputDataError):
+    """An n-best list lacks a feature column the caller asked for."""
 
 
 class EmptyNBest(ToolkitError):

@@ -35,9 +35,10 @@ HIT, MISS, END_DONE, END_PENDING = range(4)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
+    """Softmax over the last axis (each row of a matrix)."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:

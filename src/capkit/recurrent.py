@@ -9,7 +9,10 @@ words not yet mentioned, and a learned map of the previous hidden state;
 the not-yet-mentioned set shrinks as the caption emits detection words.
 
 All gradients are hand-derived backpropagation through time and are
-checked against finite differences in the test suite. Training is
+checked against finite differences in the test suite. Only the forward
+hidden-state recurrence and the backward dh recurrence run step by step;
+each caption's per-step activations are stacked, and every weight
+gradient is formed from them once per caption. Training is
 single-threaded and bit-reproducible given a seed; a trained model is
 immutable in practice and safe to score from many threads.
 """
@@ -20,6 +23,7 @@ import math
 import struct
 from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,19 +143,18 @@ class RecurrentLM:
 
         ``remaining_ids`` is only consulted in auxiliary_vector mode.
         """
-        x, _ = self._step_input(h_prev, prev_id, remaining_ids)
+        x = self._step_input(h_prev, prev_id, remaining_ids)
         h = gru_cell(x, h_prev, self.params)
         return h, _log_softmax(h @ self.params["out_w"] + self.params["out_b"])
 
     def _step_input(self, h_prev, prev_id, remaining_ids):
         emb = self.params["embeddings"][prev_id]
         if self.mode == MODE_IMAGE_INITIAL:
-            return emb, None
+            return emb
         det = self.params["det_embeddings"]
         gsum = det[list(remaining_ids)].sum(axis=0) if remaining_ids else np.zeros_like(emb)
         u = emb + gsum + h_prev @ self.params["hist_w"]
-        a = _sigmoid(u)
-        return np.concatenate([emb, a]), a
+        return np.concatenate([emb, _sigmoid(u)])
 
 
 def gru_cell(x: np.ndarray, h: np.ndarray, params) -> np.ndarray:
@@ -167,76 +170,60 @@ def gru_cell(x: np.ndarray, h: np.ndarray, params) -> np.ndarray:
         raise DimensionMismatch(
             f"gru_cell got x{x.shape}, h{h.shape} for weights {wz.shape}"
         )
-    return _gru_step_cached(params, x, h)[0]
+    return _gru_step_cached(params, x, h)[3]
 
 
 def _gru_step_cached(params, x, h):
-    """gru_cell without the shape check; returns (h', cache for _gru_backward)."""
+    """gru_cell without the shape check; returns (z, r, c, h')."""
     z = _sigmoid(x @ params["gru_wz"] + h @ params["gru_uz"] + params["gru_bz"])
     r = _sigmoid(x @ params["gru_wr"] + h @ params["gru_ur"] + params["gru_br"])
     c = np.tanh(x @ params["gru_wc"] + (r * h) @ params["gru_uc"] + params["gru_bc"])
-    h_new = (1.0 - z) * h + z * c
-    return h_new, (x, h, z, r, c)
+    return z, r, c, (1.0 - z) * h + z * c
 
 
-def _gru_backward(params, cache, dh_new, grads):
-    """Backprop one GRU step; returns (dx, dh_prev)."""
-    x, h, z, r, c = cache
-    dz = dh_new * (c - h)
-    dc = dh_new * z
-    dh = dh_new * (1.0 - z)
+class _CaptionPass(NamedTuple):
+    """One caption's forward pass, stacked: row t belongs to step t."""
 
-    dac = dc * (1.0 - c * c)
-    grads["gru_wc"] += np.outer(x, dac)
-    grads["gru_uc"] += np.outer(r * h, dac)
-    grads["gru_bc"] += dac
-    drh = dac @ params["gru_uc"].T
-    dr = drh * h
-    dh += drh * r
-
-    daz = dz * z * (1.0 - z)
-    grads["gru_wz"] += np.outer(x, daz)
-    grads["gru_uz"] += np.outer(h, daz)
-    grads["gru_bz"] += daz
-    dh += daz @ params["gru_uz"].T
-
-    dar = dr * r * (1.0 - r)
-    grads["gru_wr"] += np.outer(x, dar)
-    grads["gru_ur"] += np.outer(h, dar)
-    grads["gru_br"] += dar
-    dh += dar @ params["gru_ur"].T
-
-    dx = daz @ params["gru_wz"].T + dar @ params["gru_wr"].T + dac @ params["gru_wc"].T
-    return dx, dh
+    inputs: list[int]  # token id fed at each step: START, then the caption
+    target_idx: np.ndarray  # output index of each step's target
+    x: np.ndarray  # (T, d_x) step inputs
+    hs: np.ndarray  # (T + 1, d_h) hidden states; hs[0] is h0
+    z: np.ndarray  # (T, d_h) update gates
+    r: np.ndarray  # (T, d_h) reset gates
+    c: np.ndarray  # (T, d_h) candidate states
+    probs: np.ndarray  # (T, n_out) next-token distributions
+    nll: float
+    feat: np.ndarray | None  # image vector (initial_state mode)
+    remaining: list[list[int]]  # unmentioned detection ids per step (auxiliary_vector mode)
 
 
-def _forward_cached(lm: RecurrentLM, conditioning, tokens):
-    """Run one caption; returns (nll, n_targets, prob_rows, caches, h0_cache)."""
+def _forward_stacked(lm: RecurrentLM, conditioning, tokens) -> _CaptionPass:
+    """Run the recurrence step by step, then the output layer once."""
     ids = lm.encode_tokens(tokens)
     targets = ids + [END_ID]
     inputs = [START_ID] + ids
     h, feat = lm.initial_hidden(conditioning)
-    h0 = h
-    remaining: set[int] = set()
-    if lm.mode == MODE_COVERAGE_AUX:
-        remaining = set(lm.encode_detections(conditioning))
-    out_w, out_b = lm.params["out_w"], lm.params["out_b"]
-    caches = []
-    prob_rows = np.empty((len(targets), lm.n_out))
-    nll = 0.0
+    aux = lm.mode == MODE_COVERAGE_AUX
+    remaining = set(lm.encode_detections(conditioning)) if aux else set()
+    n, d_h = len(inputs), lm.config.hidden_dim
+    x_rows = np.empty((n, lm.params["gru_wz"].shape[0]))
+    hs = np.empty((n + 1, d_h))
+    z, r, c = np.empty((n, d_h)), np.empty((n, d_h)), np.empty((n, d_h))
+    hs[0] = h
+    remaining_per_step = []
     for t, (inp, tgt) in enumerate(zip(inputs, targets)):
-        remaining_ids = sorted(remaining) if lm.mode == MODE_COVERAGE_AUX else None
-        x, aux = lm._step_input(h, inp, remaining_ids)
-        h_new, gru_cache = _gru_step_cached(lm.params, x, h)
-        probs = _softmax(h_new @ out_w + out_b)
-        prob_rows[t] = probs
-        target_idx = tgt - 1
-        nll -= math.log(max(probs[target_idx], 1e-300))
-        caches.append((gru_cache, probs, target_idx, inp, remaining_ids, aux, h, h_new))
-        h = h_new
-        if lm.mode == MODE_COVERAGE_AUX:
+        remaining_ids = sorted(remaining) if aux else None
+        x_rows[t] = x = lm._step_input(h, inp, remaining_ids)
+        z[t], r[t], c[t], h = _gru_step_cached(lm.params, x, h)
+        hs[t + 1] = h
+        if aux:
+            remaining_per_step.append(remaining_ids)
             remaining.discard(tgt)
-    return nll, len(targets), prob_rows, caches, (h0, feat)
+    probs = _softmax(hs[1:] @ lm.params["out_w"] + lm.params["out_b"])
+    target_idx = np.array(targets) - 1
+    nll = -float(np.log(np.maximum(probs[np.arange(n), target_idx], 1e-300)).sum())
+    return _CaptionPass(inputs, target_idx, x_rows, hs, z, r, c, probs, nll, feat,
+                        remaining_per_step)
 
 
 def forward(lm: RecurrentLM, conditioning, tokens):
@@ -245,8 +232,83 @@ def forward(lm: RecurrentLM, conditioning, tokens):
     Row t is the distribution over the output tokens before emitting
     target t; targets are the caption tokens followed by END.
     """
-    nll, _, prob_rows, _, _ = _forward_cached(lm, conditioning, tokens)
-    return prob_rows, -nll
+    fp = _forward_stacked(lm, conditioning, tokens)
+    return fp.probs, -fp.nll
+
+
+def _backward_stacked(lm: RecurrentLM, fp: _CaptionPass, grads) -> None:
+    """Add one caption's NLL gradients to ``grads``.
+
+    Only the dh recurrence runs per step; it fills the rows of the gate
+    pre-activation gradients ``da = [da_z | da_r | da_c]``, from which
+    every weight gradient is formed once.
+    """
+    params = lm.params
+    n, d_h = fp.z.shape
+    x, h_prev, h = fp.x, fp.hs[:-1], fp.hs[1:]
+    z, r, c = fp.z, fp.r, fp.c
+    dlogits = fp.probs.copy()
+    dlogits[np.arange(n), fp.target_idx] -= 1.0
+    grads["out_w"] += h.T @ dlogits
+    grads["out_b"] += dlogits.sum(axis=0)
+    dh_out = dlogits @ params["out_w"].T
+
+    # step-local factors: da_z = dh*gz, da_c = dh*gc, da_r = (da_c Uc^T)*gr
+    gz = (c - h_prev) * z * (1.0 - z)
+    gc = z * (1.0 - c * c)
+    gr = h_prev * r * (1.0 - r)
+    keep = 1.0 - z
+    uc_t = params["gru_uc"].T
+    uzr_t = np.concatenate([params["gru_uz"], params["gru_ur"]], axis=1).T
+    w_cat = np.concatenate([params["gru_wz"], params["gru_wr"], params["gru_wc"]], axis=1)
+    da = np.empty((n, 3 * d_h))
+    zc, rc, cc = slice(0, d_h), slice(d_h, 2 * d_h), slice(2 * d_h, 3 * d_h)
+    da_z, da_r, da_c = da[:, zc], da[:, rc], da[:, cc]
+    aux = lm.mode == MODE_COVERAGE_AUX
+    if aux:
+        d_e = lm.config.embed_dim
+        a = x[:, d_e:]
+        a_slope = a * (1.0 - a)
+        wa_t = w_cat[d_e:].T
+        hist_t = params["hist_w"].T
+        du = np.empty((n, d_e))
+    dh = np.zeros(d_h)
+    for t in range(n - 1, -1, -1):
+        dh = dh + dh_out[t]
+        da_z[t] = dh * gz[t]
+        da_c[t] = dac = dh * gc[t]
+        drh = dac @ uc_t
+        da_r[t] = drh * gr[t]
+        dh = dh * keep[t] + drh * r[t] + da[t, :2 * d_h] @ uzr_t
+        if aux:
+            du[t] = (da[t] @ wa_t) * a_slope[t]
+            dh += du[t] @ hist_t
+
+    dw = x.T @ da
+    du_zr = h_prev.T @ da[:, :2 * d_h]
+    db = da.sum(axis=0)
+    grads["gru_wz"] += dw[:, zc]
+    grads["gru_wr"] += dw[:, rc]
+    grads["gru_wc"] += dw[:, cc]
+    grads["gru_uz"] += du_zr[:, zc]
+    grads["gru_ur"] += du_zr[:, rc]
+    grads["gru_uc"] += (r * h_prev).T @ da_c
+    grads["gru_bz"] += db[zc]
+    grads["gru_br"] += db[rc]
+    grads["gru_bc"] += db[cc]
+    dx = da @ w_cat.T
+    if aux:
+        np.add.at(grads["embeddings"], fp.inputs, dx[:, :d_e] + du)
+        det_ids = np.array([i for ids in fp.remaining for i in ids], dtype=np.intp)
+        steps = np.array([t for t, ids in enumerate(fp.remaining) for _ in ids], dtype=np.intp)
+        np.add.at(grads["det_embeddings"], det_ids, du[steps])
+        grads["hist_w"] += h_prev.T @ du
+    else:
+        np.add.at(grads["embeddings"], fp.inputs, dx)
+        h0 = fp.hs[0]
+        dq = dh * (1.0 - h0 * h0)
+        grads["img_w"] += np.outer(fp.feat, dq)
+        grads["img_b"] += dq
 
 
 def loss_and_gradients(lm: RecurrentLM, batch):
@@ -257,37 +319,13 @@ def loss_and_gradients(lm: RecurrentLM, batch):
     if not batch:
         raise DegenerateCorpus("empty batch")
     grads = {k: np.zeros_like(v) for k, v in lm.params.items()}
-    params = lm.params
     total_nll = 0.0
     total_targets = 0
     for conditioning, tokens in batch:
-        nll, n_targets, _, caches, (h0, feat) = _forward_cached(lm, conditioning, tokens)
-        total_nll += nll
-        total_targets += n_targets
-        d_e = lm.config.embed_dim
-        dh = np.zeros(lm.config.hidden_dim)
-        for gru_cache, probs, target_idx, inp, remaining_ids, aux, h_prev, h_new in reversed(caches):
-            dlogits = probs.copy()
-            dlogits[target_idx] -= 1.0
-            grads["out_w"] += np.outer(h_new, dlogits)
-            grads["out_b"] += dlogits
-            dh = dh + dlogits @ params["out_w"].T
-            dx, dh_prev = _gru_backward(params, gru_cache, dh, grads)
-            if lm.mode == MODE_IMAGE_INITIAL:
-                grads["embeddings"][inp] += dx
-            else:
-                de, da = dx[:d_e], dx[d_e:]
-                du = da * aux * (1.0 - aux)
-                grads["embeddings"][inp] += de + du
-                if remaining_ids:
-                    grads["det_embeddings"][remaining_ids] += du
-                grads["hist_w"] += np.outer(h_prev, du)
-                dh_prev = dh_prev + du @ params["hist_w"].T
-            dh = dh_prev
-        if lm.mode == MODE_IMAGE_INITIAL:
-            dq = dh * (1.0 - h0 * h0)
-            grads["img_w"] += np.outer(feat, dq)
-            grads["img_b"] += dq
+        fp = _forward_stacked(lm, conditioning, tokens)
+        total_nll += fp.nll
+        total_targets += len(fp.inputs)
+        _backward_stacked(lm, fp, grads)
     loss = total_nll / total_targets
     if not math.isfinite(loss):
         raise NonFiniteLoss("forward pass produced a non-finite loss")

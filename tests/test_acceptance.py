@@ -51,11 +51,13 @@ from capkit.metrics import (
     perplexity,
 )
 from capkit.pipeline import PipelineConfig, run_pipeline
+from capkit import recurrent
 from capkit.recurrent import (
     MODE_COVERAGE_AUX,
     MODE_IMAGE_INITIAL,
     RecurrentConfig,
     RecurrentLM,
+    RnnTrainConfig,
     loss_and_gradients,
 )
 from capkit.rerank import MIN_GAIN, PERTURBATION, MertConfig, apply_weights, mert_optimize
@@ -516,6 +518,168 @@ def test_gradient_checks():
             target_idx = lm.candidate_tokens().index(target)
             worst = max(worst, maxent_gradient_error(lm, condition, rows, target_idx, eps))
         assert worst < 1e-4, f"maxent: max relative error {worst:.2e}"
+
+
+def _oracle_gru_step(params, x, h):
+    z = 1.0 / (1.0 + np.exp(-(x @ params["gru_wz"] + h @ params["gru_uz"] + params["gru_bz"])))
+    r = 1.0 / (1.0 + np.exp(-(x @ params["gru_wr"] + h @ params["gru_ur"] + params["gru_br"])))
+    c = np.tanh(x @ params["gru_wc"] + (r * h) @ params["gru_uc"] + params["gru_bc"])
+    return (1.0 - z) * h + z * c, (x, h, z, r, c)
+
+
+def _oracle_gru_backward(params, cache, dh_new, grads):
+    """Backprop one GRU step into ``grads``; returns (dx, dh_prev)."""
+    x, h, z, r, c = cache
+    dz = dh_new * (c - h)
+    dc = dh_new * z
+    dh = dh_new * (1.0 - z)
+
+    dac = dc * (1.0 - c * c)
+    grads["gru_wc"] += np.outer(x, dac)
+    grads["gru_uc"] += np.outer(r * h, dac)
+    grads["gru_bc"] += dac
+    drh = dac @ params["gru_uc"].T
+    dr = drh * h
+    dh += drh * r
+
+    daz = dz * z * (1.0 - z)
+    grads["gru_wz"] += np.outer(x, daz)
+    grads["gru_uz"] += np.outer(h, daz)
+    grads["gru_bz"] += daz
+    dh += daz @ params["gru_uz"].T
+
+    dar = dr * r * (1.0 - r)
+    grads["gru_wr"] += np.outer(x, dar)
+    grads["gru_ur"] += np.outer(h, dar)
+    grads["gru_br"] += dar
+    dh += dar @ params["gru_ur"].T
+
+    dx = daz @ params["gru_wz"].T + dar @ params["gru_wr"].T + dac @ params["gru_wc"].T
+    return dx, dh
+
+
+def _oracle_forward(lm, conditioning, tokens):
+    """One caption, one output row at a time; returns (nll, n_targets, caches, h0, feat)."""
+    ids = lm.encode_tokens(tokens)
+    targets = ids + [lm.vocabulary.lookup(END_TOKEN)]
+    inputs = [lm.vocabulary.lookup(START_TOKEN)] + ids
+    h, feat = lm.initial_hidden(conditioning)
+    h0 = h
+    aux = lm.mode == MODE_COVERAGE_AUX
+    remaining = set(lm.encode_detections(conditioning)) if aux else set()
+    out_w, out_b = lm.params["out_w"], lm.params["out_b"]
+    caches = []
+    nll = 0.0
+    for inp, tgt in zip(inputs, targets):
+        remaining_ids = sorted(remaining) if aux else None
+        x = lm._step_input(h, inp, remaining_ids)
+        a = x[lm.config.embed_dim:] if aux else None
+        h_new, gru_cache = _oracle_gru_step(lm.params, x, h)
+        logits = h_new @ out_w + out_b
+        exp = np.exp(logits - logits.max())
+        probs = exp / exp.sum()
+        nll -= math.log(max(probs[tgt - 1], 1e-300))
+        caches.append((gru_cache, probs, tgt - 1, inp, remaining_ids, a, h, h_new))
+        h = h_new
+        remaining.discard(tgt)
+    return nll, len(targets), caches, h0, feat
+
+
+def bptt_oracle(lm, batch):
+    """``loss_and_gradients`` as per-step backpropagation through time: every
+    weight gradient gets one outer product per token."""
+    params = lm.params
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    total_nll = 0.0
+    total_targets = 0
+    d_e = lm.config.embed_dim
+    for conditioning, tokens in batch:
+        nll, n_targets, caches, h0, feat = _oracle_forward(lm, conditioning, tokens)
+        total_nll += nll
+        total_targets += n_targets
+        dh = np.zeros(lm.config.hidden_dim)
+        for gru_cache, probs, target_idx, inp, remaining_ids, a, h_prev, h_new in reversed(caches):
+            dlogits = probs.copy()
+            dlogits[target_idx] -= 1.0
+            grads["out_w"] += np.outer(h_new, dlogits)
+            grads["out_b"] += dlogits
+            dh = dh + dlogits @ params["out_w"].T
+            dx, dh_prev = _oracle_gru_backward(params, gru_cache, dh, grads)
+            if lm.mode == MODE_IMAGE_INITIAL:
+                grads["embeddings"][inp] += dx
+            else:
+                de, da = dx[:d_e], dx[d_e:]
+                du = da * a * (1.0 - a)
+                grads["embeddings"][inp] += de + du
+                if remaining_ids:
+                    grads["det_embeddings"][remaining_ids] += du
+                grads["hist_w"] += np.outer(h_prev, du)
+                dh_prev = dh_prev + du @ params["hist_w"].T
+            dh = dh_prev
+        if lm.mode == MODE_IMAGE_INITIAL:
+            dq = dh * (1.0 - h0 * h0)
+            grads["img_w"] += np.outer(feat, dq)
+            grads["img_b"] += dq
+    scale = 1.0 / total_targets
+    for key in grads:
+        grads[key] *= scale
+    return total_nll / total_targets, grads
+
+
+def _bptt_problem(mode, seed, vocab):
+    config = RecurrentConfig(
+        mode=mode, embed_dim=5, hidden_dim=7,
+        feature_dim=6 if mode == MODE_IMAGE_INITIAL else None, seed=seed,
+    )
+    lm = RecurrentLM(vocab, config)
+    # scale the parameters up from the init range so the gates saturate unevenly
+    for arr in lm.params.values():
+        arr *= 10.0
+    return lm
+
+
+def _bptt_batch(mode, rng, words, n_items, lengths):
+    batch = []
+    for _ in range(n_items):
+        tokens = [str(w) for w in rng.choice(words, size=int(rng.choice(lengths)))]
+        if mode == MODE_IMAGE_INITIAL:
+            conditioning = rng.standard_normal(6)
+        else:
+            conditioning = {str(w) for w in rng.choice(words, size=rng.integers(0, 5))}
+        batch.append((conditioning, tokens))
+    return batch
+
+
+def test_bptt_matches_per_step_oracle(monkeypatch):
+    with criterion("bptt-oracle", 60.0):
+        vocab = Vocabulary(["cat", "dog", "sat", "ran", "the", "on", "mat"])
+        # "zebra" is outside the vocabulary, so it is read as UNK
+        words = [*vocab.word_tokens(), "zebra"]
+        for mode in (MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX):
+            rng = np.random.default_rng(5)
+            unk_captions = 0
+            for seed in range(26):
+                lm = _bptt_problem(mode, seed, vocab)
+                lengths = [seed % 13] if seed < 13 else range(13)
+                batch = _bptt_batch(mode, rng, words, 1 + seed % 3, lengths)
+                unk_captions += sum("zebra" in tokens for _, tokens in batch)
+                loss, grads = loss_and_gradients(lm, batch)
+                want_loss, want = bptt_oracle(lm, batch)
+                assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), (mode, seed)
+                assert grads.keys() == want.keys()
+                for name, g in want.items():
+                    gap = np.max(np.abs(grads[name] - g))
+                    assert gap <= 1e-12 * np.max(np.abs(g)), (mode, seed, name, gap)
+            assert unk_captions > 0
+
+            data = _bptt_batch(mode, rng, words, 30, range(13))
+            config = RnnTrainConfig(epochs=2, learning_rate=0.2, clip=5.0, seed=7)
+            trained = recurrent.train(_bptt_problem(mode, 0, vocab), data, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(recurrent, "loss_and_gradients", bptt_oracle)
+                oracle_trained = recurrent.train(_bptt_problem(mode, 0, vocab), data, config)
+            for name, arr in oracle_trained.params.items():
+                np.testing.assert_allclose(trained.params[name], arr, rtol=0, atol=1e-10)
 
 
 @lru_cache(maxsize=None)

@@ -573,6 +573,33 @@ class TestBadValuesExit2:
                        "message": f"{nbest}:2: non-finite feature value 'logprob={value}'"}
         assert not out.exists()
 
+    def test_mert_feature_missing_from_nbest(self, fixture_dir, tmp_path, capsys):
+        nbest = tmp_path / "nbest.tsv"
+        nbest.write_text("101\t1\ta bus\tlogprob=-1.5\n101\t2\ta cat\tlogprob=-2.0\n")
+        out = tmp_path / "weights.json"
+        capsys.readouterr()
+        assert run_cli("mert", "--nbest", nbest, "--refs", fixture_dir / "captions.json",
+                       "--features", "logprob,nope", "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "SchemaMismatch",
+                       "message": "image 101: feature row ['logprob'] lacks weights schema "
+                                  "['logprob', 'nope']"}
+        assert not out.exists()
+
+    def test_pipeline_with_unknown_mert_feature(self, fixture_dir, tmp_path, capsys):
+        config_path = write_config(tmp_path / "config.json", fixture_dir, hyperparameters={
+            "me_epochs": 1, "rnn_epochs": 1, "rnn_embed": 4, "rnn_hidden": 4,
+            "beam": 3, "nbest": 5, "max_len": 8, "mert_features": ["logprob", "nope"],
+        })
+        run_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", run_dir,
+                       "--stages", "ingest,train_me,train_rnn,decode,rerank") == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == "SchemaMismatch" and "'nope'" in doc["message"]
+        assert (run_dir / "me_nbest_val.tsv").exists()
+        assert not (run_dir / "weights.json").exists()
+
     def test_min_coverage_above_detection_count(self, fixture_dir, me_model, tmp_path, capsys):
         out = tmp_path / "nbest.tsv"
         capsys.readouterr()

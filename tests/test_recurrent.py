@@ -21,7 +21,7 @@ from capkit.recurrent import (
     loss_and_gradients,
     save_recurrent,
     train,
-    _forward_cached,
+    _forward_stacked,
 )
 
 VOCAB = Vocabulary(["cat", "dog", "sat", "ran", "the"])
@@ -138,20 +138,17 @@ class TestForward:
 
     def test_emitted_word_leaves_coverage_sum(self):
         lm = small_lm(MODE_COVERAGE_AUX, seed=5)
-        _, _, _, caches, _ = _forward_cached(lm, {"cat"}, ["cat", "sat"])
+        fp = _forward_stacked(lm, {"cat"}, ["cat", "sat"])
         cat_id = lm.vocabulary.lookup("cat")
-        remaining_per_step = [c[4] for c in caches]
-        assert remaining_per_step[0] == [cat_id]
-        assert remaining_per_step[1] == []  # removed right after emission
-        # and the removal changes the activations: rescore with the word kept
-        kept = small_lm(MODE_COVERAGE_AUX, seed=5)
-        h = np.zeros(5)
-        x0, _ = kept._step_input(h, lm.vocabulary.lookup("<start>"), [cat_id])
-        from capkit.recurrent import _gru_step_cached
-
-        h1, _ = _gru_step_cached(kept.params, x0, h)
-        x1_removed, _ = kept._step_input(h1, cat_id, [])
-        x1_kept, _ = kept._step_input(h1, cat_id, [cat_id])
+        assert fp.remaining[0] == [cat_id]
+        assert fp.remaining[1] == []  # removed right after emission
+        # step 1 read the input built without the word, and keeping it
+        # would have changed the activations
+        h1 = gru_cell(fp.x[0], np.zeros(5), lm.params)
+        np.testing.assert_array_equal(fp.hs[1], h1)
+        x1_removed = lm._step_input(h1, cat_id, [])
+        x1_kept = lm._step_input(h1, cat_id, [cat_id])
+        np.testing.assert_array_equal(fp.x[1], x1_removed)
         assert not np.allclose(x1_removed, x1_kept)
 
     def test_bad_conditioning_dim(self):
