@@ -5,10 +5,13 @@ expanded over the full candidate set and the best ``beam_size`` expansions
 overall are kept; those ending in END retire into the n-best pool (so a
 beam of one is exactly greedy decoding) and the rest stay live. Ties are
 broken by the candidate-index sequence, so decoding is fully
-deterministic. In coverage mode each hypothesis tracks the detected words
-it has not yet mentioned, leaving out words the scorer cannot emit (they
-can never be covered); END only becomes admissible once the mentioned
-count reaches ``min_coverage``.
+deterministic. Each step stacks the live hypotheses' scores into one
+matrix, partitions out the ``beam_size``-th best score and orders only the
+expansions at or above it, so the Python work per step grows with the beam
+rather than with beam × vocabulary. In coverage mode each hypothesis
+tracks the detected words it has not yet mentioned, leaving out words the
+scorer cannot emit (they can never be covered); END only becomes
+admissible once the mentioned count reaches ``min_coverage``.
 
 A scorer provides two methods (duck-typed, see MaxEntScorer and
 RecurrentScorer): ``start(conditioning)`` builds an opaque state, and
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import END_TOKEN, START_ID, UNK_TOKEN, DetectionSet
-from .errors import InputDataError, ToolkitError
+from .errors import DimensionMismatch, InputDataError, NonFiniteLogProb, ToolkitError
 from .maxent import MaxEntLM
 from .recurrent import MODE_COVERAGE_AUX, RecurrentLM
 
@@ -139,26 +144,49 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
     except ValueError as exc:
         raise ToolkitError("scorer candidates must include the END token") from exc
 
+    width = len(candidates)
     live = [BeamHypothesis((), 0.0, detected, state=scorer.start(conditioning))]
     pool: list[BeamHypothesis] = []
     for _ in range(max_len):
-        expansions = []
-        for hyp in live:
+        scores = np.empty((len(live), width))
+        successors = []
+        for row, hyp in enumerate(live):
             lps, successor = scorer.logprobs(hyp.state, hyp.remaining if coverage_mode else None)
-            end_ok = (not coverage_mode) or (
-                len(detected) - len(hyp.remaining) >= min_coverage
-            )
-            for ci, logprob in enumerate(lps):
-                if ci == end_index and not end_ok:
-                    continue
-                expansions.append(
-                    (hyp.logprob + float(logprob), hyp.key + (ci,), hyp, ci, successor)
+            lps = np.asarray(lps, dtype=np.float64)
+            if lps.shape != (width,):
+                raise DimensionMismatch(
+                    f"image {image_id}: scorer returned {lps.shape} log-probabilities "
+                    f"for {width} candidates"
                 )
-        if not expansions:
+            scores[row] = lps
+            successors.append(successor)
+        scores += np.array([hyp.logprob for hyp in live])[:, None]
+        if np.isnan(scores).any():
+            raise NonFiniteLogProb(f"image {image_id}: NaN expansion score")
+        end_ok = np.array([(not coverage_mode)
+                           or len(detected) - len(hyp.remaining) >= min_coverage
+                           for hyp in live])
+        scores[~end_ok, end_index] = -np.inf
+        # Keep every expansion tied with the beam_size-th best score, so the
+        # (score, key) order below decides the boundary, not the partition.
+        flat = scores.ravel()
+        boundary = max(flat.size - beam_size, 0)
+        cut = np.partition(flat, boundary)[boundary]
+        kept = np.flatnonzero(flat >= cut)
+        rows, cis = np.divmod(kept, width)
+        admissible = (cis != end_index) | end_ok[rows]
+        kept, rows, cis = kept[admissible], rows[admissible], cis[admissible]
+        if kept.size == 0:
             break
-        expansions.sort(key=lambda e: (-e[0], e[1]))
+        # All live keys have one length, so hyp.key + (ci,) sorts as (key rank, ci).
+        key_rank = np.empty(len(live), dtype=np.int64)
+        key_rank[sorted(range(len(live)), key=lambda r: live[r].key)] = np.arange(len(live))
+        order = np.lexsort((cis, key_rank[rows], -flat[kept]))[:beam_size]
         new_live: list[BeamHypothesis] = []
-        for logprob, key, hyp, ci, successor in expansions[:beam_size]:
+        for row, ci, logprob in zip(rows[order].tolist(), cis[order].tolist(),
+                                    flat[kept[order]].tolist()):
+            hyp = live[row]
+            key = hyp.key + (ci,)
             if ci == end_index:
                 pool.append(
                     BeamHypothesis(hyp.tokens, logprob, hyp.remaining,
@@ -169,7 +197,7 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
                 new_live.append(
                     BeamHypothesis(hyp.tokens + (token,), logprob,
                                    hyp.remaining - {token}, key=key,
-                                   state=successor(token))
+                                   state=successors[row](token))
                 )
         live = new_live
         if not live:
@@ -232,7 +260,15 @@ def sequence_logprob(scorer, conditioning, tokens) -> float:
     otherwise the remaining set is None. Tokens outside
     ``scorer.candidates`` score as UNK.
     """
-    index_of = {tok: i for i, tok in enumerate(scorer.candidates)}
+    return _sequence_logprob(scorer, _candidate_index(scorer), conditioning, tokens)
+
+
+def _candidate_index(scorer) -> dict[str, int]:
+    return {tok: i for i, tok in enumerate(scorer.candidates)}
+
+
+def _sequence_logprob(scorer, index_of, conditioning, tokens) -> float:
+    """sequence_logprob with the scorer's ``{token: candidate index}`` map given."""
     unk_index = index_of.get(UNK_TOKEN)
     coverage = isinstance(conditioning, DetectionSet)
     remaining = _coverable(scorer, conditioning) if coverage else None
@@ -254,9 +290,10 @@ def rescore_logprob(nbest: NBestList, scorer, conditioning, feature_name: str) -
     ``conditioning`` is the image's feature vector or DetectionSet, as the
     scorer's model was trained (see sequence_logprob).
     """
+    index_of = _candidate_index(scorer)
     rescored = []
     for hyp in nbest.hypotheses:
         row = dict(hyp.features)
-        row[feature_name] = sequence_logprob(scorer, conditioning, hyp.tokens)
+        row[feature_name] = _sequence_logprob(scorer, index_of, conditioning, hyp.tokens)
         rescored.append(DecodedHypothesis(hyp.tokens, hyp.logprob, row))
     return NBestList(nbest.image_id, rescored, complete=nbest.complete)

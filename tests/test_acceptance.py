@@ -853,7 +853,7 @@ def test_decoder_equivalence_and_coverage():
             result = beam_search(scorer, None, beam_size=64, max_len=3, n_best=1)
             assert result.complete
             assert result.hypotheses[0].tokens == best[2]
-            assert result.hypotheses[0].logprob == pytest.approx(best[0], abs=1e-12)
+            assert result.hypotheses[0].logprob == best[0]
 
         # full-coverage decodes mention every detection word
         detections = DetectionSet.from_scored_words(
@@ -871,6 +871,125 @@ def test_decoder_equivalence_and_coverage():
                 for hyp in result.hypotheses:
                     assert {"cat", "dog"} <= set(hyp.tokens)
         assert successes > 0
+
+
+def beam_search_oracle(scorer, conditioning, beam_size, max_len, n_best, detections=None,
+                       min_coverage=None, image_id=0, boundary_ties=None):
+    """Beam search that scores every expansion as a Python tuple and sorts
+    them all by (-score, candidate-index key). ``boundary_ties``, when a
+    list, gets one entry per step in which the beam_size-th and the next
+    expansion have equal scores."""
+    coverage_mode = detections is not None
+    detected = frozenset()
+    if coverage_mode:
+        detected = detections.tokens().intersection(scorer.candidates) - {END_TOKEN}
+        if min_coverage is None:
+            min_coverage = min(len(detected), max_len - 1)
+    candidates = scorer.candidates
+    end_index = candidates.index(END_TOKEN)
+
+    # live and retired entries: (tokens, logprob, remaining, key, state)
+    live = [((), 0.0, detected, (), scorer.start(conditioning))]
+    pool = []
+    for _ in range(max_len):
+        expansions = []
+        for hyp in live:
+            tokens, logprob, remaining, key, state = hyp
+            lps, successor = scorer.logprobs(state, remaining if coverage_mode else None)
+            end_ok = (not coverage_mode) or len(detected) - len(remaining) >= min_coverage
+            for ci, lp in enumerate(lps):
+                if ci == end_index and not end_ok:
+                    continue
+                expansions.append((logprob + float(lp), key + (ci,), hyp, ci, successor))
+        if not expansions:
+            break
+        expansions.sort(key=lambda e: (-e[0], e[1]))
+        if (boundary_ties is not None and len(expansions) > beam_size
+                and expansions[beam_size - 1][0] == expansions[beam_size][0]):
+            boundary_ties.append(1)
+        new_live = []
+        for logprob, key, hyp, ci, successor in expansions[:beam_size]:
+            tokens, _, remaining, _, _ = hyp
+            if ci == end_index:
+                pool.append((tokens, logprob, remaining, key, None))
+            else:
+                token = candidates[ci]
+                new_live.append((tokens + (token,), logprob, remaining - {token}, key,
+                                 successor(token)))
+        live = new_live
+        if not live:
+            break
+
+    def to_decoded(hyp):
+        tokens, logprob, remaining, _, _ = hyp
+        row = {"logprob": float(logprob), "length": float(len(tokens))}
+        if coverage_mode:
+            row["covered"] = float(len(detected) - len(remaining))
+        return DecodedHypothesis(tokens, float(logprob), row)
+
+    if pool:
+        pool.sort(key=lambda h: (-h[1], h[3]))
+        return NBestList(image_id, [to_decoded(h) for h in pool[:n_best]], complete=True)
+    return NBestList(image_id, [to_decoded(h) for h in live[:n_best]], complete=False)
+
+
+class TieHeavyScorer:
+    """Rows drawn from a handful of log-probabilities, fixed per history, so
+    that many expansions share a score; detected words not yet mentioned get
+    a bonus from the same handful."""
+
+    LEVELS = (-0.5, -1.0, -1.5, -2.0, math.log(0.3), -math.inf)
+    WEIGHTS = np.array([6, 6, 4, 4, 3, 1]) / 24
+
+    def __init__(self, vocab, seed):
+        self.candidates = list(vocab) + [END_TOKEN]
+        self._seed = seed
+
+    def start(self, conditioning):
+        return ()
+
+    def logprobs(self, history, remaining):
+        ids = [self.candidates.index(tok) for tok in history]
+        rng = np.random.default_rng([self._seed, len(ids), *ids])
+        row = rng.choice(self.LEVELS, size=len(self.candidates), p=self.WEIGHTS)
+        for i, tok in enumerate(self.candidates):
+            if remaining and tok in remaining:
+                row[i] = row[i] + 0.5
+        return row, lambda token: history + (token,)
+
+
+def test_array_selection_matches_tuple_sort_oracle():
+    with criterion("beam-selection-oracle", 60.0):
+        rng = np.random.default_rng(13)
+        words = [f"w{i}" for i in range(7)]
+        ties, cases = [], 0
+        for case in range(600):
+            vocab = words[:int(rng.integers(1, 8))]
+            scorer = TieHeavyScorer(vocab, case)
+            beam = int(rng.integers(1, 13))
+            max_len = int(rng.integers(1, 7))
+            n_best = int(rng.integers(1, 30))
+            if case % 2:
+                got = beam_search(scorer, None, beam_size=beam, max_len=max_len,
+                                  n_best=n_best, image_id=case)
+                want = beam_search_oracle(scorer, None, beam, max_len, n_best,
+                                          image_id=case, boundary_ties=ties)
+            else:
+                chosen = rng.permutation(vocab)[:int(rng.integers(1, len(vocab) + 1))]
+                detections = DetectionSet.from_scored_words(
+                    case, [(str(tok), 0.9) for tok in chosen], 0.5)
+                min_coverage = [None, *range(len(detections) + 1)][
+                    int(rng.integers(0, len(detections) + 2))]
+                got = coverage_beam_search(scorer, detections, beam_size=beam,
+                                           max_len=max_len, n_best=n_best,
+                                           min_coverage=min_coverage)
+                want = beam_search_oracle(scorer, detections, beam, max_len, n_best,
+                                          detections=detections, min_coverage=min_coverage,
+                                          image_id=case, boundary_ties=ties)
+            assert got == want, f"case {case}"
+            cases += 1
+        # the scorer must make the boundary of the beam a tie often
+        assert len(ties) > cases
 
 
 def test_metrics_sanity():

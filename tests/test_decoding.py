@@ -12,6 +12,7 @@ from capkit.decoding import (
     rescore_logprob,
     sequence_logprob,
 )
+from capkit.errors import DimensionMismatch, InputDataError, NonFiniteLogProb, ToolkitError
 from capkit.maxent import MaxEntLM
 from capkit.recurrent import MODE_COVERAGE_AUX, MODE_IMAGE_INITIAL, RecurrentConfig, RecurrentLM
 
@@ -110,6 +111,55 @@ class TestBeamSearch:
             beam_search(scorer, None, beam_size=0, max_len=16, n_best=1)
         with pytest.raises(ValueError):
             beam_search(scorer, None, beam_size=10, max_len=0, n_best=1)
+
+
+class BrokenRowScorer(TableScorer):
+    """Returns ``broken(row)`` in place of the row at history ``at``."""
+
+    def __init__(self, vocab, seed, at, broken):
+        super().__init__(vocab, seed)
+        self._at, self._broken = at, broken
+
+    def logprobs(self, state, remaining):
+        row, successor = super().logprobs(state, remaining)
+        return (self._broken(row) if state == self._at else row), successor
+
+
+class TestScorerRowsChecked:
+    """Rows are split back into (hypothesis, candidate) by their width, so a
+    row of the wrong length or with a NaN is a violated invariant (exit 1)."""
+
+    @pytest.mark.parametrize("broken", [
+        lambda row: row[:-1],
+        lambda row: np.append(row, -1.0),
+        lambda row: row[:1],
+        lambda row: np.stack([row, row]),
+    ])
+    @pytest.mark.parametrize("at", [(), ("a",)])
+    def test_wrong_width_raises(self, broken, at):
+        scorer = BrokenRowScorer(["a", "b"], 0, at, broken)
+        with pytest.raises(DimensionMismatch):
+            beam_search(scorer, None, beam_size=3, max_len=4, n_best=3)
+        detections = DetectionSet.from_scored_words(1, [("a", 0.9)], 0.5)
+        with pytest.raises(DimensionMismatch):
+            coverage_beam_search(scorer, detections, beam_size=3, max_len=4, n_best=3,
+                                 min_coverage=1)
+
+    @pytest.mark.parametrize("ci", [0, 2])
+    def test_nan_raises(self, ci):
+        def broken(row):
+            row = row.copy()
+            row[ci] = np.nan
+            return row
+
+        scorer = BrokenRowScorer(["a", "b"], 0, ("a",), broken)
+        with pytest.raises(NonFiniteLogProb):
+            beam_search(scorer, None, beam_size=3, max_len=4, n_best=3)
+
+    def test_both_are_exit_one_errors(self):
+        for error in (DimensionMismatch, NonFiniteLogProb):
+            assert issubclass(error, ToolkitError)
+            assert not issubclass(error, InputDataError)
 
 
 class CoverageAwareScorer(TableScorer):
