@@ -19,8 +19,9 @@ RecurrentScorer): ``start(conditioning)`` builds an opaque state, and
 log-probabilities aligned with ``scorer.candidates`` (END included) and a
 function mapping an emitted token to the next state without further model
 work. So each decoded position costs one model evaluation, in search and
-in ``sequence_logprob`` alike. Decoding never mutates the model, so one
-model may serve many images concurrently.
+in ``sequence_logprob`` alike, and ``rescore_logprob`` evaluates each
+distinct prefix of an n-best list once. Decoding never mutates the model,
+so one model may serve many images concurrently.
 """
 
 from __future__ import annotations
@@ -260,15 +261,7 @@ def sequence_logprob(scorer, conditioning, tokens) -> float:
     otherwise the remaining set is None. Tokens outside
     ``scorer.candidates`` score as UNK.
     """
-    return _sequence_logprob(scorer, _candidate_index(scorer), conditioning, tokens)
-
-
-def _candidate_index(scorer) -> dict[str, int]:
-    return {tok: i for i, tok in enumerate(scorer.candidates)}
-
-
-def _sequence_logprob(scorer, index_of, conditioning, tokens) -> float:
-    """sequence_logprob with the scorer's ``{token: candidate index}`` map given."""
+    index_of = _candidate_index(scorer)
     unk_index = index_of.get(UNK_TOKEN)
     coverage = isinstance(conditioning, DetectionSet)
     remaining = _coverable(scorer, conditioning) if coverage else None
@@ -284,16 +277,46 @@ def _sequence_logprob(scorer, index_of, conditioning, tokens) -> float:
     return total + float(lps[index_of[END_TOKEN]])
 
 
+def _candidate_index(scorer) -> dict[str, int]:
+    return {tok: i for i, tok in enumerate(scorer.candidates)}
+
+
 def rescore_logprob(nbest: NBestList, scorer, conditioning, feature_name: str) -> NBestList:
     """Add a feature column with another model's log-probability per hypothesis.
 
     ``conditioning`` is the image's feature vector or DetectionSet, as the
-    scorer's model was trained (see sequence_logprob).
+    scorer's model was trained; each value equals ``sequence_logprob`` of
+    its hypothesis. The list is walked depth first as a trie of token
+    prefixes, children in the order the hypotheses first reach them, so the
+    scorer runs once per distinct prefix and each path adds up its terms in
+    the order ``sequence_logprob`` does.
     """
     index_of = _candidate_index(scorer)
+    unk_index = index_of.get(UNK_TOKEN)
+    end_index = index_of[END_TOKEN]
+    coverage = isinstance(conditioning, DetectionSet)
+    # trie node: ({token: child node}, indices of the hypotheses ending here)
+    root: tuple[dict, list[int]] = ({}, [])
+    for i, hyp in enumerate(nbest.hypotheses):
+        node = root
+        for token in hyp.tokens:
+            node = node[0].setdefault(token, ({}, []))
+        node[1].append(i)
+    totals = [0.0] * len(nbest.hypotheses)
+    remaining = _coverable(scorer, conditioning) if coverage else None
+    stack = [(root, scorer.start(conditioning), 0.0, remaining)] if totals else []
+    while stack:
+        (children, ending), state, total, remaining = stack.pop()
+        lps, successor = scorer.logprobs(state, remaining)
+        for i in ending:
+            totals[i] = total + float(lps[end_index])
+        for token, child in reversed(children.items()):
+            stack.append((child, successor(token),
+                          total + float(lps[index_of.get(token, unk_index)]),
+                          remaining - {token} if coverage else None))
     rescored = []
-    for hyp in nbest.hypotheses:
+    for hyp, total in zip(nbest.hypotheses, totals):
         row = dict(hyp.features)
-        row[feature_name] = _sequence_logprob(scorer, index_of, conditioning, hyp.tokens)
+        row[feature_name] = total
         rescored.append(DecodedHypothesis(hyp.tokens, hyp.logprob, row))
     return NBestList(nbest.image_id, rescored, complete=nbest.complete)

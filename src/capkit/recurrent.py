@@ -12,9 +12,15 @@ All gradients are hand-derived backpropagation through time and are
 checked against finite differences in the test suite. Only the forward
 hidden-state recurrence and the backward dh recurrence run step by step;
 each caption's per-step activations are stacked, and every weight
-gradient is formed from them once per caption. Training is
-single-threaded and bit-reproducible given a seed; a trained model is
-immutable in practice and safe to score from many threads.
+gradient is formed from them once per caption. Each step multiplies its
+input once by the column-stacked input weights [Wz | Wr | Wc] and its
+state once by [Uz | Ur]; training stacks them once per caption and
+decoding once per model (see ``RecurrentLM.step``). Training keeps every
+parameter in one flat buffer and the gradient in a second, with the
+tensors as views into them, so clipping and the update are a few whole-
+buffer operations per caption. Training is single-threaded and
+bit-reproducible given a seed; a trained model is immutable in practice
+and safe to score from many threads.
 """
 
 from __future__ import annotations
@@ -112,6 +118,7 @@ class RecurrentLM:
                 for name, shape in param_shapes(config, len(vocabulary)).items()
             }
         self.params: dict[str, np.ndarray] = params
+        self._gates: tuple[dict[str, np.ndarray], _Gates] | None = None
 
     # -- encoding helpers -------------------------------------------------
 
@@ -143,9 +150,27 @@ class RecurrentLM:
 
         ``remaining_ids`` is only consulted in auxiliary_vector mode.
         """
+        h_prev = np.asarray(h_prev, dtype=np.float64)
+        if h_prev.shape != (self.config.hidden_dim,):
+            raise DimensionMismatch(
+                f"hidden state has shape {h_prev.shape}, expected ({self.config.hidden_dim},)"
+            )
         x = self._step_input(h_prev, prev_id, remaining_ids)
-        h = gru_cell(x, h_prev, self.params)
+        h = _gru_step(self._decoding_gates(), x, h_prev)[2]
         return h, _log_softmax(h @ self.params["out_w"] + self.params["out_b"])
+
+    def _decoding_gates(self) -> _Gates:
+        """The fused gate weights ``step`` reads, built once per ``params`` dict.
+
+        Building them makes the tensors they copy read-only, so updating
+        one in place raises instead of decoding through a stale copy;
+        ``train`` gives the model a new dict.
+        """
+        if self._gates is None or self._gates[0] is not self.params:
+            for name in _FUSED:
+                self.params[name].flags.writeable = False
+            self._gates = (self.params, _fuse(self.params))
+        return self._gates[1]
 
     def _step_input(self, h_prev, prev_id, remaining_ids):
         emb = self.params["embeddings"][prev_id]
@@ -170,15 +195,47 @@ def gru_cell(x: np.ndarray, h: np.ndarray, params) -> np.ndarray:
         raise DimensionMismatch(
             f"gru_cell got x{x.shape}, h{h.shape} for weights {wz.shape}"
         )
-    return _gru_step_cached(params, x, h)[3]
+    return _gru_step(_fuse(params), x, h)[2]
 
 
-def _gru_step_cached(params, x, h):
-    """gru_cell without the shape check; returns (z, r, c, h')."""
-    z = _sigmoid(x @ params["gru_wz"] + h @ params["gru_uz"] + params["gru_bz"])
-    r = _sigmoid(x @ params["gru_wr"] + h @ params["gru_ur"] + params["gru_br"])
-    c = np.tanh(x @ params["gru_wc"] + (r * h) @ params["gru_uc"] + params["gru_bc"])
-    return z, r, c, (1.0 - z) * h + z * c
+class _Gates(NamedTuple):
+    """Gate weights stacked by columns, so that a step makes one product per input."""
+
+    w: np.ndarray  # [Wz | Wr | Wc], (d_x, 3 d_h)
+    u_zr: np.ndarray  # [Uz | Ur], (d_h, 2 d_h)
+    b_zr: np.ndarray  # [bz | br]
+    u_c: np.ndarray
+    b_c: np.ndarray
+
+
+# the tensors _fuse copies
+_FUSED = ("gru_wz", "gru_wr", "gru_wc", "gru_uz", "gru_ur", "gru_bz", "gru_br")
+
+
+def _fuse(params) -> _Gates:
+    return _Gates(
+        np.concatenate([params["gru_wz"], params["gru_wr"], params["gru_wc"]], axis=1),
+        np.concatenate([params["gru_uz"], params["gru_ur"]], axis=1),
+        np.concatenate([params["gru_bz"], params["gru_br"]]),
+        params["gru_uc"],
+        params["gru_bc"],
+    )
+
+
+def _gru_step(gates: _Gates, x, h):
+    """gru_cell without the shape check; returns (zr, c, h') with zr = [z | r].
+
+    A column of a product with stacked weights can round differently from
+    the same column of a product with its block alone, depending on how the
+    BLAS kernel splits the columns. With OpenBLAS 0.3.31 on x86-64 the bits
+    agree whenever d_h is a multiple of 4, as at the default of 64.
+    """
+    d_h = h.shape[0]
+    xw = x @ gates.w
+    zr = _sigmoid(xw[:2 * d_h] + h @ gates.u_zr + gates.b_zr)
+    z = zr[:d_h]
+    c = np.tanh(xw[2 * d_h:] + (zr[d_h:] * h) @ gates.u_c + gates.b_c)
+    return zr, c, (1.0 - z) * h + z * c
 
 
 class _CaptionPass(NamedTuple):
@@ -197,7 +254,7 @@ class _CaptionPass(NamedTuple):
     remaining: list[list[int]]  # unmentioned detection ids per step (auxiliary_vector mode)
 
 
-def _forward_stacked(lm: RecurrentLM, conditioning, tokens) -> _CaptionPass:
+def _forward_stacked(lm: RecurrentLM, gates: _Gates, conditioning, tokens) -> _CaptionPass:
     """Run the recurrence step by step, then the output layer once."""
     ids = lm.encode_tokens(tokens)
     targets = ids + [END_ID]
@@ -206,15 +263,15 @@ def _forward_stacked(lm: RecurrentLM, conditioning, tokens) -> _CaptionPass:
     aux = lm.mode == MODE_COVERAGE_AUX
     remaining = set(lm.encode_detections(conditioning)) if aux else set()
     n, d_h = len(inputs), lm.config.hidden_dim
-    x_rows = np.empty((n, lm.params["gru_wz"].shape[0]))
+    x_rows = np.empty((n, gates.w.shape[0]))
     hs = np.empty((n + 1, d_h))
-    z, r, c = np.empty((n, d_h)), np.empty((n, d_h)), np.empty((n, d_h))
+    zr, c = np.empty((n, 2 * d_h)), np.empty((n, d_h))
     hs[0] = h
     remaining_per_step = []
     for t, (inp, tgt) in enumerate(zip(inputs, targets)):
         remaining_ids = sorted(remaining) if aux else None
         x_rows[t] = x = lm._step_input(h, inp, remaining_ids)
-        z[t], r[t], c[t], h = _gru_step_cached(lm.params, x, h)
+        zr[t], c[t], h = _gru_step(gates, x, h)
         hs[t + 1] = h
         if aux:
             remaining_per_step.append(remaining_ids)
@@ -222,8 +279,8 @@ def _forward_stacked(lm: RecurrentLM, conditioning, tokens) -> _CaptionPass:
     probs = _softmax(hs[1:] @ lm.params["out_w"] + lm.params["out_b"])
     target_idx = np.array(targets) - 1
     nll = -float(np.log(np.maximum(probs[np.arange(n), target_idx], 1e-300)).sum())
-    return _CaptionPass(inputs, target_idx, x_rows, hs, z, r, c, probs, nll, feat,
-                        remaining_per_step)
+    return _CaptionPass(inputs, target_idx, x_rows, hs, zr[:, :d_h], zr[:, d_h:], c, probs,
+                        nll, feat, remaining_per_step)
 
 
 def forward(lm: RecurrentLM, conditioning, tokens):
@@ -232,11 +289,11 @@ def forward(lm: RecurrentLM, conditioning, tokens):
     Row t is the distribution over the output tokens before emitting
     target t; targets are the caption tokens followed by END.
     """
-    fp = _forward_stacked(lm, conditioning, tokens)
+    fp = _forward_stacked(lm, _fuse(lm.params), conditioning, tokens)
     return fp.probs, -fp.nll
 
 
-def _backward_stacked(lm: RecurrentLM, fp: _CaptionPass, grads) -> None:
+def _backward_stacked(lm: RecurrentLM, gates: _Gates, fp: _CaptionPass, grads) -> None:
     """Add one caption's NLL gradients to ``grads``.
 
     Only the dh recurrence runs per step; it fills the rows of the gate
@@ -253,17 +310,19 @@ def _backward_stacked(lm: RecurrentLM, fp: _CaptionPass, grads) -> None:
     grads["out_b"] += dlogits.sum(axis=0)
     dh_out = dlogits @ params["out_w"].T
 
-    # step-local factors: da_z = dh*gz, da_c = dh*gc, da_r = (da_c Uc^T)*gr
-    gz = (c - h_prev) * z * (1.0 - z)
-    gc = z * (1.0 - c * c)
+    # step-local factors: [da_z, da_c] = dh*[gz, gc], da_r = (da_c Uc^T)*gr
+    gzc = np.empty((n, 2, d_h))
+    np.multiply((c - h_prev) * z, 1.0 - z, out=gzc[:, 0])
+    np.multiply(z, 1.0 - c * c, out=gzc[:, 1])
     gr = h_prev * r * (1.0 - r)
     keep = 1.0 - z
-    uc_t = params["gru_uc"].T
-    uzr_t = np.concatenate([params["gru_uz"], params["gru_ur"]], axis=1).T
-    w_cat = np.concatenate([params["gru_wz"], params["gru_wr"], params["gru_wc"]], axis=1)
+    uc_t = gates.u_c.T
+    uzr_t = gates.u_zr.T
+    w_cat = gates.w
     da = np.empty((n, 3 * d_h))
     zc, rc, cc = slice(0, d_h), slice(d_h, 2 * d_h), slice(2 * d_h, 3 * d_h)
-    da_z, da_r, da_c = da[:, zc], da[:, rc], da[:, cc]
+    da_r, da_c, da_zr = da[:, rc], da[:, cc], da[:, :2 * d_h]
+    da_zc = da.reshape(n, 3, d_h)[:, ::2]
     aux = lm.mode == MODE_COVERAGE_AUX
     if aux:
         d_e = lm.config.embed_dim
@@ -272,20 +331,22 @@ def _backward_stacked(lm: RecurrentLM, fp: _CaptionPass, grads) -> None:
         wa_t = w_cat[d_e:].T
         hist_t = params["hist_w"].T
         du = np.empty((n, d_e))
+    # dh is updated in place in the order of dh*keep + drh*r + da_zr Uzr^T
     dh = np.zeros(d_h)
     for t in range(n - 1, -1, -1):
-        dh = dh + dh_out[t]
-        da_z[t] = dh * gz[t]
-        da_c[t] = dac = dh * gc[t]
-        drh = dac @ uc_t
-        da_r[t] = drh * gr[t]
-        dh = dh * keep[t] + drh * r[t] + da[t, :2 * d_h] @ uzr_t
+        dh += dh_out[t]
+        np.multiply(dh, gzc[t], out=da_zc[t])
+        drh = da_c[t] @ uc_t
+        np.multiply(drh, gr[t], out=da_r[t])
+        dh *= keep[t]
+        dh += drh * r[t]
+        dh += da_zr[t] @ uzr_t
         if aux:
-            du[t] = (da[t] @ wa_t) * a_slope[t]
+            np.multiply(da[t] @ wa_t, a_slope[t], out=du[t])
             dh += du[t] @ hist_t
 
     dw = x.T @ da
-    du_zr = h_prev.T @ da[:, :2 * d_h]
+    du_zr = h_prev.T @ da_zr
     db = da.sum(axis=0)
     grads["gru_wz"] += dw[:, zc]
     grads["gru_wr"] += dw[:, rc]
@@ -311,28 +372,44 @@ def _backward_stacked(lm: RecurrentLM, fp: _CaptionPass, grads) -> None:
         grads["img_b"] += dq
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive slices of ``flat`` shaped as the tensors of ``like``, in its order."""
+    views, start = {}, 0
+    for name, arr in like.items():
+        views[name] = flat[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return views
+
+
+def _batch_gradients(lm: RecurrentLM, batch, flat_grad: np.ndarray, grads) -> float:
+    """Mean per-token NLL of ``batch``; its gradients overwrite ``flat_grad``,
+    which ``grads`` views tensor by tensor."""
+    if not batch:
+        raise DegenerateCorpus("empty batch")
+    flat_grad.fill(0.0)
+    gates = _fuse(lm.params)
+    total_nll = 0.0
+    total_targets = 0
+    for conditioning, tokens in batch:
+        fp = _forward_stacked(lm, gates, conditioning, tokens)
+        total_nll += fp.nll
+        total_targets += len(fp.inputs)
+        _backward_stacked(lm, gates, fp, grads)
+    loss = total_nll / total_targets
+    if not math.isfinite(loss):
+        raise NonFiniteLoss("forward pass produced a non-finite loss")
+    flat_grad *= 1.0 / total_targets
+    return loss
+
+
 def loss_and_gradients(lm: RecurrentLM, batch):
     """Mean per-token negative log-likelihood and exact parameter gradients.
 
     ``batch`` is a list of (conditioning, tokens) items.
     """
-    if not batch:
-        raise DegenerateCorpus("empty batch")
-    grads = {k: np.zeros_like(v) for k, v in lm.params.items()}
-    total_nll = 0.0
-    total_targets = 0
-    for conditioning, tokens in batch:
-        fp = _forward_stacked(lm, conditioning, tokens)
-        total_nll += fp.nll
-        total_targets += len(fp.inputs)
-        _backward_stacked(lm, fp, grads)
-    loss = total_nll / total_targets
-    if not math.isfinite(loss):
-        raise NonFiniteLoss("forward pass produced a non-finite loss")
-    scale = 1.0 / total_targets
-    for key in grads:
-        grads[key] *= scale
-    return loss, grads
+    flat_grad = np.empty(sum(arr.size for arr in lm.params.values()))
+    grads = _views(flat_grad, lm.params)
+    return _batch_gradients(lm, batch, flat_grad, grads), grads
 
 
 @dataclass(frozen=True)
@@ -348,36 +425,48 @@ def train(lm: RecurrentLM, data, config: RnnTrainConfig) -> RecurrentLM:
 
     ``data`` is a list of (conditioning, tokens) items; example order is
     reshuffled each epoch from the seed. Per-epoch mean per-token loss is
-    stored on the model as ``epoch_losses``.
+    stored on the model as ``epoch_losses``. While training, ``lm.params``
+    views one flat buffer; on return, or when a caption raises, each tensor
+    is its own array again.
     """
     if config.epochs < 1:
         raise MalformedInput("epochs must be >= 1")
     data = list(data)
     if not data:
         raise DegenerateCorpus("no training captions")
+    flat_params = np.concatenate([arr.ravel() for arr in lm.params.values()])
+    flat_grad = np.empty_like(flat_params)
+    grads = _views(flat_grad, lm.params)
+    squares = np.empty_like(flat_grad)
+    # the clip norm adds up one sum of squares per tensor, in tensor order
+    square_parts = [part.ravel() for part in _views(squares, lm.params).values()]
+    lm.params = _views(flat_params, lm.params)
     rng = Random(config.seed)
     lm.epoch_losses = []
-    for _ in range(config.epochs):
-        order = list(range(len(data)))
-        rng.shuffle(order)
-        epoch_nll = 0.0
-        epoch_tokens = 0
-        for idx in order:
-            item = data[idx]
-            loss, grads = loss_and_gradients(lm, [item])
-            n_tokens = len(item[1]) + 1
-            epoch_nll += loss * n_tokens
-            epoch_tokens += n_tokens
-            norm_sq = 0.0
-            for g in grads.values():
-                norm_sq += float(np.sum(g * g))
-            norm = math.sqrt(norm_sq)
-            scale = config.learning_rate
-            if config.clip > 0.0 and norm > config.clip:
-                scale *= config.clip / norm
-            for key, g in grads.items():
-                lm.params[key] -= scale * g
-        lm.epoch_losses.append(epoch_nll / epoch_tokens)
+    try:
+        for _ in range(config.epochs):
+            order = list(range(len(data)))
+            rng.shuffle(order)
+            epoch_nll = 0.0
+            epoch_tokens = 0
+            for idx in order:
+                item = data[idx]
+                loss = _batch_gradients(lm, [item], flat_grad, grads)
+                n_tokens = len(item[1]) + 1
+                epoch_nll += loss * n_tokens
+                epoch_tokens += n_tokens
+                np.multiply(flat_grad, flat_grad, out=squares)
+                norm_sq = 0.0
+                for part in square_parts:
+                    norm_sq += float(np.add.reduce(part))
+                norm = math.sqrt(norm_sq)
+                scale = config.learning_rate
+                if config.clip > 0.0 and norm > config.clip:
+                    scale *= config.clip / norm
+                flat_params -= scale * flat_grad
+            lm.epoch_losses.append(epoch_nll / epoch_tokens)
+    finally:
+        lm.params = {name: arr.copy() for name, arr in lm.params.items()}
     return lm
 
 

@@ -29,7 +29,16 @@ from capkit.corpus import (
     load_captions,
     load_detections,
 )
-from capkit.decoding import DecodedHypothesis, NBestList, beam_search, coverage_beam_search
+from capkit.decoding import (
+    DecodedHypothesis,
+    NBestList,
+    RecurrentScorer,
+    beam_search,
+    coverage_beam_search,
+    rescore_logprob,
+    sequence_logprob,
+)
+from capkit.errors import NonFiniteLoss
 from capkit.fixture import generate_fixture
 from capkit.knn import FeatureIndex, consensus_caption, nearest
 from capkit.maxent import (
@@ -59,6 +68,8 @@ from capkit.recurrent import (
     RecurrentLM,
     RnnTrainConfig,
     loss_and_gradients,
+    param_shapes,
+    save_recurrent,
 )
 from capkit.rerank import MIN_GAIN, PERTURBATION, MertConfig, apply_weights, mert_optimize
 
@@ -650,7 +661,7 @@ def _bptt_batch(mode, rng, words, n_items, lengths):
     return batch
 
 
-def test_bptt_matches_per_step_oracle(monkeypatch):
+def test_bptt_matches_per_step_oracle():
     with criterion("bptt-oracle", 60.0):
         vocab = Vocabulary(["cat", "dog", "sat", "ran", "the", "on", "mat"])
         # "zebra" is outside the vocabulary, so it is read as UNK
@@ -675,11 +686,171 @@ def test_bptt_matches_per_step_oracle(monkeypatch):
             data = _bptt_batch(mode, rng, words, 30, range(13))
             config = RnnTrainConfig(epochs=2, learning_rate=0.2, clip=5.0, seed=7)
             trained = recurrent.train(_bptt_problem(mode, 0, vocab), data, config)
-            with monkeypatch.context() as patch:
-                patch.setattr(recurrent, "loss_and_gradients", bptt_oracle)
-                oracle_trained = recurrent.train(_bptt_problem(mode, 0, vocab), data, config)
+            oracle_trained, _ = sgd_oracle(_bptt_problem(mode, 0, vocab), data, config,
+                                           gradients=bptt_oracle)
             for name, arr in oracle_trained.params.items():
                 np.testing.assert_allclose(trained.params[name], arr, rtol=0, atol=1e-10)
+
+
+def sgd_oracle(lm, data, config, gradients=loss_and_gradients):
+    """``recurrent.train`` as a loop over separate tensors: a fresh gradient
+    dict per caption, the clip norm summed tensor by tensor with ``np.sum``
+    and each tensor updated on its own. Returns the model and the number of
+    updates that were clipped."""
+    rng = Random(config.seed)
+    lm.epoch_losses = []
+    clipped = 0
+    for _ in range(config.epochs):
+        order = list(range(len(data)))
+        rng.shuffle(order)
+        epoch_nll = 0.0
+        epoch_tokens = 0
+        for idx in order:
+            item = data[idx]
+            loss, grads = gradients(lm, [item])
+            n_tokens = len(item[1]) + 1
+            epoch_nll += loss * n_tokens
+            epoch_tokens += n_tokens
+            norm_sq = 0.0
+            for g in grads.values():
+                norm_sq += float(np.sum(g * g))
+            norm = math.sqrt(norm_sq)
+            scale = config.learning_rate
+            if config.clip > 0.0 and norm > config.clip:
+                scale *= config.clip / norm
+                clipped += 1
+            for key, g in grads.items():
+                lm.params[key] -= scale * g
+        lm.epoch_losses.append(epoch_nll / epoch_tokens)
+    return lm, clipped
+
+
+def test_sgd_matches_per_tensor_oracle(tmp_path):
+    with criterion("sgd-oracle", 60.0):
+        vocab = Vocabulary(["cat", "dog", "sat", "ran", "the", "on", "mat"])
+        words = [*vocab.word_tokens(), "zebra"]
+        for mode in (MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX):
+            rng = np.random.default_rng(11)
+            data = _bptt_batch(mode, rng, words, 25, range(13))
+            n_updates = 3 * len(data)
+            for clip in (0.5, 0.0):
+                config = RnnTrainConfig(epochs=3, learning_rate=0.1, clip=clip, seed=9)
+                trained = recurrent.train(_bptt_problem(mode, 1, vocab), data, config)
+                want, clipped = sgd_oracle(_bptt_problem(mode, 1, vocab), data, config)
+                if clip:
+                    assert clipped > n_updates // 2, (mode, clipped)
+                else:
+                    assert clipped == 0
+                assert trained.epoch_losses == want.epoch_losses, (mode, clip)
+                assert trained.params.keys() == want.params.keys()
+                for name, arr in want.params.items():
+                    assert trained.params[name].tobytes() == arr.tobytes(), (mode, clip, name)
+
+                # the returned tensors are separate arrays again, and save alike
+                shapes = param_shapes(trained.config, len(vocab))
+                tensors = list(trained.params.items())
+                for name, arr in tensors:
+                    assert arr.flags.c_contiguous and arr.flags.owndata, name
+                    assert arr.shape == shapes[name], name
+                for (a_name, a), (b_name, b) in itertools.combinations(tensors, 2):
+                    assert not np.shares_memory(a, b), (a_name, b_name)
+                save_recurrent(trained, tmp_path / "fast.grlm")
+                save_recurrent(want, tmp_path / "oracle.grlm")
+                assert (tmp_path / "fast.grlm").read_bytes() == (
+                    tmp_path / "oracle.grlm").read_bytes()
+
+
+def test_non_finite_caption_stops_sgd_before_its_update():
+    with criterion("sgd-non-finite", 10.0):
+        vocab = Vocabulary(["cat", "dog", "sat", "ran", "the", "on", "mat"])
+        rng = np.random.default_rng(12)
+        data = _bptt_batch(MODE_IMAGE_INITIAL, rng, vocab.word_tokens(), 12, range(1, 6))
+        config = RnnTrainConfig(epochs=1, learning_rate=0.1, clip=5.0, seed=3)
+        for position in (0, 5):
+            order = list(range(len(data)))
+            Random(config.seed).shuffle(order)
+            poisoned = list(data)
+            poisoned[order[position]] = (np.full(6, np.nan), ["the", "cat"])
+            lm = _bptt_problem(MODE_IMAGE_INITIAL, 2, vocab)
+            oracle = _bptt_problem(MODE_IMAGE_INITIAL, 2, vocab)
+            with pytest.raises(NonFiniteLoss):
+                recurrent.train(lm, poisoned, config)
+            with pytest.raises(NonFiniteLoss):
+                sgd_oracle(oracle, poisoned, config)
+            untouched = _bptt_problem(MODE_IMAGE_INITIAL, 2, vocab)
+            for name, arr in oracle.params.items():
+                assert lm.params[name].tobytes() == arr.tobytes(), (position, name)
+                assert lm.params[name].flags.c_contiguous and lm.params[name].flags.owndata
+            changed = [name for name in lm.params
+                       if lm.params[name].tobytes() != untouched.params[name].tobytes()]
+            assert bool(changed) == (position > 0), (position, changed)
+
+
+class CountingScorer:
+    """Passes calls through to another scorer, counting ``logprobs`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.candidates = inner.candidates
+        self.calls = 0
+
+    def start(self, conditioning):
+        return self.inner.start(conditioning)
+
+    def logprobs(self, state, remaining):
+        self.calls += 1
+        return self.inner.logprobs(state, remaining)
+
+
+def test_prefix_rescoring_matches_sequence_oracle():
+    with criterion("prefix-rescoring", 30.0):
+        vocab = Vocabulary(["cat", "dog", "sat", "on", "the", "mat"])
+        hand_made = [
+            ("the", "cat", "sat"), ("the", "cat", "sat", "on", "the", "mat"),
+            ("the", "cat", "sat"), (), ("the", "dog"), ("the", "zebra", "sat"),
+            ("the", "zebra"), ("a", "cat"), ("cat",), ("the",), (),
+        ]
+        detections = DetectionSet.from_scored_words(
+            7, [("cat", 0.9), ("mat", 0.8), ("zebra", 0.7)], 0.5)
+        cases = shared = 0
+        for seed in range(6):
+            for mode in (MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX):
+                lm = RecurrentLM(vocab, RecurrentConfig(
+                    mode=mode, embed_dim=4, hidden_dim=6,
+                    feature_dim=5 if mode == MODE_IMAGE_INITIAL else None, seed=seed))
+                if mode == MODE_IMAGE_INITIAL:
+                    conditioning = np.random.default_rng(seed).standard_normal(5)
+                    searched = beam_search(RecurrentScorer(lm), conditioning, beam_size=4,
+                                           max_len=6, n_best=20)
+                else:
+                    conditioning = detections
+                    searched = coverage_beam_search(RecurrentScorer(lm), detections, beam_size=4,
+                                                    max_len=6, n_best=20, min_coverage=1)
+                lists = [
+                    [h.tokens for h in searched.hypotheses],
+                    hand_made,
+                    list(reversed(hand_made)) + [h.tokens for h in searched.hypotheses],
+                    [],
+                ]
+                for tokens_list in lists:
+                    nbest = NBestList(seed, [
+                        DecodedHypothesis(tokens, -1.0, {"logprob": -1.0})
+                        for tokens in tokens_list
+                    ])
+                    scorer = CountingScorer(RecurrentScorer(lm))
+                    rescored = rescore_logprob(nbest, scorer, conditioning, "mrnn")
+                    prefixes = {tokens[:k] for tokens in tokens_list
+                                for k in range(len(tokens) + 1)}
+                    assert scorer.calls == len(prefixes), (seed, mode)
+                    shared += len(prefixes) < sum(len(t) + 1 for t in tokens_list)
+                    oracle = RecurrentScorer(lm)
+                    assert [h.tokens for h in rescored.hypotheses] == list(tokens_list)
+                    for hyp in rescored.hypotheses:
+                        want = sequence_logprob(oracle, conditioning, hyp.tokens)
+                        assert hyp.features["mrnn"] == want, (seed, mode, hyp.tokens)
+                        assert hyp.features["logprob"] == -1.0
+                    cases += len(tokens_list)
+        assert cases > 0 and shared >= 3 * 6 * 2
 
 
 @lru_cache(maxsize=None)

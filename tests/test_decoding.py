@@ -308,7 +308,8 @@ class TestModelScorers:
 
 
 class TestOneModelStepPerPosition:
-    """Each decoded or rescored position costs exactly one GRU step."""
+    """Each decoded position, and each distinct prefix of a rescored list,
+    costs exactly one GRU step."""
 
     def _counted(self, monkeypatch, mode):
         vocab = Vocabulary(["a", "b", "c"])
@@ -338,7 +339,7 @@ class TestOneModelStepPerPosition:
         assert counts["step"] == counts["logprobs"]
 
     @pytest.mark.parametrize("mode", [MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX])
-    def test_rescore_steps_once_per_position(self, monkeypatch, mode):
+    def test_rescore_steps_once_per_prefix(self, monkeypatch, mode):
         scorer, counts = self._counted(monkeypatch, mode)
         base = beam_search(TableScorer(["a", "b", "c"], 9), None, beam_size=4, max_len=5,
                            n_best=10)
@@ -347,7 +348,9 @@ class TestOneModelStepPerPosition:
         else:
             conditioning = DetectionSet.from_scored_words(1, [("a", 0.9), ("c", 0.8)], 0.5)
         rescore_logprob(base, scorer, conditioning, "rnn")
-        assert counts["step"] == sum(len(h.tokens) + 1 for h in base.hypotheses)
+        prefixes = {h.tokens[:k] for h in base.hypotheses for k in range(len(h.tokens) + 1)}
+        assert len(prefixes) < sum(len(h.tokens) + 1 for h in base.hypotheses)
+        assert counts["step"] == len(prefixes)
 
 
 class TestSequenceLogprob:

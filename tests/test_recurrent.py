@@ -22,6 +22,7 @@ from capkit.recurrent import (
     save_recurrent,
     train,
     _forward_stacked,
+    _fuse,
 )
 
 VOCAB = Vocabulary(["cat", "dog", "sat", "ran", "the"])
@@ -138,7 +139,7 @@ class TestForward:
 
     def test_emitted_word_leaves_coverage_sum(self):
         lm = small_lm(MODE_COVERAGE_AUX, seed=5)
-        fp = _forward_stacked(lm, {"cat"}, ["cat", "sat"])
+        fp = _forward_stacked(lm, _fuse(lm.params), {"cat"}, ["cat", "sat"])
         cat_id = lm.vocabulary.lookup("cat")
         assert fp.remaining[0] == [cat_id]
         assert fp.remaining[1] == []  # removed right after emission
@@ -241,6 +242,35 @@ class TestTrain:
         with pytest.raises(DegenerateCorpus):
             train(small_lm(MODE_IMAGE_INITIAL), [],
                   RnnTrainConfig(epochs=10, learning_rate=0.1, clip=5.0, seed=0))
+
+
+class TestDecodingGates:
+    """``step`` reads gate weights stacked once per model, never a stale copy."""
+
+    def _step_of(self, lm, cond):
+        h0, _ = lm.initial_hidden(cond)
+        return lm.step(h0, VOCAB.lookup("the"), [VOCAB.lookup("cat")])
+
+    @pytest.mark.parametrize("mode", [MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX])
+    def test_in_place_update_after_decoding_raises(self, mode):
+        lm = small_lm(mode, seed=16)
+        self._step_of(lm, conditioning_for(mode))
+        for name in ("gru_wz", "gru_ur", "gru_bz"):
+            with pytest.raises(ValueError):
+                lm.params[name] += 1.0
+
+    @pytest.mark.parametrize("mode", [MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX])
+    def test_training_after_decoding_decodes_new_weights(self, mode):
+        lm = small_lm(mode, seed=17)
+        cond = conditioning_for(mode)
+        before = self._step_of(lm, cond)
+        train(lm, [(cond, ["the", "cat", "sat"]), (cond, ["the", "dog"])] * 3,
+              RnnTrainConfig(epochs=1, learning_rate=0.3, clip=5.0, seed=1))
+        fresh = RecurrentLM(VOCAB, lm.config, {k: v.copy() for k, v in lm.params.items()})
+        after, want = self._step_of(lm, cond), self._step_of(fresh, cond)
+        assert not np.array_equal(after[1], before[1])
+        for got, expected in zip(after, want):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestSerialization:
