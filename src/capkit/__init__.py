@@ -21,6 +21,7 @@ from .corpus import (  # noqa: F401
     save_features,
     split_dataset,
     tokenize,
+    tokenize_all,
 )
 from .knn import (  # noqa: F401
     ConsensusResult,
@@ -71,5 +72,6 @@ from .analysis import (  # noqa: F401
     binned_bleu,
     overlap_bins,
     repetition_stats,
+    unit_index,
 )
 from .pipeline import PipelineConfig, run_pipeline  # noqa: F401

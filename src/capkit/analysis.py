@@ -63,14 +63,15 @@ class OverlapBinAssignment:
         return sorted(i for i, b in self.bin_of.items() if b == bin_name)
 
 
-def _unit_index(store, label: str) -> FeatureIndex:
+def unit_index(store, label: str, image_ids=None) -> FeatureIndex:
+    """``FeatureIndex.from_store``, naming the side (``label``) of a zero vector."""
     try:
-        return FeatureIndex.from_store(store)
+        return FeatureIndex.from_store(store, image_ids)
     except ZeroVector as exc:
         raise ZeroVector(f"{label} {exc}") from None
 
 
-def overlap_bins(test_features, train_features, top_k: int,
+def overlap_bins(test: FeatureIndex, train: FeatureIndex, top_k: int,
                  tail_fraction: float) -> OverlapBinAssignment:
     """Bin test images by mean cosine similarity to their ``top_k`` closest
     training images.
@@ -84,12 +85,8 @@ def overlap_bins(test_features, train_features, top_k: int,
         raise ValueError("top_k must be >= 1")
     if not 0.0 < tail_fraction <= 0.5:
         raise ValueError("tail_fraction must be in (0, 0.5]")
-    if test_features.dim != train_features.dim:
-        raise DimensionMismatch(
-            f"test dim {test_features.dim} != train dim {train_features.dim}"
-        )
-    test = _unit_index(test_features, "test")
-    train = _unit_index(train_features, "train")
+    if test.dim != train.dim:
+        raise DimensionMismatch(f"test dim {test.dim} != train dim {train.dim}")
     test_ids = test.ids
     k = min(top_k, len(train))
     sims = np.clip(test.unit_vectors @ train.unit_vectors.T, -1.0, 1.0)

@@ -249,7 +249,10 @@ def _cmd_analyze(args) -> int:
         cap for image_id in train_features.ids() for cap in captions.get(image_id, ())
     ]
     bins = analysis.overlap_bins(
-        test_features, train_features, top_k=args.top_k, tail_fraction=args.tail
+        analysis.unit_index(test_features, "test"),
+        analysis.unit_index(train_features, "train"),
+        top_k=args.top_k,
+        tail_fraction=args.tail,
     )
     report = caption_report(args.generated, captions, train_pool, bins)
     if args.report == "json":

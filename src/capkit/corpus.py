@@ -13,6 +13,7 @@ import string
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 
 import numpy as np
@@ -33,8 +34,10 @@ RESERVED_TOKENS = (START_TOKEN, END_TOKEN, UNK_TOKEN)
 
 # Delete every ASCII punctuation character except the hyphen, which is kept
 # only between alphanumerics (so "well-known" survives but "- dash" loses it).
+# The pattern starts with the literal hyphen, so the engine skips straight to
+# each hyphen instead of trying a lookbehind at every position.
 _PUNCT_TABLE = str.maketrans("", "", "".join(c for c in string.punctuation if c != "-"))
-_LOOSE_HYPHEN = re.compile(r"(?<![0-9a-z])-|-(?![0-9a-z])")
+_LOOSE_HYPHEN = re.compile(r"-(?:(?<![0-9a-z]-)|(?![0-9a-z]))")
 
 
 def json_int(value, what: str) -> int:
@@ -47,15 +50,33 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def _normalize(text: str) -> str:
+    """``text`` lowercased, without ASCII punctuation or loose hyphens."""
+    return _LOOSE_HYPHEN.sub("", text.lower().translate(_PUNCT_TABLE))
+
+
 def tokenize(raw_text: str) -> list[str]:
     """Lowercase, delete ASCII punctuation (keeping intra-word hyphens), split.
 
     Deterministic, and idempotent on its own space-joined output. Empty
     input yields an empty list.
     """
-    text = raw_text.lower().translate(_PUNCT_TABLE)
-    text = _LOOSE_HYPHEN.sub("", text)
-    return text.split()
+    return _normalize(raw_text).split()
+
+
+def tokenize_all(texts) -> list[tuple[str, ...]]:
+    """``[tuple(tokenize(t)) for t in texts]``, normalizing all of them as one string.
+
+    A newline inside a text becomes a space (``str.split`` treats the two
+    alike), so a newline can separate the texts. Neither newline nor space
+    is cased or case-ignorable, so lowercasing cannot see across it (the
+    final-sigma rule stops there), and the hyphen rule reads a newline
+    like the start or end of a text.
+    """
+    if not texts:
+        return []
+    joined = "\n".join([text.replace("\n", " ") for text in texts])
+    return [tuple(line.split()) for line in _normalize(joined).split("\n")]
 
 
 @dataclass(frozen=True)
@@ -76,7 +97,7 @@ def load_captions(path) -> list[CaptionRecord]:
 
     Raises MalformedInput for unreadable JSON, missing fields, or captions
     that tokenize to nothing; DuplicateAnnotationId for repeated annotation
-    ids.
+    ids. Of several faults, the one in the earliest annotation is raised.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -85,27 +106,40 @@ def load_captions(path) -> list[CaptionRecord]:
         raise MalformedInput(f"cannot read captions file {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("annotations"), list):
         raise MalformedInput(f"{path}: expected an object with an 'annotations' list")
-    records: list[CaptionRecord] = []
+    ann_ids: list[int] = []
+    image_ids: list[int] = []
+    captions: list[str] = []
     seen: set[int] = set()
-    for entry in doc["annotations"]:
-        if not isinstance(entry, dict):
-            raise MalformedInput(f"{path}: annotation entries must be objects")
-        try:
-            ann_id, image_id, caption = entry["id"], entry["image_id"], entry["caption"]
-        except KeyError as exc:
-            raise MalformedInput(f"{path}: annotation missing id/image_id/caption") from exc
-        ann_id = json_int(ann_id, f"{path}: annotation id")
-        image_id = json_int(image_id, f"{path}: annotation {ann_id} image_id")
-        if not isinstance(caption, str):
-            raise MalformedInput(f"{path}: annotation {ann_id} caption must be a string")
-        if ann_id in seen:
-            raise DuplicateAnnotationId(f"{path}: duplicate annotation id {ann_id}")
-        seen.add(ann_id)
-        record = CaptionRecord.from_text(image_id, caption)
-        if not record.tokens:
+    fault = None  # raised once the captions before it are known to tokenize
+    try:
+        for entry in doc["annotations"]:
+            if not isinstance(entry, dict):
+                raise MalformedInput(f"{path}: annotation entries must be objects")
+            try:
+                ann_id, image_id, caption = entry["id"], entry["image_id"], entry["caption"]
+            except KeyError as exc:
+                raise MalformedInput(f"{path}: annotation missing id/image_id/caption") from exc
+            if type(ann_id) is not int or type(image_id) is not int:
+                ann_id = json_int(ann_id, f"{path}: annotation id")
+                json_int(image_id, f"{path}: annotation {ann_id} image_id")
+            if not isinstance(caption, str):
+                raise MalformedInput(f"{path}: annotation {ann_id} caption must be a string")
+            if ann_id in seen:
+                raise DuplicateAnnotationId(f"{path}: duplicate annotation id {ann_id}")
+            seen.add(ann_id)
+            ann_ids.append(ann_id)
+            image_ids.append(image_id)
+            captions.append(caption)
+    except (MalformedInput, DuplicateAnnotationId) as exc:
+        fault = exc
+    del doc  # frees the parsed objects before the records are built
+    token_tuples = tokenize_all(captions)
+    for ann_id, tokens in zip(ann_ids, token_tuples):
+        if not tokens:
             raise MalformedInput(f"{path}: annotation {ann_id} tokenizes to no tokens")
-        records.append(record)
-    return records
+    if fault is not None:
+        raise fault
+    return list(map(CaptionRecord, image_ids, captions, token_tuples))
 
 
 def captions_by_image(records) -> dict[int, list[tuple[str, ...]]]:
@@ -171,18 +205,27 @@ _FVEC_VERSION = 1
 _FVEC_HEADER = "<IIQ"  # version, dim, count
 
 
+def _fvec_records(dim: int) -> np.dtype:
+    """One FVEC payload record: a little-endian u64 id, then ``dim`` f32s."""
+    return np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
+
+
 def save_features(store: FeatureStore, path) -> None:
     """Write a store in the FVEC binary format (see README); atomic."""
-    payload = bytearray(_FVEC_MAGIC)
-    payload += struct.pack(_FVEC_HEADER, _FVEC_VERSION, store.dim, len(store))
-    for image_id, vec in store.items():
-        payload += struct.pack("<Q", image_id)
-        payload += vec.astype("<f4").tobytes()
-    atomic_write_bytes(path, bytes(payload))
+    records = np.empty(len(store), dtype=_fvec_records(store.dim))
+    if len(store):
+        ids, vectors = zip(*store.items())
+        records["id"] = ids
+        records["vec"] = np.stack(vectors)
+    header = _FVEC_MAGIC + struct.pack(_FVEC_HEADER, _FVEC_VERSION, store.dim, len(store))
+    atomic_write_bytes(path, header + records.tobytes())
 
 
 def load_features(path) -> FeatureStore:
-    """Read an FVEC file; raises MalformedInput for any structural defect."""
+    """Read an FVEC file; raises MalformedInput for any structural defect.
+
+    The vectors are read-only row views of one matrix over the file's bytes.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -202,12 +245,21 @@ def load_features(path) -> FeatureStore:
     if len(data) != header_size + count * record_size:
         raise MalformedInput(f"{path}: payload size does not match declared count {count}")
     store = FeatureStore(dim)
-    offset = header_size
-    for _ in range(count):
-        (image_id,) = struct.unpack_from("<Q", data, offset)
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset + 8)
-        store.add(image_id, vec)
-        offset += record_size
+    if count == 0:
+        return store
+    records = np.frombuffer(data, dtype=_fvec_records(dim), count=count, offset=header_size)
+    vectors = records["vec"]
+    non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    n_good = int(non_finite[0]) if non_finite.size else count
+    entries = store._entries
+    for image_id, vec in zip(records["id"][:n_good].tolist(), vectors):
+        if image_id in entries:
+            raise MalformedInput(f"duplicate feature vector for image {image_id}")
+        entries[image_id] = vec
+    if n_good < count:
+        raise MalformedInput(
+            f"vector for image {int(records['id'][n_good])} has non-finite components"
+        )
     return store
 
 
@@ -250,9 +302,7 @@ def build_vocabulary(records, min_count: int) -> Vocabulary:
     """Frequency-filtered vocabulary; ids ordered by count desc, then token."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts: Counter[str] = Counter()
-    for rec in records:
-        counts.update(rec.tokens)
+    counts = Counter(chain.from_iterable(rec.tokens for rec in records))
     kept = sorted(
         (tok for tok, n in counts.items() if n >= min_count),
         key=lambda tok: (-counts[tok], tok),
@@ -318,11 +368,7 @@ class DetectionSet:
         return len(self.words)
 
 
-def _detection_score(value, where: str) -> float:
-    """A score read from JSON, if it is a finite int or float (never a bool)."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise MalformedInput(f"{where}: detection score must be a finite number, got {value!r}")
-    return float(value)
+_SCORE_TYPES = frozenset((int, float))  # JSON numbers; bool is neither
 
 
 def load_detections(path, threshold: float) -> dict[int, DetectionSet]:
@@ -339,12 +385,24 @@ def load_detections(path, threshold: float) -> dict[int, DetectionSet]:
             continue
         try:
             doc = json.loads(line)
-            where = f"{path}:{lineno}"
-            image_id = json_int(doc["image_id"], f"{where}: image_id")
-            words = [(w["token"], _detection_score(w["score"], where)) for w in doc["words"]]
+            image_id = doc["image_id"]
+            if type(image_id) is not int:
+                raise MalformedInput(
+                    f"{path}:{lineno}: image_id must be an integer, got {image_id!r}"
+                )
+            words = [(w["token"], w["score"]) for w in doc["words"]]
+            scores = [score for _, score in words]
+            if not (set(map(type, scores)) <= _SCORE_TYPES and all(map(math.isfinite, scores))):
+                bad = next(
+                    s for s in scores if type(s) not in _SCORE_TYPES or not math.isfinite(s)
+                )
+                raise MalformedInput(
+                    f"{path}:{lineno}: detection score must be a finite number, got {bad!r}"
+                )
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise MalformedInput(f"{path}:{lineno}: bad detection record: {exc}") from exc
-        if not all(isinstance(token, str) and token for token, _ in words):
+        tokens = [token for token, _ in words]
+        if not (set(map(type, tokens)) <= {str} and all(tokens)):
             raise MalformedInput(f"{path}:{lineno}: detection tokens must be non-empty strings")
         if image_id in detections:
             raise MalformedInput(f"{path}:{lineno}: duplicate detections for image {image_id}")

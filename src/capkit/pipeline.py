@@ -267,12 +267,15 @@ class PipelineContext:
     def train_index(self):
         return self._cached(
             "train_index",
-            lambda: knn.FeatureIndex.from_store(self.features(), self.split()["train"]),
+            lambda: analysis.unit_index(self.features(), "train", self.split()["train"]),
         )
 
     def train_captions(self):
-        train = set(self.split()["train"])
-        return {i: caps for i, caps in self.captions().items() if i in train}
+        def build():
+            train = set(self.split()["train"])
+            return {i: caps for i, caps in self.captions().items() if i in train}
+
+        return self._cached("train_captions", build)
 
 
 def references_for(captions, image_ids) -> dict:
@@ -490,11 +493,9 @@ def _stage_eval(ctx: PipelineContext) -> list[str]:
 
 
 def _stage_analyze(ctx: PipelineContext) -> list[str]:
-    split = ctx.split()
-    features = ctx.features()
     bins = analysis.overlap_bins(
-        features.subset(split["testval"]),
-        features.subset(split["train"]),
+        analysis.unit_index(ctx.features(), "test", ctx.split()["testval"]),
+        ctx.train_index(),
         top_k=ctx.hp["top_k"],
         tail_fraction=ctx.hp["tail"],
     )

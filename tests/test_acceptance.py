@@ -8,7 +8,11 @@ paths they check.
 
 import hashlib
 import itertools
+import json
 import math
+import re
+import string
+import struct
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -17,17 +21,28 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capkit import knn
+from capkit._binio import atomic_write_bytes
 from capkit.artifacts import read_json
 from capkit.corpus import (
     END_TOKEN,
     START_TOKEN,
     UNK_TOKEN,
+    CaptionRecord,
     DetectionSet,
+    FeatureStore,
     Vocabulary,
     build_vocabulary,
+    json_int,
     load_captions,
     load_detections,
+    load_features,
+    save_features,
+    tokenize,
+    tokenize_all,
 )
 from capkit.decoding import (
     DecodedHypothesis,
@@ -38,7 +53,7 @@ from capkit.decoding import (
     rescore_logprob,
     sequence_logprob,
 )
-from capkit.errors import NonFiniteLoss
+from capkit.errors import DuplicateAnnotationId, InputDataError, MalformedInput, NonFiniteLoss
 from capkit.fixture import generate_fixture
 from capkit.knn import FeatureIndex, consensus_caption, nearest
 from capkit.maxent import (
@@ -233,6 +248,270 @@ def test_knn_exactness():
             query = rng.standard_normal(dim)
             k = int(rng.integers(1, n + 1))
             assert nearest(index, query, k).ids() == knn_sort_oracle(ids, vectors, query, k)
+
+
+# The per-record loaders that the one-pass ones replaced, kept verbatim.
+
+_ORACLE_PUNCT_TABLE = str.maketrans(
+    "", "", "".join(c for c in string.punctuation if c != "-")
+)
+_ORACLE_LOOSE_HYPHEN = re.compile(r"(?<![0-9a-z])-|-(?![0-9a-z])")
+
+
+def tokenize_oracle(raw_text):
+    text = raw_text.lower().translate(_ORACLE_PUNCT_TABLE)
+    text = _ORACLE_LOOSE_HYPHEN.sub("", text)
+    return text.split()
+
+
+def load_captions_oracle(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MalformedInput(f"cannot read captions file {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("annotations"), list):
+        raise MalformedInput(f"{path}: expected an object with an 'annotations' list")
+    records = []
+    seen = set()
+    for entry in doc["annotations"]:
+        if not isinstance(entry, dict):
+            raise MalformedInput(f"{path}: annotation entries must be objects")
+        try:
+            ann_id, image_id, caption = entry["id"], entry["image_id"], entry["caption"]
+        except KeyError as exc:
+            raise MalformedInput(f"{path}: annotation missing id/image_id/caption") from exc
+        ann_id = json_int(ann_id, f"{path}: annotation id")
+        image_id = json_int(image_id, f"{path}: annotation {ann_id} image_id")
+        if not isinstance(caption, str):
+            raise MalformedInput(f"{path}: annotation {ann_id} caption must be a string")
+        if ann_id in seen:
+            raise DuplicateAnnotationId(f"{path}: duplicate annotation id {ann_id}")
+        seen.add(ann_id)
+        record = CaptionRecord(int(image_id), caption, tuple(tokenize_oracle(caption)))
+        if not record.tokens:
+            raise MalformedInput(f"{path}: annotation {ann_id} tokenizes to no tokens")
+        records.append(record)
+    return records
+
+
+_FVEC_HEADER = "<IIQ"
+
+
+def save_features_oracle(store, path):
+    payload = bytearray(b"FVEC")
+    payload += struct.pack(_FVEC_HEADER, 1, store.dim, len(store))
+    for image_id, vec in store.items():
+        payload += struct.pack("<Q", image_id)
+        payload += vec.astype("<f4").tobytes()
+    atomic_write_bytes(path, bytes(payload))
+
+
+def load_features_oracle(path):
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read features file {path}: {exc}") from exc
+    header_size = 4 + struct.calcsize(_FVEC_HEADER)
+    if len(data) < header_size:
+        raise MalformedInput(f"{path}: shorter than the FVEC header")
+    if data[:4] != b"FVEC":
+        raise MalformedInput(f"{path}: bad magic bytes")
+    version, dim, count = struct.unpack_from(_FVEC_HEADER, data, 4)
+    if version != 1:
+        raise MalformedInput(f"{path}: unsupported FVEC version {version}")
+    if dim == 0:
+        raise MalformedInput(f"{path}: feature dimension 0")
+    record_size = 8 + 4 * dim
+    if len(data) != header_size + count * record_size:
+        raise MalformedInput(f"{path}: payload size does not match declared count {count}")
+    store = FeatureStore(dim)
+    offset = header_size
+    for _ in range(count):
+        (image_id,) = struct.unpack_from("<Q", data, offset)
+        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset + 8)
+        store.add(image_id, vec)
+        offset += record_size
+    return store
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: ("ok", value) or ("error", class, message)."""
+    try:
+        return ("ok", load(path))
+    except InputDataError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _feature_rows(store):
+    return store.dim, [(image_id, vec.dtype.str, vec.tobytes()) for image_id, vec in store.items()]
+
+
+def _assert_same_captions(path):
+    got, want = _outcome(load_captions, path), _outcome(load_captions_oracle, path)
+    assert got == want
+    return got
+
+
+def _assert_same_features(path):
+    got, want = _outcome(load_features, path), _outcome(load_features_oracle, path)
+    if got[0] == want[0] == "ok":
+        assert _feature_rows(got[1]) == _feature_rows(want[1])
+        assert all(not vec.flags.writeable for _, vec in got[1].items())
+    else:
+        assert got == want
+    return got
+
+
+def test_one_pass_loaders_match_per_record_oracles(tmp_path):
+    with criterion("loader-equivalence", 30.0):
+        fixture_dir = tmp_path / "fixture"
+        generate_fixture(fixture_dir, n_images=200, dim=8, seed=13)
+        assert _assert_same_captions(fixture_dir / "captions.json")[0] == "ok"
+        store = _assert_same_features(fixture_dir / "features.fvec")[1]
+        save_features(store, tmp_path / "again.fvec")
+        again = (tmp_path / "again.fvec").read_bytes()
+        assert again == (fixture_dir / "features.fvec").read_bytes()
+
+        # The first faulty annotation wins, whether its fault is found while
+        # reading the list or once the captions are tokenized.
+        faults = [
+            [(1, 5, "a cat"), (2, 5, "-- ..."), (2, 6, "a dog")],
+            [(1, 5, "a cat"), (1, 6, "a dog"), (2, 6, "!!")],
+            [(1, 5, "a cat"), (2, 5.0, "a dog"), (3, 6, "")],
+            [(1, 5, "a cat"), (2, 5, "\n-\n")],
+        ]
+        for case, triples in enumerate(faults):
+            path = tmp_path / f"faulty{case}.json"
+            path.write_text(json.dumps({"annotations": [
+                {"id": a, "image_id": i, "caption": c} for a, i, c in triples
+            ]}))
+            assert _assert_same_captions(path)[0] == "error"
+
+
+# Letters whose lowercase depends on context (final sigma) or changes
+# length (dotted capital I, the ffi ligature), case-ignorable marks (a
+# combining dot, a soft hyphen), whitespace that is not a space, hyphens
+# and punctuation, and then any code point.
+_CAPTION_CHARS = st.sampled_from(
+    list("aZ09 -\n\t.,'\u03a3\u03c3\u03c2\u0130\u0131\ufb03\u0307\u00ad\u2028\x85")
+) | st.characters()
+_captions = st.text(_CAPTION_CHARS, max_size=14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts=st.lists(_captions, max_size=8))
+def test_tokenize_all_matches_tokenize(texts):
+    want = [tuple(tokenize_oracle(text)) for text in texts]
+    assert [tuple(tokenize(text)) for text in texts] == want
+    assert tokenize_all(texts) == want
+
+
+@pytest.fixture(scope="module")
+def loader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loaders")
+
+
+_json_ids = st.integers(-3, 6) | st.sampled_from([2.0, True, "3", None, [1]])
+_annotations = st.lists(
+    st.fixed_dictionaries({"id": _json_ids, "image_id": _json_ids,
+                           "caption": _captions | st.sampled_from([None, 7, ["a"]])})
+    | st.sampled_from([{"id": 1, "image_id": 2}, [], "x"]),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotations=_annotations)
+def test_caption_loader_matches_oracle_on_generated_documents(loader_dir, annotations):
+    path = loader_dir / "captions.json"
+    path.write_text(json.dumps({"annotations": annotations}), encoding="utf-8")
+    _assert_same_captions(path)
+
+
+_components = st.floats(width=32, allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0]
+)
+
+
+@st.composite
+def _fvec_payloads(draw):
+    """FVEC bytes, mostly well-formed; some with repeated ids, non-finite
+    components, a cut or extended payload, or a damaged header."""
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 5) | st.integers(0, 2**64 - 1),
+                  st.lists(_components, min_size=dim, max_size=dim)),
+        max_size=5,
+    ))
+    header = struct.pack(_FVEC_HEADER, 1, dim, len(rows))
+    payload = b"".join(
+        struct.pack("<Q", image_id) + np.asarray(vec, dtype="<f4").tobytes()
+        for image_id, vec in rows
+    )
+    data = b"FVEC" + header + payload
+    damage = draw(st.sampled_from(["none", "none", "cut", "extend", "dim0", "version", "magic"]))
+    if damage == "cut" and len(data) > 0:
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif damage == "extend":
+        data += b"\0" * draw(st.integers(1, 9))
+    elif damage == "dim0":
+        data = b"FVEC" + struct.pack(_FVEC_HEADER, 1, 0, len(rows)) + payload
+    elif damage == "version":
+        data = b"FVEC" + struct.pack(_FVEC_HEADER, 2, dim, len(rows)) + payload
+    elif damage == "magic":
+        data = b"FVEX" + header + payload
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_fvec_payloads())
+def test_feature_loader_matches_oracle_on_generated_files(loader_dir, data):
+    path = loader_dir / "features.fvec"
+    path.write_bytes(data)
+    _assert_same_features(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 5), rows=st.lists(
+    st.tuples(st.integers(0, 2**64 - 1),
+              st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                       min_size=5, max_size=5)),
+    max_size=6, unique_by=lambda row: row[0],
+))
+def test_save_features_matches_oracle(loader_dir, dim, rows):
+    store = FeatureStore(dim)
+    for image_id, vec in rows:
+        store.add(image_id, vec[:dim])
+    save_features(store, loader_dir / "got.fvec")
+    save_features_oracle(store, loader_dir / "want.fvec")
+    assert (loader_dir / "got.fvec").read_bytes() == (loader_dir / "want.fvec").read_bytes()
+
+
+def test_knn_and_analyze_share_one_train_index(tmp_path, monkeypatch):
+    with criterion("shared-train-index", 30.0):
+        generate_fixture(tmp_path, n_images=40, dim=8, seed=3)
+        built = []
+        from_store = knn.FeatureIndex.from_store.__func__
+
+        def counting_from_store(cls, store, image_ids=None):
+            index = from_store(cls, store, image_ids)
+            built.append(index.ids.tolist())
+            return index
+
+        monkeypatch.setattr(knn.FeatureIndex, "from_store", classmethod(counting_from_store))
+        config = PipelineConfig.from_doc(
+            {"seed": 3, "split": [30, 5, 5],
+             "paths": {"captions": "captions.json", "features": "features.fvec"},
+             "hyperparameters": {"k": 5, "m": 10, "top_k": 5}},
+            base_dir=str(tmp_path),
+        )
+        run_pipeline(config, stages=["ingest", "knn", "analyze"], out_dir=str(tmp_path / "out"))
+        split = read_json(tmp_path / "out" / "split.json")
+        assert built.count(sorted(split["train"])) == 1
+        assert built.count(sorted(split["testval"])) == 1
+        assert len(built) == 2
 
 
 def mert_toy_problem(seed, n_sentences=5, n_hyps=4):

@@ -9,6 +9,7 @@ from capkit.analysis import (
     binned_bleu,
     overlap_bins,
     repetition_stats,
+    unit_index,
 )
 from capkit.corpus import FeatureStore
 from capkit.errors import DimensionMismatch, MissingReferences, ZeroVector
@@ -21,6 +22,10 @@ def store_from(vectors, start_id=100):
     for i, vec in enumerate(vectors):
         store.add(start_id + i, np.asarray(vec, dtype=np.float32))
     return store
+
+
+def index_from(vectors, start_id=100):
+    return unit_index(store_from(vectors, start_id), "test")
 
 
 class TestRepetitionStats:
@@ -52,9 +57,9 @@ class TestRepetitionStats:
 
 class TestOverlapBins:
     def test_identical_vector_is_most_overlapping(self):
-        train = store_from([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], start_id=1)
+        train = index_from([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], start_id=1)
         # remaining test vectors are nearly orthogonal to every training vector
-        test = store_from(
+        test = index_from(
             [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.1, 0.0, 0.99],
              [0.0, 0.05, 0.9], [0.05, 0.05, 0.95]],
             start_id=50,
@@ -65,8 +70,8 @@ class TestOverlapBins:
 
     def test_tail_sizes_floor(self):
         rng = np.random.default_rng(0)
-        train = store_from(rng.standard_normal((10, 4)), start_id=0)
-        test = store_from(rng.standard_normal((5, 4)), start_id=100)
+        train = index_from(rng.standard_normal((10, 4)), start_id=0)
+        test = index_from(rng.standard_normal((5, 4)), start_id=100)
         bins = overlap_bins(test, train, top_k=3, tail_fraction=0.2)
         assert len(bins.images_in(BIN_LEAST)) == 1
         assert len(bins.images_in(BIN_MOST)) == 1
@@ -76,8 +81,8 @@ class TestOverlapBins:
         rng = np.random.default_rng(4)
         train_vecs = rng.standard_normal((12, 5))
         test_vecs = rng.standard_normal((30, 5))
-        train = store_from(train_vecs, start_id=0)
-        test = store_from(test_vecs, start_id=1000)
+        train = index_from(train_vecs, start_id=0)
+        test = index_from(test_vecs, start_id=1000)
         top_k = 4
         bins = overlap_bins(test, train, top_k=top_k, tail_fraction=0.2)
         means = {}
@@ -99,36 +104,36 @@ class TestOverlapBins:
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
         vecs = rng.standard_normal((8, 4))
-        train = store_from(vecs, start_id=0)
+        train = index_from(vecs, start_id=0)
         test_vecs = rng.standard_normal((6, 4))
-        test_a = store_from(test_vecs, start_id=100)
+        test_a = index_from(test_vecs, start_id=100)
         scaled = test_vecs.copy()
         scaled[2] *= 4.0  # power of two keeps normalization bit-exact
-        test_b = store_from(scaled, start_id=100)
+        test_b = index_from(scaled, start_id=100)
         bins_a = overlap_bins(test_a, train, top_k=3, tail_fraction=0.2)
         bins_b = overlap_bins(test_b, train, top_k=3, tail_fraction=0.2)
         assert bins_a == bins_b
 
     def test_top_k_capped_at_train_size(self):
         rng = np.random.default_rng(8)
-        train = store_from(rng.standard_normal((3, 4)), start_id=0)
-        test = store_from(rng.standard_normal((5, 4)), start_id=100)
+        train = index_from(rng.standard_normal((3, 4)), start_id=0)
+        test = index_from(rng.standard_normal((5, 4)), start_id=100)
         assert (overlap_bins(test, train, top_k=50, tail_fraction=0.2)
                 == overlap_bins(test, train, top_k=3, tail_fraction=0.2))
 
     def test_dim_mismatch(self):
-        train = store_from([[1.0, 0.0]], start_id=0)
-        test = store_from([[1.0, 0.0, 0.0]], start_id=10)
+        train = index_from([[1.0, 0.0]], start_id=0)
+        test = index_from([[1.0, 0.0, 0.0]], start_id=10)
         with pytest.raises(DimensionMismatch):
             overlap_bins(test, train, top_k=50, tail_fraction=0.2)
 
     def test_zero_vector_names_its_side(self):
-        good = store_from([[1.0, 0.0], [0.0, 1.0]], start_id=0)
         zero = store_from([[1.0, 1.0], [0.0, 0.0]], start_id=10)
         with pytest.raises(ZeroVector, match="^test image 11 "):
-            overlap_bins(zero, good, top_k=50, tail_fraction=0.2)
+            unit_index(zero, "test")
         with pytest.raises(ZeroVector, match="^train image 11 "):
-            overlap_bins(good, zero, top_k=50, tail_fraction=0.2)
+            unit_index(zero, "train")
+        assert unit_index(zero, "train", [10]).ids.tolist() == [10]
 
 
 class TestBinnedBleu:
