@@ -119,7 +119,7 @@ def load_captions(path) -> list[CaptionRecord]:
                 ann_id, image_id, caption = entry["id"], entry["image_id"], entry["caption"]
             except KeyError as exc:
                 raise MalformedInput(f"{path}: annotation missing id/image_id/caption") from exc
-            if type(ann_id) is not int or type(image_id) is not int:
+            if type(ann_id) is not int or type(image_id) is not int:  # json_int raises
                 ann_id = json_int(ann_id, f"{path}: annotation id")
                 json_int(image_id, f"{path}: annotation {ann_id} image_id")
             if not isinstance(caption, str):
@@ -212,13 +212,15 @@ def _fvec_records(dim: int) -> np.dtype:
 
 def save_features(store: FeatureStore, path) -> None:
     """Write a store in the FVEC binary format (see README); atomic."""
-    records = np.empty(len(store), dtype=_fvec_records(store.dim))
-    if len(store):
+    payload = b""
+    if len(store):  # numpy cannot describe a record over 2 GiB, even for zero rows
         ids, vectors = zip(*store.items())
+        records = np.empty(len(store), dtype=_fvec_records(store.dim))
         records["id"] = ids
         records["vec"] = np.stack(vectors)
+        payload = records.tobytes()
     header = _FVEC_MAGIC + struct.pack(_FVEC_HEADER, _FVEC_VERSION, store.dim, len(store))
-    atomic_write_bytes(path, header + records.tobytes())
+    atomic_write_bytes(path, header + payload)
 
 
 def load_features(path) -> FeatureStore:
@@ -245,7 +247,7 @@ def load_features(path) -> FeatureStore:
     if len(data) != header_size + count * record_size:
         raise MalformedInput(f"{path}: payload size does not match declared count {count}")
     store = FeatureStore(dim)
-    if count == 0:
+    if count == 0:  # the dim may be too large for a numpy record type
         return store
     records = np.frombuffer(data, dtype=_fvec_records(dim), count=count, offset=header_size)
     vectors = records["vec"]

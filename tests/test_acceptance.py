@@ -373,6 +373,12 @@ def test_one_pass_loaders_match_per_record_oracles(tmp_path):
         save_features(store, tmp_path / "again.fvec")
         again = (tmp_path / "again.fvec").read_bytes()
         assert again == (fixture_dir / "features.fvec").read_bytes()
+        # No records, and a dim whose record would not fit a numpy dtype.
+        wide = FeatureStore(2**32 - 1)
+        save_features(wide, tmp_path / "wide.fvec")
+        save_features_oracle(wide, tmp_path / "wide_oracle.fvec")
+        assert (tmp_path / "wide.fvec").read_bytes() == (tmp_path / "wide_oracle.fvec").read_bytes()
+        assert _assert_same_features(tmp_path / "wide.fvec")[1].dim == wide.dim
 
         # The first faulty annotation wins, whether its fault is found while
         # reading the list or once the captions are tokenized.
@@ -416,7 +422,7 @@ def loader_dir(tmp_path_factory):
 _json_ids = st.integers(-3, 6) | st.sampled_from([2.0, True, "3", None, [1]])
 _annotations = st.lists(
     st.fixed_dictionaries({"id": _json_ids, "image_id": _json_ids,
-                           "caption": _captions | st.sampled_from([None, 7, ["a"]])})
+                           "caption": _captions | st.sampled_from(["", " - ", "...", None, 7])})
     | st.sampled_from([{"id": 1, "image_id": 2}, [], "x"]),
     max_size=6,
 )
