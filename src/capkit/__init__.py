@@ -70,6 +70,7 @@ from .analysis import (  # noqa: F401
     OverlapBinAssignment,
     RepetitionReport,
     binned_bleu,
+    caption_strings,
     overlap_bins,
     repetition_stats,
     unit_index,

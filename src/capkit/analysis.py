@@ -37,16 +37,25 @@ class RepetitionReport:
         return self.seen_in_training / self.total
 
 
-def repetition_stats(generated, training_captions) -> RepetitionReport:
+def _caption_string(tokens) -> str:
+    """The string two captions are compared by: their space-joined tokens."""
+    return " ".join(tokens)
+
+
+def caption_strings(captions) -> frozenset[str]:
+    """``_caption_string`` of every token sequence in ``captions``, as a set."""
+    return frozenset(map(_caption_string, captions))
+
+
+def repetition_stats(generated, training: frozenset[str]) -> RepetitionReport:
     """Distinct-caption and seen-in-training fractions of generated captions.
 
-    ``generated`` maps image ids to token sequences; ``training_captions``
-    is any iterable of token sequences.
+    ``generated`` maps image ids to token sequences; ``training`` is the
+    ``caption_strings`` of the training captions, built once per run.
     """
     if not generated:
         raise ValueError("repetition_stats needs at least one generated caption")
-    strings = [" ".join(tokens) for tokens in generated.values()]
-    training = {" ".join(tokens) for tokens in training_captions}
+    strings = list(map(_caption_string, generated.values()))
     seen = sum(1 for s in strings if s in training)
     return RepetitionReport(len(strings), len(set(strings)), seen)
 

@@ -245,16 +245,16 @@ def _cmd_analyze(args) -> int:
     captions = captions_by_image(load_captions(args.captions))
     train_features = load_features(args.features_train)
     test_features = load_features(args.features_test)
-    train_pool = [
+    train_strings = analysis.caption_strings(
         cap for image_id in train_features.ids() for cap in captions.get(image_id, ())
-    ]
+    )
     bins = analysis.overlap_bins(
         analysis.unit_index(test_features, "test"),
         analysis.unit_index(train_features, "train"),
         top_k=args.top_k,
         tail_fraction=args.tail,
     )
-    report = caption_report(args.generated, captions, train_pool, bins)
+    report = caption_report(args.generated, captions, train_strings, bins)
     if args.report == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

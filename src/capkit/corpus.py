@@ -192,13 +192,6 @@ class FeatureStore:
     def __contains__(self, image_id: int) -> bool:
         return int(image_id) in self._entries
 
-    def subset(self, image_ids) -> "FeatureStore":
-        """New store holding only ``image_ids``, in the given order."""
-        out = FeatureStore(self.dim)
-        for image_id in image_ids:
-            out.add(image_id, self.get(image_id))
-        return out
-
 
 _FVEC_MAGIC = b"FVEC"
 _FVEC_VERSION = 1

@@ -16,35 +16,55 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyIndex, EmptyPool, NoCaptions, ZeroVector
 
 DEFAULT_MAX_ORDER = 4
+# Rows per block of the row-norm pass; bounds its squared temporary.
+_NORM_BLOCK_ROWS = 256
+
+
+def _row_norms(mat: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(mat, axis=1)`` of a C-ordered float64 matrix, bit for
+    bit: each row is squared and summed by the same reduction, a block of
+    rows at a time."""
+    norms = np.empty(mat.shape[0])
+    for start in range(0, mat.shape[0], _NORM_BLOCK_ROWS):
+        blk = mat[start:start + _NORM_BLOCK_ROWS]
+        np.add.reduce(blk * blk, axis=1, out=norms[start:start + _NORM_BLOCK_ROWS])
+    return np.sqrt(norms, out=norms)
 
 
 class FeatureIndex:
-    """L2-normalized row matrix over image ids, sorted by ascending id."""
+    """L2-normalized row matrix over image ids, sorted by ascending id.
+
+    ``vectors`` (a matrix or a sequence of rows) is copied once into a
+    float64 matrix, which is then sorted and normalised in place.
+    """
 
     def __init__(self, ids, vectors):
         id_list = [int(i) for i in ids]
         if len(set(id_list)) != len(id_list):
             raise ValueError("feature index ids must be unique")
-        mat = np.asarray(vectors, dtype=np.float64)
+        mat = np.array(vectors, dtype=np.float64, order="C")
         if mat.ndim != 2 or mat.shape[0] != len(id_list):
             raise DimensionMismatch(
                 f"expected a ({len(id_list)}, dim) matrix, got shape {mat.shape}"
             )
-        order = np.argsort(np.asarray(id_list, dtype=np.int64), kind="stable")
-        self.ids = np.asarray(id_list, dtype=np.int64)[order]
-        mat = mat[order]
-        norms = np.linalg.norm(mat, axis=1)
+        self.ids = np.asarray(id_list, dtype=np.int64)
+        if np.any(self.ids[1:] <= self.ids[:-1]):
+            order = np.argsort(self.ids, kind="stable")
+            self.ids = self.ids[order]
+            mat = mat[order]
+        norms = _row_norms(mat)
         if mat.shape[0] and not np.all(norms > 0.0):
             bad = int(self.ids[int(np.argmin(norms))])
             raise ZeroVector(f"image {bad} has a zero feature vector")
-        self.unit_vectors = mat / norms[:, None] if mat.shape[0] else mat
-        self.dim = int(mat.shape[1]) if mat.ndim == 2 else 0
-        self.unit_vectors.flags.writeable = False
+        mat /= norms[:, None]
+        mat.flags.writeable = False
+        self.unit_vectors = mat
+        self.dim = int(mat.shape[1])
 
     @classmethod
     def from_store(cls, store, image_ids=None) -> "FeatureIndex":
         ids = sorted(store.ids() if image_ids is None else (int(i) for i in image_ids))
-        vectors = np.stack([store.get(i) for i in ids]) if ids else np.zeros((0, store.dim))
+        vectors = [store.get(i) for i in ids] if ids else np.zeros((0, store.dim))
         return cls(ids, vectors)
 
     def __len__(self) -> int:

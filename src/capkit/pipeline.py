@@ -459,11 +459,12 @@ def score_captions(path, captions) -> dict[str, float]:
     }
 
 
-def caption_report(path, captions, train_pool, bins) -> dict:
-    """Repetition (against ``train_pool``) and per-bin BLEU of the caption TSV at ``path``."""
+def caption_report(path, captions, train_strings, bins) -> dict:
+    """Repetition (against ``train_strings``, see ``analysis.caption_strings``)
+    and per-bin BLEU of the caption TSV at ``path``."""
     generated = _read_generated(path)
     refs = references_for(captions, generated)
-    rep = analysis.repetition_stats(generated, train_pool)
+    rep = analysis.repetition_stats(generated, train_strings)
     return {
         "repetition": {
             "total": rep.total,
@@ -499,14 +500,16 @@ def _stage_analyze(ctx: PipelineContext) -> list[str]:
         top_k=ctx.hp["top_k"],
         tail_fraction=ctx.hp["tail"],
     )
-    train_pool = [cap for caps in ctx.train_captions().values() for cap in caps]
+    train_strings = analysis.caption_strings(
+        cap for caps in ctx.train_captions().values() for cap in caps
+    )
     report = {
         "bins": {
             name: bins.images_in(name)
             for name in (analysis.BIN_LEAST, analysis.BIN_MIDDLE, analysis.BIN_MOST)
         },
         "systems": {
-            system: caption_report(path, ctx.captions(), train_pool, bins)
+            system: caption_report(path, ctx.captions(), train_strings, bins)
             for system, path in _system_files(ctx)
         },
     }

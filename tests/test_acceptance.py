@@ -14,17 +14,19 @@ import re
 import string
 import struct
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capkit import knn
+from capkit import analysis, knn
 from capkit._binio import atomic_write_bytes
 from capkit.artifacts import read_json
 from capkit.corpus import (
@@ -53,7 +55,14 @@ from capkit.decoding import (
     rescore_logprob,
     sequence_logprob,
 )
-from capkit.errors import DuplicateAnnotationId, InputDataError, MalformedInput, NonFiniteLoss
+from capkit.errors import (
+    DimensionMismatch,
+    DuplicateAnnotationId,
+    InputDataError,
+    MalformedInput,
+    NonFiniteLoss,
+    ZeroVector,
+)
 from capkit.fixture import generate_fixture
 from capkit.knn import FeatureIndex, consensus_caption, nearest
 from capkit.maxent import (
@@ -248,6 +257,118 @@ def test_knn_exactness():
             query = rng.standard_normal(dim)
             k = int(rng.integers(1, n + 1))
             assert nearest(index, query, k).ids() == knn_sort_oracle(ids, vectors, query, k)
+
+
+# ``FeatureIndex.__init__`` and ``from_store`` from before the one-copy
+# build (stacked rows, a float64 copy, a permutation copy, ``np.linalg.norm``
+# and a divide into a new matrix), kept verbatim with ``self`` a namespace.
+
+def feature_index_oracle(ids, vectors):
+    self = SimpleNamespace()
+    id_list = [int(i) for i in ids]
+    if len(set(id_list)) != len(id_list):
+        raise ValueError("feature index ids must be unique")
+    mat = np.asarray(vectors, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != len(id_list):
+        raise DimensionMismatch(
+            f"expected a ({len(id_list)}, dim) matrix, got shape {mat.shape}"
+        )
+    order = np.argsort(np.asarray(id_list, dtype=np.int64), kind="stable")
+    self.ids = np.asarray(id_list, dtype=np.int64)[order]
+    mat = mat[order]
+    norms = np.linalg.norm(mat, axis=1)
+    if mat.shape[0] and not np.all(norms > 0.0):
+        bad = int(self.ids[int(np.argmin(norms))])
+        raise ZeroVector(f"image {bad} has a zero feature vector")
+    self.unit_vectors = mat / norms[:, None] if mat.shape[0] else mat
+    self.dim = int(mat.shape[1]) if mat.ndim == 2 else 0
+    self.unit_vectors.flags.writeable = False
+    return self
+
+
+def feature_index_oracle_from_store(store, image_ids=None):
+    ids = sorted(store.ids() if image_ids is None else (int(i) for i in image_ids))
+    vectors = np.stack([store.get(i) for i in ids]) if ids else np.zeros((0, store.dim))
+    return feature_index_oracle(ids, vectors)
+
+
+def _index_outcome(build, *args):
+    """What ``build(*args)`` gives: ("ok", ids, dim, unit vector bytes) or
+    ("error", class, message)."""
+    try:
+        index = build(*args)
+    except (ValueError, DimensionMismatch, ZeroVector) as exc:
+        return ("error", type(exc), str(exc))
+    vectors = index.unit_vectors
+    return ("ok", index.ids.tolist(), index.dim, vectors.dtype.str, vectors.shape,
+            vectors.tobytes())
+
+
+def _assert_same_index(*args):
+    got = _index_outcome(FeatureIndex, *args)
+    assert got == _index_outcome(feature_index_oracle, *args)
+    return got
+
+
+def test_feature_index_matches_oracle():
+    with criterion("feature-index-equivalence", 30.0):
+        rng = np.random.default_rng(160)
+        block = knn._NORM_BLOCK_ROWS
+        for trial in range(60):
+            n = int(rng.integers(1, 40)) if trial % 3 else int(rng.integers(block + 1, 3 * block))
+            dim = int(rng.integers(1, 601))
+            ids = rng.choice(10**6, size=n, replace=False)
+            if trial % 2:
+                ids.sort()
+            ids = ids.tolist()
+            matrix = rng.standard_normal((n, dim)) * 10.0 ** float(rng.integers(-6, 7))
+            rows = FeatureStore(dim)
+            for image_id, row in zip(ids, matrix):
+                rows.add(image_id, row)
+            views = [rows.get(i) for i in ids]
+            before = matrix.copy()
+            for vectors in (matrix, matrix.astype(np.float32), np.asfortranarray(matrix), views):
+                assert _assert_same_index(ids, vectors)[0] == "ok"
+            assert np.array_equal(matrix, before)
+            index = FeatureIndex(ids, matrix)
+            assert not index.unit_vectors.flags.writeable
+            assert not np.shares_memory(index.unit_vectors, matrix)
+
+            subset = rng.permutation(ids)[: int(rng.integers(1, n + 1))].tolist()
+            for image_ids in (None, subset):
+                got = _index_outcome(FeatureIndex.from_store, rows, image_ids)
+                assert got[0] == "ok"
+                assert got == _index_outcome(feature_index_oracle_from_store, rows, image_ids)
+
+            # Errors: class and message, and the zero row the message names.
+            zeroed = matrix.copy()
+            zeroed[rng.integers(0, n, size=int(rng.integers(1, 3)))] = 0.0
+            assert _assert_same_index(ids, zeroed)[1] is ZeroVector
+            assert _assert_same_index(ids, matrix[:, 0])[1] is DimensionMismatch
+            assert _assert_same_index(ids + [ids[0] + 1], matrix)[1] in (
+                ValueError, DimensionMismatch)
+            if n > 1:
+                assert _assert_same_index(ids[:-1] + [ids[0]], matrix)[1] is ValueError
+                assert _assert_same_index(ids, matrix[1:])[1] is DimensionMismatch
+
+        empty = FeatureStore(3)
+        assert _assert_same_index([], np.zeros((0, 3)))[0] == "ok"
+        assert (_index_outcome(FeatureIndex.from_store, empty)
+                == _index_outcome(feature_index_oracle_from_store, empty))
+
+
+def test_feature_index_build_memory():
+    rng = np.random.default_rng(161)
+    store = FeatureStore(256)
+    for image_id, row in enumerate(rng.standard_normal((4000, 256))):
+        store.add(3 * image_id + 1, row)
+    tracemalloc.start()
+    try:
+        index = FeatureIndex.from_store(store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * index.unit_vectors.nbytes
 
 
 # The per-record loaders that the one-pass ones replaced, kept verbatim.
@@ -507,6 +628,14 @@ def test_knn_and_analyze_share_one_train_index(tmp_path, monkeypatch):
             return index
 
         monkeypatch.setattr(knn.FeatureIndex, "from_store", classmethod(counting_from_store))
+        string_sets = []
+        caption_strings = analysis.caption_strings
+
+        def counting_caption_strings(captions):
+            string_sets.append(caption_strings(captions))
+            return string_sets[-1]
+
+        monkeypatch.setattr(analysis, "caption_strings", counting_caption_strings)
         config = PipelineConfig.from_doc(
             {"seed": 3, "split": [30, 5, 5],
              "paths": {"captions": "captions.json", "features": "features.fvec"},
@@ -518,6 +647,10 @@ def test_knn_and_analyze_share_one_train_index(tmp_path, monkeypatch):
         assert built.count(sorted(split["train"])) == 1
         assert built.count(sorted(split["testval"])) == 1
         assert len(built) == 2
+        # One set of training-caption strings serves both systems' reports.
+        assert len(string_sets) == 1
+        report = read_json(tmp_path / "out" / "analysis.json")
+        assert sorted(report["systems"]) == ["knn_consensus", "knn_onenn"]
 
 
 def mert_toy_problem(seed, n_sentences=5, n_hyps=4):

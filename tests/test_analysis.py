@@ -7,6 +7,7 @@ from capkit.analysis import (
     BIN_MOST,
     OverlapBinAssignment,
     binned_bleu,
+    caption_strings,
     overlap_bins,
     repetition_stats,
     unit_index,
@@ -31,7 +32,7 @@ def index_from(vectors, start_id=100):
 class TestRepetitionStats:
     def test_hand_counts(self):
         generated = {1: ("a",), 2: ("a",), 3: ("b",)}
-        report = repetition_stats(generated, [("a",)])
+        report = repetition_stats(generated, caption_strings([("a",)]))
         assert report.total == 3
         assert report.unique == 2
         assert report.seen_in_training == 2
@@ -40,19 +41,19 @@ class TestRepetitionStats:
 
     def test_all_novel(self):
         generated = {1: ("x", "y"), 2: ("z",)}
-        report = repetition_stats(generated, [("a", "b")])
+        report = repetition_stats(generated, caption_strings([("a", "b")]))
         assert report.unique_fraction == 1.0
         assert report.seen_in_training_fraction == 0.0
 
     def test_relabeling_invariance(self):
         caps = {1: ("a", "b"), 2: ("a", "b"), 3: ("c",)}
         relabeled = {10: ("a", "b"), 99: ("a", "b"), 42: ("c",)}
-        training = [("a", "b")]
+        training = caption_strings([("a", "b")])
         assert repetition_stats(caps, training) == repetition_stats(relabeled, training)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            repetition_stats({}, [])
+            repetition_stats({}, caption_strings([]))
 
 
 class TestOverlapBins:

@@ -18,6 +18,14 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def save_subset(store, image_ids, path):
+    """Write the vectors of ``image_ids`` from ``store``, in that order, to ``path``."""
+    out = FeatureStore(store.dim)
+    for image_id in image_ids:
+        out.add(image_id, store.get(image_id))
+    save_features(out, path)
+
+
 def write_config(path, fixture_dir, detections=True, **fields):
     """A pipeline config over the fixture, split [30, 5, 5] unless overridden."""
     paths = {
@@ -284,8 +292,8 @@ class TestAnalyzeCli:
         train_ids, test_ids = ids[:30], ids[30:]
         train_path = tmp_path / "train.fvec"
         test_path = tmp_path / "test.fvec"
-        save_features(full.subset(train_ids), train_path)
-        save_features(full.subset(test_ids), test_path)
+        save_subset(full, train_ids, train_path)
+        save_subset(full, test_ids, test_path)
         captions = captions_by_image(load_captions(fixture_dir / "captions.json"))
         generated = tmp_path / "gen.tsv"
         write_captions_tsv(generated, {i: captions[i][0] for i in test_ids})
@@ -701,8 +709,8 @@ class TestCliMatchesPipeline:
 
         split = read_json(run_dir / "split.json")
         full = load_features(fixture_dir / "features.fvec")
-        save_features(full.subset(split["train"]), tmp_path / "train.fvec")
-        save_features(full.subset(split["testval"]), tmp_path / "test.fvec")
+        save_subset(full, split["train"], tmp_path / "train.fvec")
+        save_subset(full, split["testval"], tmp_path / "test.fvec")
         capsys.readouterr()
         assert run_cli(
             "analyze",
