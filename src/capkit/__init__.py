@@ -33,7 +33,6 @@ from .knn import (  # noqa: F401
     one_nn_caption,
 )
 from .metrics import (  # noqa: F401
-    BleuStats,
     bleu_from_stats,
     bleu_stats,
     corpus_bleu,
@@ -46,7 +45,6 @@ from .recurrent import (  # noqa: F401
     RecurrentLM,
     RnnTrainConfig,
     forward,
-    gru_cell,
     loss_and_gradients,
     train,
 )

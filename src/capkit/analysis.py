@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingReferences, ZeroVector
+from .errors import DimensionMismatch, EmptyIndex, MissingReferences, ZeroVector
 from .knn import FeatureIndex
-from .metrics import BleuStats, bleu_from_stats, bleu_stats
+from .metrics import corpus_bleu
 
 BIN_LEAST = "least"
 BIN_MIDDLE = "middle"
@@ -88,12 +88,14 @@ def overlap_bins(test: FeatureIndex, train: FeatureIndex, top_k: int,
     After sorting ascending by that mean (ties by ascending image id), the
     lowest ``floor(tail_fraction * N)`` images land in the "least" bin and
     the highest in the "most" bin. ``top_k`` is capped at the training-set
-    size.
+    size; an empty training index raises EmptyIndex.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if not 0.0 < tail_fraction <= 0.5:
         raise ValueError("tail_fraction must be in (0, 0.5]")
+    if len(train) == 0:
+        raise EmptyIndex("cannot bin test images against an empty training index")
     if test.dim != train.dim:
         raise DimensionMismatch(f"test dim {test.dim} != train dim {train.dim}")
     test_ids = test.ids
@@ -122,12 +124,11 @@ def binned_bleu(generated, refs, bins: OverlapBinAssignment) -> dict[str, float]
     Raises MissingReferences when a generated image lacks references or a
     bin assignment. Bins with no images are omitted from the result.
     """
-    totals: dict[str, BleuStats] = {}
+    pairs: dict[str, list] = {}
     for image_id, tokens in generated.items():
         if image_id not in refs:
             raise MissingReferences(f"no references for image {image_id}")
         if image_id not in bins.bin_of:
             raise MissingReferences(f"no overlap bin for image {image_id}")
-        name = bins.bin_of[image_id]
-        totals[name] = totals.get(name, BleuStats()) + bleu_stats(tokens, refs[image_id])
-    return {name: bleu_from_stats(stats) for name, stats in sorted(totals.items())}
+        pairs.setdefault(bins.bin_of[image_id], []).append((tokens, refs[image_id]))
+    return {name: corpus_bleu(binned) for name, binned in sorted(pairs.items())}

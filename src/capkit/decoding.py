@@ -48,7 +48,6 @@ class BeamHypothesis:
     tokens: tuple[str, ...]
     logprob: float
     remaining: frozenset[str]
-    finished: bool = False
     key: tuple[int, ...] = ()
     state: object = None
 
@@ -189,10 +188,7 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
             hyp = live[row]
             key = hyp.key + (ci,)
             if ci == end_index:
-                pool.append(
-                    BeamHypothesis(hyp.tokens, logprob, hyp.remaining,
-                                   finished=True, key=key)
-                )
+                pool.append(BeamHypothesis(hyp.tokens, logprob, hyp.remaining, key=key))
             else:
                 token = candidates[ci]
                 new_live.append(

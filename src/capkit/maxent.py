@@ -55,7 +55,7 @@ class MaxEntLM:
     END_DONE, END_PENDING.
     """
 
-    def __init__(self, vocabulary: Vocabulary, l2: float = 0.0):
+    def __init__(self, vocabulary: Vocabulary, l2: float):
         self.vocabulary = vocabulary
         self.l2 = float(l2)
         self._candidates = vocabulary.candidate_tokens()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,36 +20,11 @@ from .errors import (
 )
 
 BLEU_MAX_ORDER = 4
-
-
-@dataclass(frozen=True)
-class BleuStats:
-    """Additive BLEU sufficient statistics for orders 1..4.
-
-    ``matches[n-1]`` are the clipped n-gram matches, ``hyp_ngrams[n-1]``
-    the hypothesis n-gram totals. Integer fields make addition exact.
-    """
-
-    matches: tuple[int, int, int, int] = (0, 0, 0, 0)
-    hyp_ngrams: tuple[int, int, int, int] = (0, 0, 0, 0)
-    hyp_len: int = 0
-    closest_ref_len: int = 0
-
-    def __add__(self, other: "BleuStats") -> "BleuStats":
-        return BleuStats(
-            tuple(a + b for a, b in zip(self.matches, other.matches)),
-            tuple(a + b for a, b in zip(self.hyp_ngrams, other.hyp_ngrams)),
-            self.hyp_len + other.hyp_len,
-            self.closest_ref_len + other.closest_ref_len,
-        )
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (*self.matches, *self.hyp_ngrams, self.hyp_len, self.closest_ref_len)
-
-    @classmethod
-    def from_tuple(cls, values) -> "BleuStats":
-        values = tuple(int(v) for v in values)
-        return cls(values[0:4], values[4:8], values[8], values[9])
+# A BLEU statistics row holds 10 int64s: the clipped n-gram matches for
+# orders 1..4, the hypothesis n-gram totals for orders 1..4, the hypothesis
+# length and the closest reference length. Rows add exactly, so the row of a
+# corpus is the sum of its sentences' rows.
+BLEU_ROW_WIDTH = 2 * BLEU_MAX_ORDER + 2
 
 
 def _ngrams(tokens, n: int) -> Counter:
@@ -61,12 +35,11 @@ def _ngrams(tokens, n: int) -> Counter:
 def nbest_bleu_stats(hyps, refs) -> np.ndarray:
     """Statistics of every hypothesis in ``hyps`` against the same references.
 
-    Returns an int64 ``(len(hyps), 10)`` matrix whose rows are laid out as
-    ``BleuStats.as_tuple()``. The per-n-gram maximum over the references,
-    which clips the match counts, and the reference lengths are built once
-    for all hypotheses; the reference-length term picks the reference
-    closest in length to each hypothesis, preferring the shorter one on
-    ties.
+    Returns an int64 ``(len(hyps), BLEU_ROW_WIDTH)`` matrix of statistics
+    rows. The per-n-gram maximum over the references, which clips the match
+    counts, and the reference lengths are built once for all hypotheses; the
+    reference-length term picks the reference closest in length to each
+    hypothesis, preferring the shorter one on ties.
     """
     refs = [tuple(r) for r in refs]
     if not refs:
@@ -85,43 +58,42 @@ def nbest_bleu_stats(hyps, refs) -> np.ndarray:
         matches = [sum((g & table).values()) for g, table in zip(grams, max_ref)]
         totals = [sum(g.values()) for g in grams]
         rows.append((*matches, *totals, len(hyp), closest))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 10)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), BLEU_ROW_WIDTH)
 
 
-def bleu_stats(hyp, refs) -> BleuStats:
-    """Per-sentence statistics of ``hyp`` against multiple references."""
-    return BleuStats.from_tuple(nbest_bleu_stats([hyp], refs)[0])
+def bleu_stats(hyp, refs) -> np.ndarray:
+    """Statistics row of ``hyp`` against multiple references."""
+    return nbest_bleu_stats([hyp], refs)[0]
 
 
-def bleu_from_stats(stats: BleuStats) -> float:
-    """Corpus BLEU on a 0-100 scale from accumulated statistics.
+def bleu_from_stats(row: np.ndarray) -> float:
+    """Corpus BLEU on a 0-100 scale from a summed statistics row.
 
     Geometric mean of the clipped precisions over the orders the
     hypothesis actually has n-grams for, times the brevity penalty
     min(1, exp(1 - r/c)). Any zero precision yields 0 (no smoothing).
     """
-    if stats.hyp_len <= 0:
+    *ngrams, hyp_len, ref_len = row.tolist()
+    if hyp_len <= 0:
         raise EmptyHypothesis("corpus BLEU needs at least one hypothesis token")
     log_sum = 0.0
     orders = 0
-    for matched, total in zip(stats.matches, stats.hyp_ngrams):
+    for matched, total in zip(ngrams[:BLEU_MAX_ORDER], ngrams[BLEU_MAX_ORDER:]):
         if total == 0:
             continue
         if matched == 0:
             return 0.0
         log_sum += math.log(matched / total)
         orders += 1
-    bp = 1.0 if stats.hyp_len >= stats.closest_ref_len else math.exp(
-        1.0 - stats.closest_ref_len / stats.hyp_len
-    )
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(log_sum / orders)
 
 
 def corpus_bleu(pairs) -> float:
     """BLEU over an iterable of (hypothesis tokens, reference list) pairs."""
-    total = BleuStats()
+    total = np.zeros(BLEU_ROW_WIDTH, dtype=np.int64)
     for hyp, refs in pairs:
-        total = total + bleu_stats(hyp, refs)
+        total += bleu_stats(hyp, refs)
     return bleu_from_stats(total)
 
 

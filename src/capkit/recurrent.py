@@ -182,22 +182,6 @@ class RecurrentLM:
         return np.concatenate([emb, _sigmoid(u)])
 
 
-def gru_cell(x: np.ndarray, h: np.ndarray, params) -> np.ndarray:
-    """One gated-recurrent step.
-
-    z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
-    c = tanh(x Wc + (r*h) Uc + bc), h' = (1 - z)*h + z*c.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    wz = params["gru_wz"]
-    if x.shape != (wz.shape[0],) or h.shape != (wz.shape[1],):
-        raise DimensionMismatch(
-            f"gru_cell got x{x.shape}, h{h.shape} for weights {wz.shape}"
-        )
-    return _gru_step(_fuse(params), x, h)[2]
-
-
 class _Gates(NamedTuple):
     """Gate weights stacked by columns, so that a step makes one product per input."""
 
@@ -223,7 +207,10 @@ def _fuse(params) -> _Gates:
 
 
 def _gru_step(gates: _Gates, x, h):
-    """gru_cell without the shape check; returns (zr, c, h') with zr = [z | r].
+    """One gated-recurrent step; returns (zr, c, h') with zr = [z | r].
+
+    z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
+    c = tanh(x Wc + (r*h) Uc + bc), h' = (1 - z)*h + z*c.
 
     A column of a product with stacked weights can round differently from
     the same column of a product with its block alone, depending on how the

@@ -21,7 +21,7 @@ import numpy as np
 
 from .decoding import DecodedHypothesis, NBestList
 from .errors import EmptyNBest, MissingReferences, SchemaMismatch
-from .metrics import BleuStats, bleu_from_stats, nbest_bleu_stats
+from .metrics import bleu_from_stats, nbest_bleu_stats
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def initial_weights(feature_names) -> dict[str, float]:
 def _selection_bleu(columns, stats, weights) -> float:
     total = sum(st[np.argmax(_scores(cols, weights, len(st)))]
                 for cols, st in zip(columns, stats))
-    return bleu_from_stats(BleuStats.from_tuple(total))
+    return bleu_from_stats(total)
 
 
 def _best_step(columns, stats, weights, direction):
@@ -137,7 +137,7 @@ def _best_step(columns, stats, weights, direction):
     events.sort(key=lambda e: (e[0], e[1]))
     totals = sum(st[winner] for st, winner in zip(stats, winners))
     boundaries = sorted({gamma for gamma, _, _ in events})
-    best_bleu = bleu_from_stats(BleuStats.from_tuple(totals))
+    best_bleu = bleu_from_stats(totals)
     best_gamma = boundaries[0] - 1.0
     pos = 0
     for b_idx, boundary in enumerate(boundaries):
@@ -150,7 +150,7 @@ def _best_step(columns, stats, weights, direction):
             gamma = 0.5 * (boundary + boundaries[b_idx + 1])
         else:
             gamma = boundary + 1.0
-        bleu = bleu_from_stats(BleuStats.from_tuple(totals))
+        bleu = bleu_from_stats(totals)
         if bleu > best_bleu:
             best_bleu = bleu
             best_gamma = gamma

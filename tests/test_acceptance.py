@@ -75,7 +75,6 @@ from capkit.maxent import (
     train_maxent,
 )
 from capkit.metrics import (
-    BleuStats,
     bleu_from_stats,
     bleu_stats,
     corpus_bleu,
@@ -124,10 +123,11 @@ def test_bleu_oracle():
         assert bleu_from_stats(bleu_stats(hyp, refs)) == pytest.approx(81.87, abs=0.01)
 
         clipped = bleu_stats("the the the the".split(), ["the cat".split()])
-        assert clipped.matches[0] == 1 and clipped.hyp_ngrams[0] == 4  # p1 = 1/4 exactly
+        assert clipped[0] == 1 and clipped[4] == 4  # p1 = 1/4 exactly
 
         rng = np.random.default_rng(100)
         vocab = ["a", "b", "c", "d", "e"]
+        zero = np.zeros(10, dtype=np.int64)
         for _ in range(100):
             corpus_a = [
                 (random_sentence(rng, vocab), [random_sentence(rng, vocab)])
@@ -137,15 +137,18 @@ def test_bleu_oracle():
                 (random_sentence(rng, vocab), [random_sentence(rng, vocab)])
                 for _ in range(int(rng.integers(1, 5)))
             ]
-            stats_a = sum((bleu_stats(h, r) for h, r in corpus_a), BleuStats())
-            stats_b = sum((bleu_stats(h, r) for h, r in corpus_b), BleuStats())
-            whole = sum((bleu_stats(h, r) for h, r in corpus_a + corpus_b), BleuStats())
-            assert whole == stats_a + stats_b  # bit-exact integer additivity
+            stats_a = sum((bleu_stats(h, r) for h, r in corpus_a), zero)
+            stats_b = sum((bleu_stats(h, r) for h, r in corpus_b), zero)
+            whole = sum((bleu_stats(h, r) for h, r in corpus_a + corpus_b), zero)
+            assert whole.dtype == np.int64
+            np.testing.assert_array_equal(whole, stats_a + stats_b)  # bit-exact integer additivity
             assert bleu_from_stats(whole) == bleu_from_stats(stats_a + stats_b)
 
 
 def bleu_stats_oracle(hyp, refs):
-    """Per-hypothesis statistics, the reference maxima rebuilt for each call."""
+    """Per-hypothesis statistics as a 10-tuple (4 clipped matches, 4 n-gram
+    totals, hypothesis length, closest reference length), the reference
+    maxima rebuilt for each call."""
     refs = [tuple(r) for r in refs]
     hyp = tuple(hyp)
 
@@ -165,7 +168,7 @@ def bleu_stats_oracle(hyp, refs):
             max_ref |= grams(ref, n)
         matches.append(sum((hyp_grams & max_ref).values()))
     closest = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
-    return BleuStats(tuple(matches), tuple(totals), len(hyp), closest)
+    return (*matches, *totals, len(hyp), closest)
 
 
 def test_nbest_bleu_stats_matches_oracle():
@@ -180,8 +183,8 @@ def test_nbest_bleu_stats_matches_oracle():
             assert rows.dtype == np.int64 and rows.shape == (len(hyps), 10)
             for hyp, row in zip(hyps, rows):
                 want = bleu_stats_oracle(hyp, refs)
-                assert tuple(int(v) for v in row) == want.as_tuple()
-                assert bleu_stats(hyp, refs) == want
+                assert tuple(int(v) for v in row) == want
+                assert tuple(bleu_stats(hyp, refs).tolist()) == want
 
 
 def consensus_oracle(pool, m, max_n=4):
@@ -679,7 +682,7 @@ def mert_toy_problem(seed, n_sentences=5, n_hyps=4):
 def mert_grid_oracle(nbests, refs, grid=200, limit=2.0):
     stats = np.array(
         [
-            [bleu_stats(h.tokens, refs[nb.image_id]).as_tuple() for h in nb.hypotheses]
+            [bleu_stats(h.tokens, refs[nb.image_id]) for h in nb.hypotheses]
             for nb in nbests
         ],
         dtype=np.int64,
@@ -768,11 +771,20 @@ def _mert_oracle_argmax(nbest, weights):
     return best_idx
 
 
+def _mert_oracle_add(*stats):
+    """Element-wise sum of statistics tuples."""
+    return tuple(sum(column) for column in zip(*stats))
+
+
+def _mert_oracle_bleu(total):
+    return bleu_from_stats(np.array(total, dtype=np.int64))
+
+
 def _mert_oracle_selection_bleu(nbests, hyp_stats, weights):
-    total = BleuStats()
+    total = (0,) * 10
     for nb_idx, nb in enumerate(nbests):
-        total = total + hyp_stats[nb_idx][_mert_oracle_argmax(nb, weights)]
-    return bleu_from_stats(total)
+        total = _mert_oracle_add(total, hyp_stats[nb_idx][_mert_oracle_argmax(nb, weights)])
+    return _mert_oracle_bleu(total)
 
 
 def _mert_oracle_best_step(nbests, hyp_stats, weights, direction):
@@ -786,33 +798,31 @@ def _mert_oracle_best_step(nbests, hyp_stats, weights, direction):
     if not events:
         return None
     events.sort(key=lambda e: (e[0], e[1]))
-    total = sum((hyp_stats[i][w] for i, w in enumerate(winners)), BleuStats())
+    total = _mert_oracle_add(*(hyp_stats[i][w] for i, w in enumerate(winners)))
     boundaries = sorted({gamma for gamma, _, _ in events})
-    best_bleu = bleu_from_stats(total)
+    best_bleu = _mert_oracle_bleu(total)
     best_gamma = boundaries[0] - 1.0
     pos = 0
     for b_idx, boundary in enumerate(boundaries):
         while pos < len(events) and events[pos][0] == boundary:
             _, nb_idx, new_winner = events[pos]
-            old = hyp_stats[nb_idx][winners[nb_idx]].as_tuple()
-            new = hyp_stats[nb_idx][new_winner].as_tuple()
-            total = BleuStats.from_tuple(
-                t - o + n for t, o, n in zip(total.as_tuple(), old, new)
-            )
+            old = hyp_stats[nb_idx][winners[nb_idx]]
+            new = hyp_stats[nb_idx][new_winner]
+            total = tuple(t - o + n for t, o, n in zip(total, old, new))
             winners[nb_idx] = new_winner
             pos += 1
         if b_idx + 1 < len(boundaries):
             gamma = 0.5 * (boundary + boundaries[b_idx + 1])
         else:
             gamma = boundary + 1.0
-        bleu = bleu_from_stats(total)
+        bleu = _mert_oracle_bleu(total)
         if bleu > best_bleu:
             best_bleu, best_gamma = bleu, gamma
     return best_bleu, best_gamma
 
 
 def mert_oracle(nbests, refs, init, config, iteration_log):
-    """Coordinate-ascent MERT over feature dicts, one BleuStats per hypothesis."""
+    """Coordinate-ascent MERT over feature dicts, one statistics tuple per hypothesis."""
     hyp_stats = [
         [bleu_stats_oracle(h.tokens, refs[nb.image_id]) for h in nb.hypotheses]
         for nb in nbests
@@ -935,7 +945,7 @@ def test_gradient_checks():
         rng = np.random.default_rng(4000)
         worst = 0.0
         for _ in range(20):
-            lm = MaxEntLM(vocab)
+            lm = MaxEntLM(vocab, l2=0.0)
             history = tuple(rng.choice(["cat", "dog", "the"], size=rng.integers(0, 3)))
             target = str(rng.choice(["cat", "dog", "sat", "the", END_TOKEN]))
             remaining = frozenset(

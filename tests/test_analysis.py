@@ -13,8 +13,8 @@ from capkit.analysis import (
     unit_index,
 )
 from capkit.corpus import FeatureStore
-from capkit.errors import DimensionMismatch, MissingReferences, ZeroVector
-from capkit.metrics import BleuStats, bleu_stats
+from capkit.errors import DimensionMismatch, EmptyIndex, MissingReferences, ZeroVector
+from capkit.metrics import bleu_from_stats, bleu_stats
 
 
 def store_from(vectors, start_id=100):
@@ -128,6 +128,12 @@ class TestOverlapBins:
         with pytest.raises(DimensionMismatch):
             overlap_bins(test, train, top_k=50, tail_fraction=0.2)
 
+    def test_empty_train_index(self):
+        train = unit_index(FeatureStore(2), "train")
+        test = index_from([[1.0, 0.0], [0.0, 1.0]], start_id=10)
+        with pytest.raises(EmptyIndex):
+            overlap_bins(test, train, top_k=50, tail_fraction=0.2)
+
     def test_zero_vector_names_its_side(self):
         zero = store_from([[1.0, 1.0], [0.0, 0.0]], start_id=10)
         with pytest.raises(ZeroVector, match="^test image 11 "):
@@ -170,13 +176,16 @@ class TestBinnedBleu:
         bins = self._bins(ids)
         by_bin: dict = {}
         for i in ids:
-            by_bin.setdefault(bins.bin_of[i], BleuStats())
+            by_bin.setdefault(bins.bin_of[i], np.zeros(10, dtype=np.int64))
             by_bin[bins.bin_of[i]] += bleu_stats(generated[i], refs[i])
-        whole = sum((bleu_stats(generated[i], refs[i]) for i in ids), BleuStats())
-        total = BleuStats()
+        whole = sum((bleu_stats(generated[i], refs[i]) for i in ids), np.zeros(10, dtype=np.int64))
+        total = np.zeros(10, dtype=np.int64)
         for stats in by_bin.values():
             total += stats
-        assert total == whole
+        np.testing.assert_array_equal(total, whole)
+        assert binned_bleu(generated, refs, bins) == {
+            name: bleu_from_stats(stats) for name, stats in by_bin.items()
+        }
 
     def test_missing_reference(self):
         ids = [1, 2, 3]

@@ -316,6 +316,31 @@ class TestAnalyzeCli:
             else:
                 assert "unique captions" in out
 
+    def test_empty_train_index_exits_1(self, fixture_dir, tmp_path, capsys):
+        """As knn-caption does, analyze refuses an empty training index."""
+        from capkit.artifacts import write_captions_tsv
+        from capkit.corpus import load_features
+
+        full = load_features(fixture_dir / "features.fvec")
+        test_ids = sorted(full.ids())[30:]
+        train_path = tmp_path / "train.fvec"
+        test_path = tmp_path / "test.fvec"
+        save_subset(full, [], train_path)
+        save_subset(full, test_ids, test_path)
+        generated = tmp_path / "gen.tsv"
+        write_captions_tsv(generated, {i: ("a", "cat") for i in test_ids})
+        for argv in (
+            ["knn-caption", "--captions", fixture_dir / "captions.json", "--mode", "onenn",
+             "--out", tmp_path / "onenn.tsv"],
+            ["analyze", "--generated", generated, "--captions", fixture_dir / "captions.json"],
+        ):
+            capsys.readouterr()
+            code = run_cli(*argv, "--features-train", train_path, "--features-test", test_path)
+            assert code == 1, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err.strip())["error"] == "EmptyIndex"
+
 
 class TestPipelineCli:
     def test_eval_only_stage_with_prebuilt_artifacts(self, fixture_dir, tmp_path, capsys):

@@ -260,7 +260,7 @@ class TestCoverageBeamSearch:
 class TestModelScorers:
     def test_maxent_scorer_round_trip(self):
         vocab = Vocabulary(["a", "b"])
-        lm = MaxEntLM(vocab)
+        lm = MaxEntLM(vocab, l2=0.0)
         scorer = MaxEntScorer(lm)
         result = beam_search(scorer, None, beam_size=2, max_len=3, n_best=2)
         assert result.hypotheses

@@ -21,6 +21,7 @@ _CALLER_SET = {
     decoding.coverage_beam_search: ["beam_size", "max_len", "n_best", "min_coverage"],
     analysis.overlap_bins: ["top_k", "tail_fraction"],
     maxent.train_maxent: ["config", "vocabulary"],
+    maxent.MaxEntLM: ["l2"],
     recurrent.train: ["config"],
     rerank.mert_optimize: ["config"],
 }

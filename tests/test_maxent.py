@@ -44,7 +44,7 @@ def _all_weights(lm):
 def _random_lm(seed=0):
     """A model over a few words with random rows for the contexts (a,) and
     (<start>, a), and random coverage scalars."""
-    lm = MaxEntLM(Vocabulary(["a", "cat", "dog", "sat"]))
+    lm = MaxEntLM(Vocabulary(["a", "cat", "dog", "sat"]), l2=0.0)
     rng = np.random.default_rng(seed)
     a = lm.vocabulary.lookup("a")
     width = len(lm.unigram)
@@ -118,7 +118,7 @@ def _dist(lm, history, remaining):
 class TestDistribution:
     def test_zero_weights_uniform(self):
         vocab = Vocabulary(["a", "b", "c"])
-        lm = MaxEntLM(vocab)
+        lm = MaxEntLM(vocab, l2=0.0)
         dist = _dist(lm, [], frozenset())
         n = len(lm.candidate_tokens())
         assert n == 5  # a, b, c, UNK, END
@@ -142,7 +142,7 @@ class TestDistribution:
 
     def test_score_shift_invariance(self):
         vocab = Vocabulary(["a", "b"])
-        lm = MaxEntLM(vocab)
+        lm = MaxEntLM(vocab, l2=0.0)
         rng = np.random.default_rng(0)
         randomize_maxent_event(lm, (), frozenset(), lambda: float(rng.standard_normal()))
         base = _dist(lm, [], frozenset())
@@ -228,7 +228,7 @@ class TestGradient:
         eps = 1e-5
         worst = 0.0
         for _ in range(20):
-            lm = MaxEntLM(vocab)
+            lm = MaxEntLM(vocab, l2=0.0)
             history = tuple(rng.choice(["cat", "dog", "the"], size=rng.integers(0, 3)))
             target = str(rng.choice(["cat", "dog", "sat", "the", END_TOKEN]))
             remaining = frozenset(
@@ -304,7 +304,7 @@ class TestSerialization:
             load_maxent(_melm_v1(tmp_path / "m.melm"))
 
     def test_truncated(self, tmp_path):
-        lm = MaxEntLM(build_vocabulary(_toy_records(5), 1))
+        lm = MaxEntLM(build_vocabulary(_toy_records(5), 1), l2=0.0)
         path = tmp_path / "m.melm"
         save_maxent(lm, path)
         path.write_bytes(path.read_bytes()[:-3])
@@ -313,7 +313,7 @@ class TestSerialization:
 
     def test_rows_disagree_with_vocabulary(self, tmp_path):
         lm = _trained_with_detections()
-        wider = MaxEntLM(Vocabulary([*lm.vocabulary.word_tokens(), "extra"]))
+        wider = MaxEntLM(Vocabulary([*lm.vocabulary.word_tokens(), "extra"]), l2=0.0)
         for name in ("unigram", "coverage", "bigram", "trigram"):
             setattr(wider, name, getattr(lm, name))
         path = tmp_path / "m.melm"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from capkit.metrics import (
-    BleuStats,
     bleu_from_stats,
     bleu_stats,
     corpus_bleu,
@@ -30,23 +29,29 @@ def random_corpus(rng, n_sentences, vocab=("a", "b", "c", "d", "e")):
     return pairs
 
 
+# a statistics row: 4 clipped matches, 4 n-gram totals, hypothesis length,
+# closest reference length
+ZERO_ROW = np.zeros(10, dtype=np.int64)
+
+
 class TestBleuStats:
     def test_identical_hyp_ref(self):
         s = bleu_stats("a b c d e".split(), ["a b c d e".split()])
-        assert s.matches == s.hyp_ngrams == (5, 4, 3, 2)
+        assert s.dtype == np.int64 and s.shape == (10,)
+        assert s[0:4].tolist() == s[4:8].tolist() == [5, 4, 3, 2]
 
     def test_clipping(self):
         s = bleu_stats("the the the the".split(), ["the cat".split()])
-        assert s.matches[0] == 1
-        assert s.hyp_ngrams[0] == 4
+        assert s[0] == 1
+        assert s[4] == 4
 
     def test_closest_ref_len(self):
         s = bleu_stats(["x"] * 5, [["a"] * 6, ["b"] * 7])
-        assert s.closest_ref_len == 6
+        assert s[9] == 6
 
     def test_closest_ref_len_tie_prefers_shorter(self):
         s = bleu_stats(["x"] * 5, [["a"] * 6, ["b"] * 4])
-        assert s.closest_ref_len == 4
+        assert s[9] == 4
 
     def test_empty_references(self):
         with pytest.raises(EmptyReferences):
@@ -68,17 +73,18 @@ class TestBleuScore:
 
     def test_empty_hypothesis(self):
         with pytest.raises(EmptyHypothesis):
-            bleu_from_stats(BleuStats())
+            bleu_from_stats(ZERO_ROW)
 
     def test_additivity_exact(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             part_a = random_corpus(rng, int(rng.integers(1, 5)))
             part_b = random_corpus(rng, int(rng.integers(1, 5)))
-            stats_a = sum((bleu_stats(h, r) for h, r in part_a), BleuStats())
-            stats_b = sum((bleu_stats(h, r) for h, r in part_b), BleuStats())
-            whole = sum((bleu_stats(h, r) for h, r in part_a + part_b), BleuStats())
-            assert whole == stats_a + stats_b
+            stats_a = sum((bleu_stats(h, r) for h, r in part_a), ZERO_ROW)
+            stats_b = sum((bleu_stats(h, r) for h, r in part_b), ZERO_ROW)
+            whole = sum((bleu_stats(h, r) for h, r in part_a + part_b), ZERO_ROW)
+            assert whole.dtype == np.int64
+            np.testing.assert_array_equal(whole, stats_a + stats_b)
             assert bleu_from_stats(whole) == bleu_from_stats(stats_a + stats_b)
 
     def test_permutation_invariance(self):
@@ -91,13 +97,13 @@ class TestBleuScore:
     def test_appending_junk_never_raises_precision(self):
         rng = np.random.default_rng(21)
         pairs = random_corpus(rng, 6)
-        base = sum((bleu_stats(h, r) for h, r in pairs), BleuStats())
+        base = sum((bleu_stats(h, r) for h, r in pairs), ZERO_ROW)
         junked = sum(
-            (bleu_stats(list(h) + ["zzz"], r) for h, r in pairs), BleuStats()
+            (bleu_stats(list(h) + ["zzz"], r) for h, r in pairs), ZERO_ROW
         )
         for n in range(4):
-            p_base = base.matches[n] / base.hyp_ngrams[n]
-            p_junk = junked.matches[n] / junked.hyp_ngrams[n]
+            p_base = base[n] / base[4 + n]
+            p_junk = junked[n] / junked[4 + n]
             assert p_junk <= p_base + 1e-12
 
 

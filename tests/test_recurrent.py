@@ -16,13 +16,13 @@ from capkit.recurrent import (
     RecurrentLM,
     RnnTrainConfig,
     forward,
-    gru_cell,
     load_recurrent,
     loss_and_gradients,
     save_recurrent,
     train,
     _forward_stacked,
     _fuse,
+    _gru_step,
 )
 
 VOCAB = Vocabulary(["cat", "dog", "sat", "ran", "the"])
@@ -69,6 +69,20 @@ def gru_scalar_oracle(x, h, params):
     return np.array(hp)
 
 
+def step_cell(x, h, gru):
+    """One ``RecurrentLM.step`` from state ``h`` whose input embedding is ``x``,
+    with the gate tensors ``gru`` installed as a new ``params`` dict."""
+    d_x, d_h = gru["gru_wz"].shape
+    config = RecurrentConfig(MODE_IMAGE_INITIAL, embed_dim=d_x, hidden_dim=d_h,
+                             feature_dim=2, seed=0)
+    lm = RecurrentLM(VOCAB, config)
+    cat_id = VOCAB.lookup("cat")
+    params = {**lm.params, **gru, "embeddings": lm.params["embeddings"].copy()}
+    params["embeddings"][cat_id] = x
+    lm.params = params
+    return lm.step(h, cat_id, ())[0]
+
+
 class TestGruCell:
     def _zero_params(self, d_x, d_h):
         return {
@@ -81,11 +95,11 @@ class TestGruCell:
     def test_zero_params_halve_state(self):
         params = self._zero_params(3, 4)
         h = np.array([1.0, -2.0, 0.5, 4.0])
-        np.testing.assert_allclose(gru_cell(np.ones(3), h, params), 0.5 * h)
+        np.testing.assert_allclose(step_cell(np.ones(3), h, params), 0.5 * h)
 
     def test_zero_state_stays_zero(self):
         params = self._zero_params(3, 4)
-        np.testing.assert_allclose(gru_cell(np.ones(3), np.zeros(4), params), np.zeros(4))
+        np.testing.assert_allclose(step_cell(np.ones(3), np.zeros(4), params), np.zeros(4))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
@@ -95,13 +109,13 @@ class TestGruCell:
             x = rng.standard_normal(d_x)
             h = rng.standard_normal(d_h)
             np.testing.assert_allclose(
-                gru_cell(x, h, params), gru_scalar_oracle(x, h, params), atol=1e-12
+                step_cell(x, h, params), gru_scalar_oracle(x, h, params), atol=1e-12
             )
 
     def test_dimension_mismatch(self):
         params = self._zero_params(3, 4)
-        with pytest.raises(DimensionMismatch):
-            gru_cell(np.ones(5), np.zeros(4), params)
+        with pytest.raises(DimensionMismatch, match="hidden state"):
+            step_cell(np.ones(3), np.zeros(5), params)
 
 
 class TestForward:
@@ -145,7 +159,7 @@ class TestForward:
         assert fp.remaining[1] == []  # removed right after emission
         # step 1 read the input built without the word, and keeping it
         # would have changed the activations
-        h1 = gru_cell(fp.x[0], np.zeros(5), lm.params)
+        h1 = _gru_step(_fuse(lm.params), fp.x[0], np.zeros(5))[2]
         np.testing.assert_array_equal(fp.hs[1], h1)
         x1_removed = lm._step_input(h1, cat_id, [])
         x1_kept = lm._step_input(h1, cat_id, [cat_id])

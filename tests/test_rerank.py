@@ -147,7 +147,7 @@ def grid_search_bleu(nbests, refs, grid=200, limit=2.0):
     """Vectorized exhaustive grid over 2-feature weight space."""
     stats = np.array(
         [
-            [bleu_stats(h.tokens, refs[nb.image_id]).as_tuple() for h in nb.hypotheses]
+            [bleu_stats(h.tokens, refs[nb.image_id]) for h in nb.hypotheses]
             for nb in nbests
         ],
         dtype=np.int64,
