@@ -3,19 +3,26 @@
 Stages communicate only through files inside the output directory, write
 atomically, and a manifest records the configuration hash plus a checksum
 of every artifact, so identical (config, seed) runs are byte-comparable.
-Stages run sequentially; parallelism, where any, lives inside the owning
-modules.
+Only ingest reads the raw caption and detection files for the val and
+testval images: it writes their references and detections to
+``heldout.json``, and decode, rerank, eval and analyze get their held-out
+inputs only from that file. Stages run sequentially; parallelism, where
+any, lives inside the owning modules.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import reprlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import analysis, artifacts, decoding, knn, maxent, metrics, recurrent, rerank
 from .corpus import (
+    DetectionSet,
     Vocabulary,
     build_vocabulary,
     captions_by_image,
@@ -250,19 +257,55 @@ class PipelineContext:
             lambda: load_detections(self.config.detections_path, self.hp["alpha"]),
         )
 
-    def split(self):
-        def build():
-            doc = artifacts.read_json(self.require_artifact("split.json", "ingest"))
-            return {k: sorted(int(i) for i in doc[k]) for k in ("train", "val", "testval")}
+    def _ingested(self, name, parse):
+        """``parse`` of the JSON artifact ``name`` that ingest wrote, cached.
 
-        return self._cached("split", build)
+        A missing key, a value of the wrong type or a duplicate token raises
+        MalformedInput naming the file.
+        """
+        def build():
+            path = self.require_artifact(name, "ingest")
+            doc = artifacts.read_json(path)
+            try:
+                return parse(_typed(doc, dict, "the document"))
+            except (KeyError, TypeError, ValueError) as exc:
+                problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise MalformedInput(
+                    f"{path}: {problem}; run the 'ingest' stage again"
+                ) from exc
+
+        return self._cached(name, build)
+
+    def split(self):
+        return self._ingested("split.json", lambda doc: {
+            k: sorted(_typed(i, int, f"{k} image id") for i in _typed(doc[k], list, k))
+            for k in ("train", "val", "testval")
+        })
 
     def vocabulary(self):
-        def build():
-            doc = artifacts.read_json(self.require_artifact("vocab.json", "ingest"))
-            return Vocabulary(doc["tokens"])
+        return self._ingested("vocab.json", lambda doc: Vocabulary(
+            _typed(tok, str, "token") for tok in _typed(doc["tokens"], list, "tokens")
+        ))
 
-        return self._cached("vocabulary", build)
+    def heldout(self) -> "HeldOut":
+        """References and detections of the val and testval images, from ingest."""
+        return self._ingested("heldout.json", _parse_heldout)
+
+    def heldout_detections(self) -> dict[int, DetectionSet]:
+        """``heldout().detections``, checked against this run's config."""
+        if self.config.detections_path is None:
+            raise MalformedInput("this stage needs a detections path in the config")
+        heldout = self.heldout()
+        if heldout.detections is None:
+            problem = "holds no detections, but the config names a detections file"
+        elif heldout.alpha != self.hp["alpha"]:
+            problem = (f"keeps detections at alpha {heldout.alpha}, "
+                       f"but the config sets alpha {self.hp['alpha']}")
+        else:
+            return heldout.detections
+        raise MalformedInput(
+            f"{self.artifact('heldout.json')} {problem}; run the 'ingest' stage again"
+        )
 
     def train_index(self):
         return self._cached(
@@ -276,6 +319,71 @@ class PipelineContext:
             return {i: caps for i, caps in self.captions().items() if i in train}
 
         return self._cached("train_captions", build)
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind, what):
+    """``value`` if its type is exactly ``kind`` (so no bool for int), else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+class HeldOut(NamedTuple):
+    """The contents of ``heldout.json``; ``detections`` is None without a detections path."""
+
+    alpha: float
+    references: dict[int, list[tuple[str, ...]]]
+    detections: dict[int, DetectionSet] | None
+
+
+def _heldout_doc(ctx: "PipelineContext", split, detections) -> dict:
+    """``heldout.json`` for the val and testval images of ``split``."""
+    heldout = sorted(split.val_ids | split.testval_ids)
+    captions = ctx.captions()
+    return {
+        "alpha": float(ctx.hp["alpha"]),
+        "references": {str(i): captions[i] for i in heldout},
+        "detections": None if detections is None else {
+            str(i): list(detections[i].words.items()) for i in heldout if i in detections
+        },
+    }
+
+
+def _parse_heldout(doc) -> HeldOut:
+    """The inverse of ``_heldout_doc``; raises KeyError, TypeError or ValueError."""
+    def caption(tokens):
+        tokens = _typed(tokens, list, "caption")
+        return tuple(_typed(tok, str, "reference token") for tok in tokens)
+
+    def number(value, what):
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"{what} must be a finite number, got {reprlib.repr(value)}")
+        return float(value)
+
+    def word(pair):
+        token, score = _typed(pair, list, "detection")
+        return _typed(token, str, "detection token"), number(score, "detection score")
+
+    def detection_set(key, pairs):
+        image_id = int(key)
+        words = dict(map(word, _typed(pairs, list, "detections")))
+        return image_id, DetectionSet(image_id, words, alpha)
+
+    alpha = number(doc["alpha"], "alpha")
+    references = {
+        int(key): [caption(tokens) for tokens in _typed(captions, list, "references")]
+        for key, captions in _typed(doc["references"], dict, "references").items()
+    }
+    detections = doc["detections"]
+    if detections is not None:
+        detections = dict(
+            detection_set(key, pairs)
+            for key, pairs in _typed(detections, dict, "detections").items()
+        )
+    return HeldOut(alpha, references, detections)
 
 
 def references_for(captions, image_ids) -> dict:
@@ -295,8 +403,7 @@ def _stage_ingest(ctx: PipelineContext) -> list[str]:
     missing = [i for i in image_ids if i not in features]
     if missing:
         raise MalformedInput(f"images missing feature vectors: {missing[:5]}")
-    if ctx.config.detections_path is not None:
-        ctx.detections()
+    detections = ctx.detections() if ctx.config.detections_path is not None else None
     split = split_dataset(image_ids, ctx.config.split_sizes, ctx.config.seed)
     train = set(split.train_ids)
     vocab = build_vocabulary(
@@ -311,7 +418,8 @@ def _stage_ingest(ctx: PipelineContext) -> list[str]:
             "testval": sorted(split.testval_ids),
         },
     )
-    return ["vocab.json", "split.json"]
+    artifacts.write_json(ctx.artifact("heldout.json"), _heldout_doc(ctx, split, detections))
+    return ["vocab.json", "split.json", "heldout.json"]
 
 
 def _stage_knn(ctx: PipelineContext) -> list[str]:
@@ -367,7 +475,7 @@ def _stage_decode(ctx: PipelineContext) -> list[str]:
     rnn_lm = recurrent.load_recurrent(ctx.require_artifact("rnn.model", "train_rnn"))
     me_scorer = decoding.MaxEntScorer(me_lm)
     rnn_scorer = decoding.RecurrentScorer(rnn_lm)
-    detections = ctx.detections()
+    detections = ctx.heldout_detections()
     features = ctx.features()
     outputs = []
     for split_name in ("val", "testval"):
@@ -407,7 +515,7 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
     val_nbests = artifacts.read_nbest_tsv(
         ctx.require_artifact("me_nbest_val.tsv", "decode")
     )
-    refs = references_for(ctx.captions(), [nb.image_id for nb in val_nbests])
+    refs = references_for(ctx.heldout().references, [nb.image_id for nb in val_nbests])
     weights = rerank.mert_optimize(
         val_nbests,
         refs,
@@ -483,7 +591,7 @@ def caption_report(path, captions, train_strings, bins) -> dict:
 def _stage_eval(ctx: PipelineContext) -> list[str]:
     scores = {}
     for system, path in _system_files(ctx):
-        row = score_captions(path, ctx.captions())
+        row = score_captions(path, ctx.heldout().references)
         scores[system] = {name: round(value, 6) for name, value in row.items()}
     if not scores:
         raise MalformedInput("eval stage found no generated caption files; run knn/decode")
@@ -509,7 +617,7 @@ def _stage_analyze(ctx: PipelineContext) -> list[str]:
             for name in (analysis.BIN_LEAST, analysis.BIN_MIDDLE, analysis.BIN_MOST)
         },
         "systems": {
-            system: caption_report(path, ctx.captions(), train_strings, bins)
+            system: caption_report(path, ctx.heldout().references, train_strings, bins)
             for system, path in _system_files(ctx)
         },
     }

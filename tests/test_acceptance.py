@@ -38,6 +38,7 @@ from capkit.corpus import (
     FeatureStore,
     Vocabulary,
     build_vocabulary,
+    captions_by_image,
     json_int,
     load_captions,
     load_detections,
@@ -82,6 +83,7 @@ from capkit.metrics import (
     nbest_bleu_stats,
     perplexity,
 )
+from capkit import pipeline
 from capkit.pipeline import PipelineConfig, run_pipeline
 from capkit import recurrent
 from capkit.recurrent import (
@@ -654,6 +656,90 @@ def test_knn_and_analyze_share_one_train_index(tmp_path, monkeypatch):
         assert len(string_sets) == 1
         report = read_json(tmp_path / "out" / "analysis.json")
         assert sorted(report["systems"]) == ["knn_consensus", "knn_onenn"]
+
+
+def _small_pipeline_config(fixture_dir, detections=True, **hyperparameters):
+    return PipelineConfig.from_doc(
+        {"seed": 3, "split": [30, 5, 5],
+         "paths": {"captions": "captions.json", "features": "features.fvec",
+                   "detections": "detections.jsonl" if detections else None},
+         "hyperparameters": {
+             "k": 5, "m": 10, "top_k": 5, "beam": 3, "nbest": 5, "max_len": 10,
+             "me_epochs": 2, "rnn_epochs": 4, "rnn_embed": 8, "rnn_hidden": 8, "rnn_lr": 0.3,
+             "mert_restarts": 1, "mert_iters": 3, **hyperparameters,
+         }},
+        base_dir=str(fixture_dir),
+    )
+
+
+def test_stages_after_ingest_read_no_raw_captions_or_detections(tmp_path, monkeypatch):
+    with criterion("heldout-from-ingest", 30.0):
+        generate_fixture(tmp_path, n_images=40, dim=8, seed=3)
+        config = _small_pipeline_config(tmp_path)
+        whole = tmp_path / "whole"
+        run_pipeline(config, out_dir=str(whole))
+        staged = tmp_path / "staged"
+        run_pipeline(config, stages=["ingest"], out_dir=str(staged))
+        run_pipeline(config, stages=["knn", "train_me", "train_rnn"], out_dir=str(staged))
+
+        def no_raw_input(*args, **kwargs):
+            raise AssertionError("a stage after ingest read a raw input file")
+
+        monkeypatch.setattr(pipeline, "load_captions", no_raw_input)
+        monkeypatch.setattr(pipeline, "load_detections", no_raw_input)
+        run_pipeline(config, stages=["decode", "rerank", "eval"], out_dir=str(staged))
+        names = sorted(p.name for p in staged.iterdir())
+        assert names == sorted(p.name for p in whole.iterdir() if p.name != "analysis.json")
+        for name in names:
+            if name != "manifest.json":
+                assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+        stages = read_json(whole / "manifest.json")["stages"]
+        del stages["analyze"]
+        assert read_json(staged / "manifest.json")["stages"] == stages
+        assert "heldout.json" in stages["ingest"]
+        assert sorted(read_json(staged / "scores.json")) == [
+            "knn_consensus", "knn_onenn", "me_reranked", "mrnn"]
+
+
+@pytest.mark.parametrize("alpha", [0, 0.3, 0.5, 0.9, 1])
+def test_heldout_reader_matches_the_raw_loaders(tmp_path, alpha):
+    with criterion("heldout-equivalence", 10.0):
+        generate_fixture(tmp_path, n_images=40, dim=8, seed=3)
+        # Repeated words (the higher score wins, in the first one's place),
+        # integer scores and words on either side of the threshold.
+        path = tmp_path / "detections.jsonl"
+        lines = []
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            words = record["words"]
+            words[1:1] = [{"token": words[0]["token"], "score": 1},
+                          {"token": "xylophone", "score": alpha},
+                          {"token": words[2]["token"], "score": 0}]
+            lines.append(json.dumps(record))
+        path.write_text("\n".join(lines) + "\n")
+        config = _small_pipeline_config(tmp_path, alpha=alpha)
+        run_pipeline(config, stages=["ingest"], out_dir=str(tmp_path / "out"))
+
+        heldout = pipeline.PipelineContext(config, str(tmp_path / "out")).heldout()
+        split = read_json(tmp_path / "out" / "split.json")
+        ids = sorted(split["val"] + split["testval"])
+        detections = load_detections(path, alpha)
+        references = captions_by_image(load_captions(tmp_path / "captions.json"))
+        assert heldout.alpha == float(alpha)
+        assert sorted(heldout.references) == sorted(heldout.detections) == ids
+        for image_id in ids:
+            got, want = heldout.detections[image_id], detections[image_id]
+            assert got == want
+            assert list(got.words.items()) == list(want.words.items())
+            assert type(got.threshold) is float and got.threshold == want.threshold
+            assert heldout.references[image_id] == references[image_id]
+            assert all(type(ref) is tuple for ref in heldout.references[image_id])
+
+        bare = _small_pipeline_config(tmp_path, detections=False, alpha=alpha)
+        run_pipeline(bare, stages=["ingest"], out_dir=str(tmp_path / "bare"))
+        heldout = pipeline.PipelineContext(bare, str(tmp_path / "bare")).heldout()
+        assert heldout.detections is None
+        assert heldout.references == {i: references[i] for i in ids}
 
 
 def mert_toy_problem(seed, n_sentences=5, n_hyps=4):

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -512,6 +513,133 @@ class TestMertStartingPoint:
         assert weights.read_bytes() == (run_dir / "weights.json").read_bytes()
 
 
+_SMALL_MODELS = {
+    "me_epochs": 1, "rnn_epochs": 1, "rnn_embed": 4, "rnn_hidden": 4,
+    "beam": 3, "nbest": 5, "max_len": 8, "mert_restarts": 1, "mert_iters": 3,
+    "k": 5, "m": 10,
+}
+
+
+class TestIngestedArtifacts:
+    """Stages after ingest read split.json, vocab.json and heldout.json; a
+    damaged or stale one exits 2 with the JSON error line, naming the file."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, fixture_dir, tmp_path_factory):
+        base = tmp_path_factory.mktemp("ingested")
+        config = write_config(base / "config.json", fixture_dir, hyperparameters=_SMALL_MODELS)
+        assert run_cli("pipeline", "--config", config, "--out-dir", base / "run",
+                       "--stages", "ingest,knn,train_me,train_rnn") == 0
+        return base / "run"
+
+    def run_after(self, trained, fixture_dir, tmp_path, capsys, stages, edit=None, *extra):
+        """Exit code, JSON error line and run directory of ``stages`` run on a copy
+        of ``trained`` after ``edit`` (name -> new file text, or None to delete)."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained, run_dir)
+        for name, text in (edit or {}).items():
+            if text is None:
+                (run_dir / name).unlink()
+            else:
+                (run_dir / name).write_text(text)
+        config = write_config(tmp_path / "config.json", fixture_dir,
+                              hyperparameters=_SMALL_MODELS)
+        capsys.readouterr()
+        code = run_cli("pipeline", "--config", config, "--out-dir", run_dir,
+                       "--stages", stages, *extra)
+        err = capsys.readouterr().err.strip()
+        return code, (json.loads(err) if err else None), run_dir
+
+    @pytest.mark.parametrize("text, problem", [
+        (json.dumps({"train": [1], "testval": [2]}), "missing key 'val'"),
+        (json.dumps([[1], [2], [3]]), "the document must be an object, got [[1], [2], [3]]"),
+        (json.dumps({"train": [1], "val": "2", "testval": [3]}), "val must be an array, got '2'"),
+        (json.dumps({"train": [1], "val": [2.0], "testval": [3]}),
+         "val image id must be an integer, got 2.0"),
+    ])
+    def test_split_json(self, trained, fixture_dir, tmp_path, capsys, text, problem):
+        code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys, "knn",
+                                            {"split.json": text})
+        assert code == 2
+        assert doc == {"error": "MalformedInput", "message":
+                       f"{run_dir / 'split.json'}: {problem}; run the 'ingest' stage again"}
+
+    @pytest.mark.parametrize("text, problem", [
+        (json.dumps({"tokens": ["a", "a"]}), "duplicate token 'a'"),
+        (json.dumps(["a", "b"]), "the document must be an object, got ['a', 'b']"),
+        (json.dumps({"words": ["a"]}), "missing key 'tokens'"),
+        (json.dumps({"tokens": ["a", 3]}), "token must be a string, got 3"),
+        (json.dumps({"tokens": ["a", "<unk>"]}), "token '<unk>' collides with a reserved token"),
+    ])
+    def test_vocab_json(self, trained, fixture_dir, tmp_path, capsys, text, problem):
+        code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys,
+                                            "train_me", {"vocab.json": text})
+        assert code == 2
+        assert doc == {"error": "MalformedInput", "message":
+                       f"{run_dir / 'vocab.json'}: {problem}; run the 'ingest' stage again"}
+
+    @pytest.mark.parametrize("stage, change, problem", [
+        ("eval", {"references": None}, "missing key 'references'"),
+        ("eval", {"alpha": "0.5"}, "alpha must be a finite number, got '0.5'"),
+        ("eval", {"references": {"7": "a dog"}}, "references must be an array, got 'a dog'"),
+        ("eval", {"references": {"7": [["a", 1]]}}, "reference token must be a string, got 1"),
+        ("eval", {"references": {"seven": [["a"]]}},
+         "invalid literal for int() with base 10: 'seven'"),
+        ("decode", {"detections": {"7": [["dog", True]]}},
+         "detection score must be a finite number, got True"),
+        ("decode", {"detections": {"7": [["dog", float("nan")]]}},
+         "detection score must be a finite number, got nan"),
+        ("decode", {"detections": {"7": [[1, 0.9]]}},
+         "detection token must be a string, got 1"),
+        ("decode", {"detections": []}, "detections must be an object, got []"),
+    ])
+    def test_heldout_json(self, trained, fixture_dir, tmp_path, capsys, stage, change, problem):
+        heldout = read_json(trained / "heldout.json")
+        for key, value in change.items():
+            if value is None:
+                del heldout[key]
+            else:
+                heldout[key] = value
+        code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys, stage,
+                                            {"heldout.json": json.dumps(heldout)})
+        assert code == 2
+        assert doc == {"error": "MalformedInput", "message":
+                       f"{run_dir / 'heldout.json'}: {problem}; run the 'ingest' stage again"}
+
+    def test_decode_at_another_alpha_exits_2(self, trained, fixture_dir, tmp_path, capsys):
+        code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys, "decode",
+                                            None, "--set", "alpha=0.3")
+        assert code == 2
+        assert doc == {"error": "MalformedInput", "message":
+                       f"{run_dir / 'heldout.json'} keeps detections at alpha 0.5, but the "
+                       "config sets alpha 0.3; run the 'ingest' stage again"}
+        assert not (run_dir / "me_nbest_val.tsv").exists()
+
+    def test_decode_after_ingest_without_detections_exits_2(
+        self, trained, fixture_dir, tmp_path, capsys
+    ):
+        no_detections = write_config(tmp_path / "bare.json", fixture_dir, detections=False,
+                                     hyperparameters=_SMALL_MODELS)
+        assert run_cli("pipeline", "--config", no_detections, "--out-dir", tmp_path / "bare",
+                       "--stages", "ingest") == 0
+        code, doc, run_dir = self.run_after(
+            trained, fixture_dir, tmp_path, capsys, "decode",
+            {"heldout.json": (tmp_path / "bare" / "heldout.json").read_text()},
+        )
+        assert code == 2
+        assert doc == {"error": "MalformedInput", "message":
+                       f"{run_dir / 'heldout.json'} holds no detections, but the config "
+                       "names a detections file; run the 'ingest' stage again"}
+
+    def test_output_of_an_older_ingest_exits_2(self, trained, fixture_dir, tmp_path, capsys):
+        code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys,
+                                            "decode,rerank,eval", {"heldout.json": None})
+        assert code == 2
+        assert doc == {"error": "MalformedInput", "message":
+                       f"missing artifact {run_dir / 'heldout.json'}; "
+                       "run the 'ingest' stage first"}
+
+
 @pytest.fixture(scope="module")
 def me_model(fixture_dir, tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "me.model"
@@ -725,7 +853,7 @@ class TestCliMatchesPipeline:
             "--detections", fixture_dir / "detections.jsonl",
             "--sizes", "30,5,5", "--seed", "7", "--out-dir", tmp_path,
         ) == 0
-        for name in ("vocab.json", "split.json"):
+        for name in ("vocab.json", "split.json", "heldout.json"):
             assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
         assert not (tmp_path / "manifest.json").exists()
 
