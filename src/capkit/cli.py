@@ -53,9 +53,9 @@ def _cmd_ingest(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     ctx = PipelineContext(config, args.out_dir)
     _STAGE_FNS["ingest"](ctx)
-    records = ctx.records()
+    table = ctx.caption_table()
     print(
-        f"ingested {len({rec.image_id for rec in records})} images, {len(records)} captions, "
+        f"ingested {len(set(table.image_ids))} images, {len(table)} captions, "
         f"vocabulary {len(ctx.vocabulary().word_tokens())} words"
     )
     return 0
@@ -98,10 +98,10 @@ def _report_training(lm, out) -> int:
 
 
 def _cmd_train_me(args) -> int:
-    records = load_captions(args.captions)
+    table = load_captions(args.captions)
     detections = load_detections(args.detections, args.alpha) if args.detections else {}
-    pairs = [(rec, detections.get(rec.image_id)) for rec in records]
-    vocabulary = build_vocabulary(records, args.min_count)
+    pairs = [(rec, detections.get(rec.image_id)) for rec in table]
+    vocabulary = build_vocabulary(table.tokens, args.min_count)
     lm = maxent.train_maxent(pairs, maxent_train_config(vars(args), args.seed), vocabulary)
     maxent.save_maxent(lm, args.out)
     return _report_training(lm, args.out)
@@ -109,7 +109,7 @@ def _cmd_train_me(args) -> int:
 
 def _cmd_train_rnn(args) -> int:
     records = load_captions(args.captions)
-    vocab = build_vocabulary(records, args.min_count)
+    vocab = build_vocabulary(records.tokens, args.min_count)
     if args.mode == "mrnn":
         if not args.features:
             raise MalformedInput("--mode mrnn needs --features")

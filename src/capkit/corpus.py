@@ -92,7 +92,26 @@ class CaptionRecord:
         return cls(int(image_id), raw_text, tuple(tokenize(raw_text)))
 
 
-def load_captions(path) -> list[CaptionRecord]:
+@dataclass(frozen=True)
+class CaptionTable:
+    """Captions as three parallel columns, in file order.
+
+    ``len()`` counts the captions, and iterating yields one CaptionRecord
+    per caption, built on demand; the columns themselves hold no records.
+    """
+
+    image_ids: list[int]
+    raw_texts: list[str]
+    tokens: list[tuple[str, ...]]
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def __iter__(self):
+        return map(CaptionRecord, self.image_ids, self.raw_texts, self.tokens)
+
+
+def load_captions(path) -> CaptionTable:
     """Read a captions JSON file: ``{"annotations": [{"id", "image_id", "caption"}, ...]}``.
 
     Raises MalformedInput for unreadable JSON, missing fields, or captions
@@ -132,21 +151,21 @@ def load_captions(path) -> list[CaptionRecord]:
             captions.append(caption)
     except (MalformedInput, DuplicateAnnotationId) as exc:
         fault = exc
-    del doc  # frees the parsed objects before the records are built
+    del doc  # frees the parsed objects before the captions are tokenized
     token_tuples = tokenize_all(captions)
     for ann_id, tokens in zip(ann_ids, token_tuples):
         if not tokens:
             raise MalformedInput(f"{path}: annotation {ann_id} tokenizes to no tokens")
     if fault is not None:
         raise fault
-    return list(map(CaptionRecord, image_ids, captions, token_tuples))
+    return CaptionTable(image_ids, captions, token_tuples)
 
 
-def captions_by_image(records) -> dict[int, list[tuple[str, ...]]]:
-    """Group caption token sequences by image id, preserving file order."""
+def captions_by_image(table: CaptionTable) -> dict[int, list[tuple[str, ...]]]:
+    """Group the table's token sequences by image id, preserving file order."""
     grouped: dict[int, list[tuple[str, ...]]] = {}
-    for rec in records:
-        grouped.setdefault(rec.image_id, []).append(rec.tokens)
+    for image_id, tokens in zip(table.image_ids, table.tokens):
+        grouped.setdefault(image_id, []).append(tokens)
     return grouped
 
 
@@ -293,11 +312,12 @@ class Vocabulary:
         return [self.token_of[i] for i in range(len(RESERVED_TOKENS), len(self.token_of))]
 
 
-def build_vocabulary(records, min_count: int) -> Vocabulary:
-    """Frequency-filtered vocabulary; ids ordered by count desc, then token."""
+def build_vocabulary(token_seqs, min_count: int) -> Vocabulary:
+    """Frequency-filtered vocabulary over an iterable of token sequences;
+    ids ordered by count desc, then token."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = Counter(chain.from_iterable(rec.tokens for rec in records))
+    counts = Counter(chain.from_iterable(token_seqs))
     kept = sorted(
         (tok for tok, n in counts.items() if n >= min_count),
         key=lambda tok: (-counts[tok], tok),

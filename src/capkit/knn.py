@@ -198,8 +198,9 @@ def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> Consensus
 
     Ties go to the earliest caption in pool order. A single-caption pool
     returns that caption with overlap 0. All pair overlaps come from one
-    matrix kernel; each row's top ``m`` are summed sequentially in
-    descending order, so the means equal the scalar definition bit for bit.
+    matrix kernel over the pool's distinct captions; each row's top ``m``
+    are summed sequentially in descending order, so the means equal the
+    scalar definition bit for bit.
     """
     captions = [tuple(c) for c in pool]
     if not captions:
@@ -210,7 +211,14 @@ def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> Consensus
         raise ValueError("max_n must be >= 1")
     if len(captions) == 1:
         return ConsensusResult(captions[0], 0.0, 1)
-    scores = _pair_fscores(captions, max_n)
+    # A pair's score depends only on its two captions, and two copies of a
+    # caption score its diagonal value, so the distinct captions' matrix
+    # gathered back to pool positions holds every pool pair's bits.
+    slot_of: dict = {}
+    slots = [slot_of.setdefault(c, len(slot_of)) for c in captions]
+    scores = _pair_fscores(list(slot_of), max_n)
+    if len(slot_of) < len(captions):
+        scores = scores[np.ix_(slots, slots)]
     np.fill_diagonal(scores, -np.inf)
     keep = min(m, len(captions) - 1)
     top = np.partition(scores, len(captions) - keep, axis=1)[:, len(captions) - keep:]

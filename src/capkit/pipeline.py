@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from . import analysis, artifacts, decoding, knn, maxent, metrics, recurrent, rerank
 from .corpus import (
+    CaptionRecord,
     DetectionSet,
     Vocabulary,
     build_vocabulary,
@@ -240,11 +241,11 @@ class PipelineContext:
             self._cache[key] = builder()
         return self._cache[key]
 
-    def records(self):
-        return self._cached("records", lambda: load_captions(self.config.captions_path))
+    def caption_table(self):
+        return self._cached("caption_table", lambda: load_captions(self.config.captions_path))
 
     def captions(self):
-        return self._cached("captions", lambda: captions_by_image(self.records()))
+        return self._cached("captions", lambda: captions_by_image(self.caption_table()))
 
     def features(self):
         return self._cached("features", lambda: load_features(self.config.features_path))
@@ -277,10 +278,18 @@ class PipelineContext:
         return self._cached(name, build)
 
     def split(self):
-        return self._ingested("split.json", lambda doc: {
-            k: sorted(_typed(i, int, f"{k} image id") for i in _typed(doc[k], list, k))
-            for k in ("train", "val", "testval")
-        })
+        def parse(doc):
+            split = {
+                k: sorted(_typed(i, int, f"{k} image id") for i in _typed(doc[k], list, k))
+                for k in ("train", "val", "testval")
+            }
+            sizes = tuple(len(ids) for ids in split.values())
+            if sizes != tuple(self.config.split_sizes):
+                raise ValueError(f"holds a {list(sizes)} split, but the config sets "
+                                 f"{list(self.config.split_sizes)}")
+            return split
+
+        return self._ingested("split.json", parse)
 
     def vocabulary(self):
         return self._ingested("vocab.json", lambda doc: Vocabulary(
@@ -319,6 +328,13 @@ class PipelineContext:
             return {i: caps for i, caps in self.captions().items() if i in train}
 
         return self._cached("train_captions", build)
+
+    def train_rows(self):
+        """(image id, raw text, tokens) of each train caption, in file order."""
+        train = set(self.split()["train"])
+        table = self.caption_table()
+        return [row for row in zip(table.image_ids, table.raw_texts, table.tokens)
+                if row[0] in train]
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
@@ -397,9 +413,9 @@ def references_for(captions, image_ids) -> dict:
 
 
 def _stage_ingest(ctx: PipelineContext) -> list[str]:
-    records = ctx.records()
+    table = ctx.caption_table()
     features = ctx.features()
-    image_ids = sorted({rec.image_id for rec in records})
+    image_ids = sorted(set(table.image_ids))
     missing = [i for i in image_ids if i not in features]
     if missing:
         raise MalformedInput(f"images missing feature vectors: {missing[:5]}")
@@ -407,7 +423,8 @@ def _stage_ingest(ctx: PipelineContext) -> list[str]:
     split = split_dataset(image_ids, ctx.config.split_sizes, ctx.config.seed)
     train = set(split.train_ids)
     vocab = build_vocabulary(
-        [rec for rec in records if rec.image_id in train], ctx.hp["min_count"]
+        (tokens for image_id, tokens in zip(table.image_ids, table.tokens) if image_id in train),
+        ctx.hp["min_count"],
     )
     artifacts.write_json(ctx.artifact("vocab.json"), {"tokens": vocab.word_tokens()})
     artifacts.write_json(
@@ -439,11 +456,8 @@ def _stage_knn(ctx: PipelineContext) -> list[str]:
 
 def _stage_train_me(ctx: PipelineContext) -> list[str]:
     detections = ctx.detections()
-    train = set(ctx.split()["train"])
     pairs = [
-        (rec, detections.get(rec.image_id))
-        for rec in ctx.records()
-        if rec.image_id in train
+        (CaptionRecord(*row), detections.get(row[0])) for row in ctx.train_rows()
     ]
     lm = maxent.train_maxent(
         pairs, maxent_train_config(ctx.hp, ctx.config.seed), vocabulary=ctx.vocabulary()
@@ -454,12 +468,7 @@ def _stage_train_me(ctx: PipelineContext) -> list[str]:
 
 def _stage_train_rnn(ctx: PipelineContext) -> list[str]:
     features = ctx.features()
-    train = set(ctx.split()["train"])
-    data = [
-        (features.get(rec.image_id), list(rec.tokens))
-        for rec in ctx.records()
-        if rec.image_id in train
-    ]
+    data = [(features.get(image_id), list(tokens)) for image_id, _, tokens in ctx.train_rows()]
     seed = ctx.config.seed
     lm = recurrent.RecurrentLM(
         ctx.vocabulary(),

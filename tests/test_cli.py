@@ -631,6 +631,23 @@ class TestIngestedArtifacts:
                        f"{run_dir / 'heldout.json'} holds no detections, but the config "
                        "names a detections file; run the 'ingest' stage again"}
 
+    def test_stages_after_an_ingest_at_another_split_exit_2(self, fixture_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        ingest = write_config(tmp_path / "ingest.json", fixture_dir, hyperparameters=_SMALL_MODELS)
+        assert run_cli("pipeline", "--config", ingest, "--out-dir", run_dir,
+                       "--stages", "ingest") == 0
+        config = write_config(tmp_path / "config.json", fixture_dir, split=[20, 10, 10],
+                              hyperparameters=_SMALL_MODELS)
+        capsys.readouterr()
+        code = run_cli("pipeline", "--config", config, "--out-dir", run_dir,
+                       "--stages", "knn,eval")
+        doc = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert doc == {"error": "MalformedInput", "message":
+                       f"{run_dir / 'split.json'}: holds a [30, 5, 5] split, but the config "
+                       "sets [20, 10, 10]; run the 'ingest' stage again"}
+        assert not (run_dir / "knn_consensus.tsv").exists()
+
     def test_output_of_an_older_ingest_exits_2(self, trained, fixture_dir, tmp_path, capsys):
         code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys,
                                             "decode,rerank,eval", {"heldout.json": None})

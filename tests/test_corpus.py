@@ -63,13 +63,15 @@ class TestLoadCaptions:
             tmp_path / "c.json",
             [(1, 10, "A cat."), (2, 10, "The cat sits."), (3, 11, "A dog!")],
         )
-        records = load_captions(path)
-        assert len(records) == 3
-        assert records[0] == CaptionRecord(10, "A cat.", ("a", "cat"))
+        table = load_captions(path)
+        assert len(table) == 3
+        assert table.image_ids == [10, 10, 11]
+        assert list(table)[0] == CaptionRecord(10, "A cat.", ("a", "cat"))
 
     def test_empty_annotations(self, tmp_path):
         path = write_captions_json(tmp_path / "c.json", [])
-        assert load_captions(path) == []
+        table = load_captions(path)
+        assert len(table) == 0 and list(table) == []
 
     def test_missing_caption_field(self, tmp_path):
         path = tmp_path / "c.json"
@@ -185,35 +187,32 @@ class TestFeatureIO:
 
 
 class TestVocabulary:
-    def _records(self, text_by_count):
-        records = []
-        i = 0
-        for text, count in text_by_count.items():
-            for _ in range(count):
-                records.append(CaptionRecord.from_text(i, text))
-                i += 1
-        return records
+    def _captions(self, text_by_count):
+        """Token sequences of each text, repeated ``count`` times."""
+        return [
+            tuple(tokenize(text)) for text, count in text_by_count.items() for _ in range(count)
+        ]
 
     def test_min_count_filters(self):
-        vocab = build_vocabulary(self._records({"a a b": 1}), min_count=2)
+        vocab = build_vocabulary(self._captions({"a a b": 1}), min_count=2)
         assert "a" in vocab
         assert "b" not in vocab
         assert vocab.lookup("b") == vocab.lookup(UNK_TOKEN)
 
     def test_min_count_one_keeps_all(self):
-        vocab = build_vocabulary(self._records({"a b c": 1}), min_count=1)
+        vocab = build_vocabulary(self._captions({"a b c": 1}), min_count=1)
         assert all(tok in vocab for tok in ("a", "b", "c"))
 
     def test_deterministic_ordering(self):
-        records = self._records({"b a": 3})
-        v1 = build_vocabulary(records, 1)
-        v2 = build_vocabulary(records, 1)
+        captions = self._captions({"b a": 3})
+        v1 = build_vocabulary(captions, 1)
+        v2 = build_vocabulary(captions, 1)
         assert v1.id_of == v2.id_of
         # equal frequency: lexicographic tiebreak puts a before b
         assert v1.id_of["a"] < v1.id_of["b"]
 
     def test_reserved_ids(self):
-        vocab = build_vocabulary(self._records({"x": 1}), 1)
+        vocab = build_vocabulary(self._captions({"x": 1}), 1)
         assert vocab.id_of[START_TOKEN] == 0
         assert vocab.id_of[END_TOKEN] == 1
         assert vocab.id_of[UNK_TOKEN] == 2

@@ -32,7 +32,7 @@ from conftest import maxent_gradient_error, randomize_maxent_event
 
 def _train(pairs, config):
     """``train_maxent`` over the vocabulary of the pairs' captions."""
-    return train_maxent(pairs, config, build_vocabulary([rec for rec, _ in pairs], 1))
+    return train_maxent(pairs, config, build_vocabulary([rec.tokens for rec, _ in pairs], 1))
 
 
 def _all_weights(lm):
@@ -304,7 +304,7 @@ class TestSerialization:
             load_maxent(_melm_v1(tmp_path / "m.melm"))
 
     def test_truncated(self, tmp_path):
-        lm = MaxEntLM(build_vocabulary(_toy_records(5), 1), l2=0.0)
+        lm = MaxEntLM(build_vocabulary([rec.tokens for rec in _toy_records(5)], 1), l2=0.0)
         path = tmp_path / "m.melm"
         save_maxent(lm, path)
         path.write_bytes(path.read_bytes()[:-3])
