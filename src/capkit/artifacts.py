@@ -134,8 +134,5 @@ def read_nbest_tsv(path) -> list[NBestList]:
         nb = lists.setdefault(image_id, NBestList(image_id, []))
         if rank != len(nb.hypotheses) + 1:
             raise MalformedInput(f"{where}: rank {rank} out of order for image {image_id}")
-        logprob = features.get("logprob", 0.0)
-        nb.hypotheses.append(
-            DecodedHypothesis(tuple(parts[2].split()), logprob, features)
-        )
+        nb.hypotheses.append(DecodedHypothesis(tuple(parts[2].split()), features))
     return [lists[i] for i in sorted(lists)]

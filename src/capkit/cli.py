@@ -48,7 +48,7 @@ def _cmd_ingest(args) -> int:
         detections_path=args.detections,
         split_sizes=_parse_sizes(args.sizes),
         seed=args.seed,
-        hyperparameters={"alpha": args.alpha, "min_count": args.min_count},
+        hyperparameters={"min_count": args.min_count},
     )
     os.makedirs(args.out_dir, exist_ok=True)
     ctx = PipelineContext(config, args.out_dir)
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--detections")
-    _hyperparameter(p, "--alpha", "alpha")
     _hyperparameter(p, "--min-count", "min_count")
     p.add_argument("--sizes", required=True, help="train,val,testval")
     p.add_argument("--seed", type=int, default=0)

@@ -81,34 +81,28 @@ def tokenize_all(texts) -> list[tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class CaptionRecord:
-    """One image/caption pair with its tokenized text."""
+    """One caption's image id and tokens."""
 
     image_id: int
-    raw_text: str
     tokens: tuple[str, ...]
-
-    @classmethod
-    def from_text(cls, image_id: int, raw_text: str) -> "CaptionRecord":
-        return cls(int(image_id), raw_text, tuple(tokenize(raw_text)))
 
 
 @dataclass(frozen=True)
 class CaptionTable:
-    """Captions as three parallel columns, in file order.
+    """Captions as two parallel columns, in file order.
 
     ``len()`` counts the captions, and iterating yields one CaptionRecord
     per caption, built on demand; the columns themselves hold no records.
     """
 
     image_ids: list[int]
-    raw_texts: list[str]
     tokens: list[tuple[str, ...]]
 
     def __len__(self) -> int:
         return len(self.image_ids)
 
     def __iter__(self):
-        return map(CaptionRecord, self.image_ids, self.raw_texts, self.tokens)
+        return map(CaptionRecord, self.image_ids, self.tokens)
 
 
 def load_captions(path) -> CaptionTable:
@@ -158,7 +152,7 @@ def load_captions(path) -> CaptionTable:
             raise MalformedInput(f"{path}: annotation {ann_id} tokenizes to no tokens")
     if fault is not None:
         raise fault
-    return CaptionTable(image_ids, captions, token_tuples)
+    return CaptionTable(image_ids, token_tuples)
 
 
 def captions_by_image(table: CaptionTable) -> dict[int, list[tuple[str, ...]]]:

@@ -54,8 +54,9 @@ class BeamHypothesis:
 
 @dataclass(frozen=True)
 class DecodedHypothesis:
+    """A finished (or best-effort partial) caption with its named feature values."""
+
     tokens: tuple[str, ...]
-    logprob: float
     features: dict[str, float]
 
 
@@ -204,7 +205,7 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
         row = {"logprob": float(hyp.logprob), "length": float(len(hyp.tokens))}
         if coverage_mode:
             row["covered"] = float(len(detected) - len(hyp.remaining))
-        return DecodedHypothesis(hyp.tokens, float(hyp.logprob), row)
+        return DecodedHypothesis(hyp.tokens, row)
 
     if pool:
         pool.sort(key=lambda h: (-h.logprob, h.key))
@@ -314,5 +315,5 @@ def rescore_logprob(nbest: NBestList, scorer, conditioning, feature_name: str) -
     for hyp, total in zip(nbest.hypotheses, totals):
         row = dict(hyp.features)
         row[feature_name] = total
-        rescored.append(DecodedHypothesis(hyp.tokens, hyp.logprob, row))
+        rescored.append(DecodedHypothesis(hyp.tokens, row))
     return NBestList(nbest.image_id, rescored, complete=nbest.complete)

@@ -4,21 +4,22 @@ Stages communicate only through files inside the output directory, write
 atomically, and a manifest records the configuration hash plus a checksum
 of every artifact, so identical (config, seed) runs are byte-comparable.
 Only ingest reads the raw caption and detection files for the val and
-testval images: it writes their references and detections to
-``heldout.json``, and decode, rerank, eval and analyze get their held-out
-inputs only from that file. Stages run sequentially; parallelism, where
-any, lives inside the owning modules.
+testval images: it writes those images' inputs in the raw input formats,
+their tokenized captions to ``heldout_captions.json`` and their lines of
+the detections file to ``heldout_detections.jsonl``. Decode, rerank, eval
+and analyze read their held-out inputs only from those files, with the
+same loaders, and decode thresholds the detections at the run's own
+``alpha``. Stages run sequentially; parallelism, where any, lives inside
+the owning modules.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import reprlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from . import analysis, artifacts, decoding, knn, maxent, metrics, recurrent, rerank
 from .corpus import (
@@ -33,7 +34,7 @@ from .corpus import (
     load_features,
     split_dataset,
 )
-from .errors import MalformedInput
+from .errors import InputDataError, MalformedInput
 
 STAGE_ORDER = (
     "ingest", "knn", "train_me", "train_rnn", "decode", "rerank", "eval", "analyze",
@@ -258,17 +259,19 @@ class PipelineContext:
             lambda: load_detections(self.config.detections_path, self.hp["alpha"]),
         )
 
-    def _ingested(self, name, parse):
-        """``parse`` of the JSON artifact ``name`` that ingest wrote, cached.
+    def _ingested(self, name, load):
+        """``load(path)`` of the artifact ``name`` that ingest wrote, cached.
 
-        A missing key, a value of the wrong type or a duplicate token raises
-        MalformedInput naming the file.
+        A fault in the file (for a JSON document: a missing key, a value of
+        the wrong type or a duplicate token) raises an InputDataError that
+        names the file and asks for ingest to run again.
         """
         def build():
             path = self.require_artifact(name, "ingest")
-            doc = artifacts.read_json(path)
             try:
-                return parse(_typed(doc, dict, "the document"))
+                return load(path)
+            except InputDataError as exc:
+                raise type(exc)(f"{exc}; run the 'ingest' stage again") from exc
             except (KeyError, TypeError, ValueError) as exc:
                 problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise MalformedInput(
@@ -278,7 +281,8 @@ class PipelineContext:
         return self._cached(name, build)
 
     def split(self):
-        def parse(doc):
+        def load(path):
+            doc = _typed(artifacts.read_json(path), dict, "the document")
             split = {
                 k: sorted(_typed(i, int, f"{k} image id") for i in _typed(doc[k], list, k))
                 for k in ("train", "val", "testval")
@@ -289,31 +293,29 @@ class PipelineContext:
                                  f"{list(self.config.split_sizes)}")
             return split
 
-        return self._ingested("split.json", parse)
+        return self._ingested("split.json", load)
 
     def vocabulary(self):
-        return self._ingested("vocab.json", lambda doc: Vocabulary(
-            _typed(tok, str, "token") for tok in _typed(doc["tokens"], list, "tokens")
-        ))
+        def load(path):
+            doc = _typed(artifacts.read_json(path), dict, "the document")
+            return Vocabulary(
+                _typed(tok, str, "token") for tok in _typed(doc["tokens"], list, "tokens")
+            )
 
-    def heldout(self) -> "HeldOut":
-        """References and detections of the val and testval images, from ingest."""
-        return self._ingested("heldout.json", _parse_heldout)
+        return self._ingested("vocab.json", load)
+
+    def heldout_references(self) -> dict[int, list[tuple[str, ...]]]:
+        """Reference captions of the val and testval images, from ingest."""
+        return self._ingested(
+            "heldout_captions.json", lambda path: captions_by_image(load_captions(path))
+        )
 
     def heldout_detections(self) -> dict[int, DetectionSet]:
-        """``heldout().detections``, checked against this run's config."""
+        """Detections of the val and testval images, from ingest, at this run's alpha."""
         if self.config.detections_path is None:
             raise MalformedInput("this stage needs a detections path in the config")
-        heldout = self.heldout()
-        if heldout.detections is None:
-            problem = "holds no detections, but the config names a detections file"
-        elif heldout.alpha != self.hp["alpha"]:
-            problem = (f"keeps detections at alpha {heldout.alpha}, "
-                       f"but the config sets alpha {self.hp['alpha']}")
-        else:
-            return heldout.detections
-        raise MalformedInput(
-            f"{self.artifact('heldout.json')} {problem}; run the 'ingest' stage again"
+        return self._ingested(
+            "heldout_detections.jsonl", lambda path: load_detections(path, self.hp["alpha"])
         )
 
     def train_index(self):
@@ -330,11 +332,10 @@ class PipelineContext:
         return self._cached("train_captions", build)
 
     def train_rows(self):
-        """(image id, raw text, tokens) of each train caption, in file order."""
+        """(image id, tokens) of each train caption, in file order."""
         train = set(self.split()["train"])
         table = self.caption_table()
-        return [row for row in zip(table.image_ids, table.raw_texts, table.tokens)
-                if row[0] in train]
+        return [row for row in zip(table.image_ids, table.tokens) if row[0] in train]
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
@@ -345,61 +346,6 @@ def _typed(value, kind, what):
     if type(value) is not kind:
         raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, got {reprlib.repr(value)}")
     return value
-
-
-class HeldOut(NamedTuple):
-    """The contents of ``heldout.json``; ``detections`` is None without a detections path."""
-
-    alpha: float
-    references: dict[int, list[tuple[str, ...]]]
-    detections: dict[int, DetectionSet] | None
-
-
-def _heldout_doc(ctx: "PipelineContext", split, detections) -> dict:
-    """``heldout.json`` for the val and testval images of ``split``."""
-    heldout = sorted(split.val_ids | split.testval_ids)
-    captions = ctx.captions()
-    return {
-        "alpha": float(ctx.hp["alpha"]),
-        "references": {str(i): captions[i] for i in heldout},
-        "detections": None if detections is None else {
-            str(i): list(detections[i].words.items()) for i in heldout if i in detections
-        },
-    }
-
-
-def _parse_heldout(doc) -> HeldOut:
-    """The inverse of ``_heldout_doc``; raises KeyError, TypeError or ValueError."""
-    def caption(tokens):
-        tokens = _typed(tokens, list, "caption")
-        return tuple(_typed(tok, str, "reference token") for tok in tokens)
-
-    def number(value, what):
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ValueError(f"{what} must be a finite number, got {reprlib.repr(value)}")
-        return float(value)
-
-    def word(pair):
-        token, score = _typed(pair, list, "detection")
-        return _typed(token, str, "detection token"), number(score, "detection score")
-
-    def detection_set(key, pairs):
-        image_id = int(key)
-        words = dict(map(word, _typed(pairs, list, "detections")))
-        return image_id, DetectionSet(image_id, words, alpha)
-
-    alpha = number(doc["alpha"], "alpha")
-    references = {
-        int(key): [caption(tokens) for tokens in _typed(captions, list, "references")]
-        for key, captions in _typed(doc["references"], dict, "references").items()
-    }
-    detections = doc["detections"]
-    if detections is not None:
-        detections = dict(
-            detection_set(key, pairs)
-            for key, pairs in _typed(detections, dict, "detections").items()
-        )
-    return HeldOut(alpha, references, detections)
 
 
 def references_for(captions, image_ids) -> dict:
@@ -435,8 +381,26 @@ def _stage_ingest(ctx: PipelineContext) -> list[str]:
             "testval": sorted(split.testval_ids),
         },
     )
-    artifacts.write_json(ctx.artifact("heldout.json"), _heldout_doc(ctx, split, detections))
-    return ["vocab.json", "split.json", "heldout.json"]
+    # The val and testval images' inputs, in the raw input formats: each
+    # caption as its space-joined tokens (which tokenize to themselves), and
+    # each detections line verbatim, unthresholded.
+    heldout = split.val_ids | split.testval_ids
+    captions = ctx.captions()
+    references = [(i, tokens) for i in sorted(heldout) for tokens in captions[i]]
+    artifacts.write_json(ctx.artifact("heldout_captions.json"), {"annotations": [
+        {"id": n, "image_id": i, "caption": " ".join(tokens)}
+        for n, (i, tokens) in enumerate(references, start=1)
+    ]})
+    outputs = ["vocab.json", "split.json", "heldout_captions.json"]
+    if detections is not None:
+        # load_detections keeps one record per non-empty line, in file order.
+        with open(ctx.config.detections_path, encoding="utf-8") as fh:
+            lines = (line for line in fh if line.strip())
+            text = "".join(line.rstrip("\n") + "\n"
+                           for line, image_id in zip(lines, detections) if image_id in heldout)
+        artifacts.atomic_write_text(ctx.artifact("heldout_detections.jsonl"), text)
+        outputs.append("heldout_detections.jsonl")
+    return outputs
 
 
 def _stage_knn(ctx: PipelineContext) -> list[str]:
@@ -468,7 +432,7 @@ def _stage_train_me(ctx: PipelineContext) -> list[str]:
 
 def _stage_train_rnn(ctx: PipelineContext) -> list[str]:
     features = ctx.features()
-    data = [(features.get(image_id), list(tokens)) for image_id, _, tokens in ctx.train_rows()]
+    data = [(features.get(image_id), list(tokens)) for image_id, tokens in ctx.train_rows()]
     seed = ctx.config.seed
     lm = recurrent.RecurrentLM(
         ctx.vocabulary(),
@@ -524,7 +488,7 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
     val_nbests = artifacts.read_nbest_tsv(
         ctx.require_artifact("me_nbest_val.tsv", "decode")
     )
-    refs = references_for(ctx.heldout().references, [nb.image_id for nb in val_nbests])
+    refs = references_for(ctx.heldout_references(), [nb.image_id for nb in val_nbests])
     weights = rerank.mert_optimize(
         val_nbests,
         refs,
@@ -600,7 +564,7 @@ def caption_report(path, captions, train_strings, bins) -> dict:
 def _stage_eval(ctx: PipelineContext) -> list[str]:
     scores = {}
     for system, path in _system_files(ctx):
-        row = score_captions(path, ctx.heldout().references)
+        row = score_captions(path, ctx.heldout_references())
         scores[system] = {name: round(value, 6) for name, value in row.items()}
     if not scores:
         raise MalformedInput("eval stage found no generated caption files; run knn/decode")
@@ -626,7 +590,7 @@ def _stage_analyze(ctx: PipelineContext) -> list[str]:
             for name in (analysis.BIN_LEAST, analysis.BIN_MIDDLE, analysis.BIN_MOST)
         },
         "systems": {
-            system: caption_report(path, ctx.heldout().references, train_strings, bins)
+            system: caption_report(path, ctx.heldout_references(), train_strings, bins)
             for system, path in _system_files(ctx)
         },
     }

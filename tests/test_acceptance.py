@@ -6,10 +6,13 @@ brute-force enumeration, grid search, finite differences) of the code
 paths they check.
 """
 
+import builtins
 import hashlib
+import io
 import itertools
 import json
 import math
+import os
 import re
 import string
 import struct
@@ -18,6 +21,7 @@ import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
@@ -450,7 +454,7 @@ def load_captions_oracle(path):
         if ann_id in seen:
             raise DuplicateAnnotationId(f"{path}: duplicate annotation id {ann_id}")
         seen.add(ann_id)
-        record = CaptionRecord(int(image_id), caption, tuple(tokenize_oracle(caption)))
+        record = CaptionRecord(int(image_id), tuple(tokenize_oracle(caption)))
         if not record.tokens:
             raise MalformedInput(f"{path}: annotation {ann_id} tokenizes to no tokens")
         records.append(record)
@@ -722,12 +726,18 @@ def test_stages_after_ingest_read_no_raw_captions_or_detections(tmp_path, monkey
         run_pipeline(config, stages=["ingest"], out_dir=str(staged))
         run_pipeline(config, stages=["knn", "train_me", "train_rnn"], out_dir=str(staged))
 
-        def no_raw_input(*args, **kwargs):
-            raise AssertionError("a stage after ingest read a raw input file")
+        raw = {os.path.realpath(config.captions_path), os.path.realpath(config.detections_path)}
+        real_open = builtins.open
 
-        monkeypatch.setattr(pipeline, "load_captions", no_raw_input)
-        monkeypatch.setattr(pipeline, "load_detections", no_raw_input)
+        def guarded_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.path.realpath(file) in raw:
+                raise AssertionError(f"a stage after ingest opened the raw input {file}")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", guarded_open)
+        monkeypatch.setattr(io, "open", guarded_open)
         run_pipeline(config, stages=["decode", "rerank", "eval"], out_dir=str(staged))
+        monkeypatch.undo()
         names = sorted(p.name for p in staged.iterdir())
         assert names == sorted(p.name for p in whole.iterdir() if p.name != "analysis.json")
         for name in names:
@@ -736,9 +746,22 @@ def test_stages_after_ingest_read_no_raw_captions_or_detections(tmp_path, monkey
         stages = read_json(whole / "manifest.json")["stages"]
         del stages["analyze"]
         assert read_json(staged / "manifest.json")["stages"] == stages
-        assert "heldout.json" in stages["ingest"]
+        assert sorted(stages["ingest"]) == [
+            "heldout_captions.json", "heldout_detections.jsonl", "split.json", "vocab.json"]
         assert sorted(read_json(staged / "scores.json")) == [
             "knn_consensus", "knn_onenn", "me_reranked", "mrnn"]
+
+
+def test_readme_names_every_file_of_a_full_run(tmp_path):
+    generate_fixture(tmp_path, n_images=40, dim=8, seed=3)
+    out = tmp_path / "out"
+    run_pipeline(_small_pipeline_config(tmp_path), out_dir=str(out))
+    stages = read_json(out / "manifest.json")["stages"]
+    assert sorted(stages) == sorted(pipeline.STAGE_ORDER)
+    names = ["manifest.json"] + [name for files in stages.values() for name in files]
+    assert sorted(names) == sorted(p.name for p in out.iterdir())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in names if f"`{name}`" not in readme] == []
 
 
 def test_retrieval_stages_build_no_caption_records(tmp_path, monkeypatch):
@@ -760,8 +783,7 @@ def test_retrieval_stages_build_no_caption_records(tmp_path, monkeypatch):
         run_pipeline(config, stages=["train_me"], out_dir=str(out))
         table = load_captions(tmp_path / "captions.json")
         train = set(read_json(out / "split.json")["train"])
-        assert built == [row for row in zip(table.image_ids, table.raw_texts, table.tokens)
-                         if row[0] in train]
+        assert built == [row for row in zip(table.image_ids, table.tokens) if row[0] in train]
 
 
 @pytest.mark.parametrize("alpha", [0, 0.3, 0.5, 0.9, 1])
@@ -769,40 +791,45 @@ def test_heldout_reader_matches_the_raw_loaders(tmp_path, alpha):
     with criterion("heldout-equivalence", 10.0):
         generate_fixture(tmp_path, n_images=40, dim=8, seed=3)
         # Repeated words (the higher score wins, in the first one's place),
-        # integer scores and words on either side of the threshold.
+        # integer scores and words on either side of the threshold; blank
+        # and whitespace-only lines, which hold no record, between records.
         path = tmp_path / "detections.jsonl"
-        lines = []
+        lines = ["", " \t"]
         for line in path.read_text().splitlines():
             record = json.loads(line)
             words = record["words"]
             words[1:1] = [{"token": words[0]["token"], "score": 1},
                           {"token": "xylophone", "score": alpha},
                           {"token": words[2]["token"], "score": 0}]
-            lines.append(json.dumps(record))
-        path.write_text("\n".join(lines) + "\n")
-        config = _small_pipeline_config(tmp_path, alpha=alpha)
-        run_pipeline(config, stages=["ingest"], out_dir=str(tmp_path / "out"))
+            lines += [json.dumps(record), "  " if record["image_id"] % 2 else ""]
+        path.write_text("\n".join(lines))
+        # Ingest's alpha is none of the readers' alphas: its outputs do not depend on it.
+        out = tmp_path / "out"
+        run_pipeline(_small_pipeline_config(tmp_path, alpha=0.2), stages=["ingest"],
+                     out_dir=str(out))
+        ctx = pipeline.PipelineContext(_small_pipeline_config(tmp_path, alpha=alpha), str(out))
 
-        heldout = pipeline.PipelineContext(config, str(tmp_path / "out")).heldout()
-        split = read_json(tmp_path / "out" / "split.json")
+        split = read_json(out / "split.json")
         ids = sorted(split["val"] + split["testval"])
         detections = load_detections(path, alpha)
         references = captions_by_image(load_captions(tmp_path / "captions.json"))
-        assert heldout.alpha == float(alpha)
-        assert sorted(heldout.references) == sorted(heldout.detections) == ids
+        heldout = ctx.heldout_detections()
+        assert sorted(heldout) == ids
         for image_id in ids:
-            got, want = heldout.detections[image_id], detections[image_id]
+            got, want = heldout[image_id], detections[image_id]
             assert got == want
             assert list(got.words.items()) == list(want.words.items())
             assert type(got.threshold) is float and got.threshold == want.threshold
-            assert heldout.references[image_id] == references[image_id]
-            assert all(type(ref) is tuple for ref in heldout.references[image_id])
+        assert (out / "heldout_detections.jsonl").read_text().splitlines() == [
+            line for line in lines if line.strip() and json.loads(line)["image_id"] in ids]
+        assert ctx.heldout_references() == {i: references[i] for i in ids}
+        assert list(ctx.heldout_references()) == ids
 
         bare = _small_pipeline_config(tmp_path, detections=False, alpha=alpha)
         run_pipeline(bare, stages=["ingest"], out_dir=str(tmp_path / "bare"))
-        heldout = pipeline.PipelineContext(bare, str(tmp_path / "bare")).heldout()
-        assert heldout.detections is None
-        assert heldout.references == {i: references[i] for i in ids}
+        assert not (tmp_path / "bare" / "heldout_detections.jsonl").exists()
+        ctx = pipeline.PipelineContext(bare, str(tmp_path / "bare"))
+        assert ctx.heldout_references() == {i: references[i] for i in ids}
 
 
 def mert_toy_problem(seed, n_sentences=5, n_hyps=4):
@@ -820,7 +847,6 @@ def mert_toy_problem(seed, n_sentences=5, n_hyps=4):
             hyps.append(
                 DecodedHypothesis(
                     tuple(tokens),
-                    0.0,
                     {"x": float(rng.standard_normal()), "y": float(rng.standard_normal())},
                 )
             )
@@ -1019,7 +1045,7 @@ def mert_wide_problem(seed, n_sentences=6, n_hyps=30):
                 features = dict(hyps[int(rng.integers(0, h))].features)
             else:
                 features = {name: float(rng.integers(-3, 4)) for name in "abcd"}
-            hyps.append(DecodedHypothesis(tuple(tokens), 0.0, features))
+            hyps.append(DecodedHypothesis(tuple(tokens), features))
         nbests.append(NBestList(s, hyps))
     return nbests, refs
 
@@ -1411,7 +1437,7 @@ def test_prefix_rescoring_matches_sequence_oracle():
                 ]
                 for tokens_list in lists:
                     nbest = NBestList(seed, [
-                        DecodedHypothesis(tokens, -1.0, {"logprob": -1.0})
+                        DecodedHypothesis(tokens, {"logprob": -1.0})
                         for tokens in tokens_list
                     ])
                     scorer = CountingScorer(RecurrentScorer(lm))
@@ -1601,7 +1627,7 @@ def test_decoder_equivalence_and_coverage():
             result = beam_search(scorer, None, beam_size=64, max_len=3, n_best=1)
             assert result.complete
             assert result.hypotheses[0].tokens == best[2]
-            assert result.hypotheses[0].logprob == best[0]
+            assert result.hypotheses[0].features["logprob"] == best[0]
 
         # full-coverage decodes mention every detection word
         detections = DetectionSet.from_scored_words(
@@ -1673,7 +1699,7 @@ def beam_search_oracle(scorer, conditioning, beam_size, max_len, n_best, detecti
         row = {"logprob": float(logprob), "length": float(len(tokens))}
         if coverage_mode:
             row["covered"] = float(len(detected) - len(remaining))
-        return DecodedHypothesis(tokens, float(logprob), row)
+        return DecodedHypothesis(tokens, row)
 
     if pool:
         pool.sort(key=lambda h: (-h[1], h[3]))

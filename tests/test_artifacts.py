@@ -58,7 +58,6 @@ class TestNbestTsv:
                 hyps.append(
                     DecodedHypothesis(
                         ("a", "cat"),
-                        logprob,
                         {"logprob": logprob, "length": 2.0, "mrnn": float(rng.standard_normal())},
                     )
                 )

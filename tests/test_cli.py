@@ -57,6 +57,15 @@ class TestIngest:
         assert len(split["train"]) == 30
         assert "ingested" in capsys.readouterr().out
 
+    def test_has_no_alpha_option(self, fixture_dir, tmp_path, capsys):
+        # Ingest copies detections unthresholded, so its outputs do not depend on alpha.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ingest", "--captions", fixture_dir / "captions.json",
+                    "--features", fixture_dir / "features.fvec", "--alpha", "0.5",
+                    "--sizes", "30,5,5", "--out-dir", tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 0.5" in capsys.readouterr().err
+
     def test_missing_features_file_exits_2(self, fixture_dir, tmp_path, capsys):
         code = run_cli(
             "ingest",
@@ -521,8 +530,9 @@ _SMALL_MODELS = {
 
 
 class TestIngestedArtifacts:
-    """Stages after ingest read split.json, vocab.json and heldout.json; a
-    damaged or stale one exits 2 with the JSON error line, naming the file."""
+    """Stages after ingest read split.json, vocab.json, heldout_captions.json
+    and heldout_detections.jsonl; a damaged or stale one exits 2 with the
+    JSON error line, naming the file."""
 
     @pytest.fixture(scope="class")
     def trained(self, fixture_dir, tmp_path_factory):
@@ -578,42 +588,76 @@ class TestIngestedArtifacts:
         assert doc == {"error": "MalformedInput", "message":
                        f"{run_dir / 'vocab.json'}: {problem}; run the 'ingest' stage again"}
 
-    @pytest.mark.parametrize("stage, change, problem", [
-        ("eval", {"references": None}, "missing key 'references'"),
-        ("eval", {"alpha": "0.5"}, "alpha must be a finite number, got '0.5'"),
-        ("eval", {"references": {"7": "a dog"}}, "references must be an array, got 'a dog'"),
-        ("eval", {"references": {"7": [["a", 1]]}}, "reference token must be a string, got 1"),
-        ("eval", {"references": {"seven": [["a"]]}},
-         "invalid literal for int() with base 10: 'seven'"),
-        ("decode", {"detections": {"7": [["dog", True]]}},
-         "detection score must be a finite number, got True"),
-        ("decode", {"detections": {"7": [["dog", float("nan")]]}},
-         "detection score must be a finite number, got nan"),
-        ("decode", {"detections": {"7": [[1, 0.9]]}},
-         "detection token must be a string, got 1"),
-        ("decode", {"detections": []}, "detections must be an object, got []"),
+    @pytest.mark.parametrize("name, stage, text, error, problem", [
+        pytest.param("heldout_captions.json", "eval", "[]", "MalformedInput",
+                     ": expected an object with an 'annotations' list", id="captions-not-an-object"),
+        pytest.param("heldout_captions.json", "eval", '{"annotations": ["a dog"]}',
+                     "MalformedInput", ": annotation entries must be objects",
+                     id="captions-entry-not-an-object"),
+        pytest.param("heldout_captions.json", "eval",
+                     '{"annotations": [{"id": 1, "image_id": "seven", "caption": "a dog"}]}',
+                     "MalformedInput", ": annotation 1 image_id must be an integer, got 'seven'",
+                     id="captions-image-id-not-an-integer"),
+        pytest.param("heldout_captions.json", "eval",
+                     '{"annotations": [{"id": 1, "image_id": 7, "caption": ["a", "dog"]}]}',
+                     "MalformedInput", ": annotation 1 caption must be a string",
+                     id="captions-caption-not-a-string"),
+        pytest.param("heldout_captions.json", "eval",
+                     '{"annotations": [{"id": 1, "image_id": 7, "caption": "a dog"},'
+                     ' {"id": 1, "image_id": 8, "caption": "a cat"}]}',
+                     "DuplicateAnnotationId", ": duplicate annotation id 1",
+                     id="captions-duplicate-id"),
+        pytest.param("heldout_detections.jsonl", "decode",
+                     '{"image_id": 7, "words": [{"token": "dog", "score": true}]}\n',
+                     "MalformedInput", ":1: detection score must be a finite number, got True",
+                     id="detections-boolean-score"),
+        pytest.param("heldout_detections.jsonl", "decode",
+                     '\n{"image_id": 7, "words": [{"token": "dog", "score": NaN}]}\n',
+                     "MalformedInput", ":2: detection score must be a finite number, got nan",
+                     id="detections-nan-score"),
+        pytest.param("heldout_detections.jsonl", "decode",
+                     '{"image_id": 7, "words": [{"token": 1, "score": 0.9}]}\n',
+                     "MalformedInput", ":1: detection tokens must be non-empty strings",
+                     id="detections-token-not-a-string"),
+        pytest.param("heldout_detections.jsonl", "decode", "[]\n", "MalformedInput",
+                     ":1: bad detection record: list indices must be integers or slices, not str",
+                     id="detections-record-not-an-object"),
+        pytest.param("heldout_detections.jsonl", "decode",
+                     '{"image_id": 7, "words": []}\n{"image_id": 7, "words": []}\n',
+                     "MalformedInput", ":2: duplicate detections for image 7",
+                     id="detections-duplicate-image"),
     ])
-    def test_heldout_json(self, trained, fixture_dir, tmp_path, capsys, stage, change, problem):
-        heldout = read_json(trained / "heldout.json")
-        for key, value in change.items():
-            if value is None:
-                del heldout[key]
-            else:
-                heldout[key] = value
+    def test_heldout_inputs(self, trained, fixture_dir, tmp_path, capsys,
+                            name, stage, text, error, problem):
         code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys, stage,
-                                            {"heldout.json": json.dumps(heldout)})
+                                            {name: text})
         assert code == 2
-        assert doc == {"error": "MalformedInput", "message":
-                       f"{run_dir / 'heldout.json'}: {problem}; run the 'ingest' stage again"}
+        assert doc == {"error": error, "message":
+                       f"{run_dir / name}{problem}; run the 'ingest' stage again"}
 
-    def test_decode_at_another_alpha_exits_2(self, trained, fixture_dir, tmp_path, capsys):
+    def test_decode_thresholds_detections_at_its_own_alpha(
+        self, trained, fixture_dir, tmp_path, capsys
+    ):
         code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys, "decode",
                                             None, "--set", "alpha=0.3")
-        assert code == 2
-        assert doc == {"error": "MalformedInput", "message":
-                       f"{run_dir / 'heldout.json'} keeps detections at alpha 0.5, but the "
-                       "config sets alpha 0.3; run the 'ingest' stage again"}
-        assert not (run_dir / "me_nbest_val.tsv").exists()
+        assert code == 0 and doc is None
+
+        def searched(path):
+            return {nb.image_id: [(h.tokens, h.features["logprob"], h.features["covered"])
+                                  for h in nb.hypotheses] for nb in read_nbest_tsv(path)}
+
+        def raw_decode(alpha):
+            """The same coverage search over the raw detections file at ``alpha``."""
+            out = tmp_path / f"raw-{alpha}.tsv"
+            assert run_cli("decode", "--model", run_dir / "me.model", "--mode", "coverage",
+                           "--detections", fixture_dir / "detections.jsonl", "--alpha", alpha,
+                           "--beam", "3", "--nbest", "5", "--max-len", "8", "--out", out) == 0
+            return {i: lists for i, lists in searched(out).items() if i in val}
+
+        val = searched(run_dir / "me_nbest_val.tsv")
+        assert sorted(val) == read_json(run_dir / "split.json")["val"]
+        assert val == raw_decode("0.3")
+        assert val != raw_decode("0.5")
 
     def test_decode_after_ingest_without_detections_exits_2(
         self, trained, fixture_dir, tmp_path, capsys
@@ -622,14 +666,16 @@ class TestIngestedArtifacts:
                                      hyperparameters=_SMALL_MODELS)
         assert run_cli("pipeline", "--config", no_detections, "--out-dir", tmp_path / "bare",
                        "--stages", "ingest") == 0
+        assert not (tmp_path / "bare" / "heldout_detections.jsonl").exists()
         code, doc, run_dir = self.run_after(
             trained, fixture_dir, tmp_path, capsys, "decode",
-            {"heldout.json": (tmp_path / "bare" / "heldout.json").read_text()},
+            {"heldout_captions.json": (tmp_path / "bare" / "heldout_captions.json").read_text(),
+             "heldout_detections.jsonl": None},
         )
         assert code == 2
         assert doc == {"error": "MalformedInput", "message":
-                       f"{run_dir / 'heldout.json'} holds no detections, but the config "
-                       "names a detections file; run the 'ingest' stage again"}
+                       f"missing artifact {run_dir / 'heldout_detections.jsonl'}; "
+                       "run the 'ingest' stage first"}
 
     def test_stages_after_an_ingest_at_another_split_exit_2(self, fixture_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -649,12 +695,24 @@ class TestIngestedArtifacts:
         assert not (run_dir / "knn_consensus.tsv").exists()
 
     def test_output_of_an_older_ingest_exits_2(self, trained, fixture_dir, tmp_path, capsys):
+        # An older ingest wrote the held-out inputs to heldout.json instead.
+        older = {"heldout_captions.json": None, "heldout_detections.jsonl": None,
+                 "heldout.json": json.dumps({"alpha": 0.5, "references": {}, "detections": {}})}
         code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys,
-                                            "decode,rerank,eval", {"heldout.json": None})
+                                            "decode,rerank,eval", older)
         assert code == 2
         assert doc == {"error": "MalformedInput", "message":
-                       f"missing artifact {run_dir / 'heldout.json'}; "
+                       f"missing artifact {run_dir / 'heldout_detections.jsonl'}; "
                        "run the 'ingest' stage first"}
+        config = write_config(tmp_path / "config.json", fixture_dir,
+                              hyperparameters=_SMALL_MODELS)
+        assert run_cli("pipeline", "--config", config, "--out-dir", run_dir,
+                       "--stages", "eval") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput",
+            "message": f"missing artifact {run_dir / 'heldout_captions.json'}; "
+                       "run the 'ingest' stage first",
+        }
 
 
 @pytest.fixture(scope="module")
@@ -870,7 +928,8 @@ class TestCliMatchesPipeline:
             "--detections", fixture_dir / "detections.jsonl",
             "--sizes", "30,5,5", "--seed", "7", "--out-dir", tmp_path,
         ) == 0
-        for name in ("vocab.json", "split.json", "heldout.json"):
+        for name in ("vocab.json", "split.json", "heldout_captions.json",
+                     "heldout_detections.jsonl"):
             assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
         assert not (tmp_path / "manifest.json").exists()
 

@@ -66,7 +66,7 @@ class TestLoadCaptions:
         table = load_captions(path)
         assert len(table) == 3
         assert table.image_ids == [10, 10, 11]
-        assert list(table)[0] == CaptionRecord(10, "A cat.", ("a", "cat"))
+        assert list(table)[0] == CaptionRecord(10, ("a", "cat"))
 
     def test_empty_annotations(self, tmp_path):
         path = write_captions_json(tmp_path / "c.json", [])

@@ -44,7 +44,7 @@ class TestBeamSearch:
             logprob, _, words = exhaustive_best(scorer, 3)
             assert result.complete
             assert result.hypotheses[0].tokens == words
-            assert result.hypotheses[0].logprob == pytest.approx(logprob, abs=1e-12)
+            assert result.hypotheses[0].features["logprob"] == pytest.approx(logprob, abs=1e-12)
 
     def test_beam_one_is_greedy(self):
         for seed in range(30):
@@ -63,7 +63,7 @@ class TestBeamSearch:
             if ended:
                 assert result.complete
                 assert result.hypotheses[0].tokens == history
-                assert result.hypotheses[0].logprob == pytest.approx(logprob, abs=1e-12)
+                assert result.hypotheses[0].features["logprob"] == pytest.approx(logprob, abs=1e-12)
             else:
                 assert not result.complete
 
@@ -84,7 +84,7 @@ class TestBeamSearch:
                 for tok in [*hyp.tokens, END_TOKEN]:
                     total += scorer.row(history)[index_of[tok]]
                     history = history + (tok,)
-                assert abs(total - hyp.logprob) < 1e-9
+                assert abs(total - hyp.features["logprob"]) < 1e-9
 
     def test_monotone_in_beam_size(self):
         for seed in range(40, 70):
@@ -94,7 +94,7 @@ class TestBeamSearch:
                 result = beam_search(scorer, None, beam_size=beam, max_len=5, n_best=1)
                 if not result.complete:
                     continue
-                top = result.hypotheses[0].logprob
+                top = result.hypotheses[0].features["logprob"]
                 assert top >= best - 1e-12
                 best = max(best, top)
 
@@ -188,7 +188,8 @@ class TestCoverageBeamSearch:
                 n_best=6, min_coverage=0,
             )
             assert [h.tokens for h in covered.hypotheses] == [h.tokens for h in plain.hypotheses]
-            assert [h.logprob for h in covered.hypotheses] == [h.logprob for h in plain.hypotheses]
+            assert ([h.features["logprob"] for h in covered.hypotheses]
+                    == [h.features["logprob"] for h in plain.hypotheses])
 
     def test_single_detection_always_mentioned(self):
         for seed in range(15):
@@ -244,7 +245,7 @@ class TestCoverageBeamSearch:
             assert want.complete
             assert got == want
             for hyp in got.hypotheses:
-                assert sequence_logprob(scorer, with_zebra, hyp.tokens) == hyp.logprob
+                assert sequence_logprob(scorer, with_zebra, hyp.tokens) == hyp.features["logprob"]
 
     def test_min_coverage_above_detections_rejected(self):
         from capkit.errors import ToolkitError
@@ -290,7 +291,7 @@ class TestModelScorers:
         assert result.hypotheses
         for hyp in result.hypotheses:
             _, lp = forward(lm, conditioning, list(hyp.tokens))
-            assert lp == pytest.approx(hyp.logprob, abs=1e-9)
+            assert lp == pytest.approx(hyp.features["logprob"], abs=1e-9)
 
     def test_rescore_adds_column(self):
         scorer = TableScorer(["a", "b"], 5)

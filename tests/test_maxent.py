@@ -107,7 +107,7 @@ class TestExtractFeatures:
 
 
 def _toy_records(n=500):
-    return [CaptionRecord.from_text(i, "a b") for i in range(n)]
+    return [CaptionRecord(i, ("a", "b")) for i in range(n)]
 
 
 def _dist(lm, history, remaining):
@@ -157,7 +157,7 @@ class TestDistribution:
 class TestTraining:
     def test_loss_decreases(self):
         lm = _train(
-            [(CaptionRecord.from_text(1, "a b c"), None)],
+            [(CaptionRecord(1, ("a", "b", "c")), None)],
             MaxEntTrainConfig(epochs=3, learning_rate=0.5, l2=0.0, seed=0),
         )
         assert lm.epoch_losses[1] < lm.epoch_losses[0]
@@ -213,7 +213,7 @@ class TestTraining:
 
     def test_coverage_features_used(self):
         det = DetectionSet.from_scored_words(1, [("b", 0.9)], 0.5)
-        records = [(CaptionRecord.from_text(i, "a b"), det) for i in range(100)]
+        records = [(CaptionRecord(i, ("a", "b")), det) for i in range(100)]
         lm = _train(records, MaxEntTrainConfig(epochs=4, learning_rate=0.3, l2=1e-6, seed=0))
         # with "b" still uncovered, ending is penalized relative to covered state
         p_end_pending = _dist(lm, ["a"], frozenset({"b"}))[END_TOKEN]

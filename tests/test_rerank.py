@@ -14,7 +14,7 @@ from capkit.rerank import (
 
 
 def hyp(tokens, **features):
-    return DecodedHypothesis(tuple(tokens), features.get("logprob", 0.0), features)
+    return DecodedHypothesis(tuple(tokens), features)
 
 
 def lines(rows, base, direction):
