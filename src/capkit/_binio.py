@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -33,13 +34,17 @@ class ByteReader:
         self.pos = 0
         self.label = label
 
+    def _advance(self, n: int) -> int:
+        """Offset of the next ``n`` bytes, which the reader then moves past."""
+        start = self.pos
+        if start + n > len(self.data):
+            raise MalformedInput(f"{self.label}: truncated (needed {n} bytes at offset {start})")
+        self.pos = start + n
+        return start
+
     def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise MalformedInput(f"{self.label}: truncated (needed {n} bytes at offset {self.pos})")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
+        start = self._advance(n)
+        return self.data[start:self.pos]
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -63,11 +68,10 @@ class ByteReader:
         return [self.read_str() for _ in range(n)]
 
     def read_f64_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        count = 1
-        for s in shape:
-            count *= s
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        """The next ``shape`` float64 block, copied once out of the data."""
+        count = math.prod(shape)
+        start = self._advance(8 * count)
+        return np.frombuffer(self.data, "<f8", count, start).reshape(shape).astype(np.float64)
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):

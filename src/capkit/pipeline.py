@@ -9,8 +9,13 @@ their tokenized captions to ``heldout_captions.json`` and their lines of
 the detections file to ``heldout_detections.jsonl``. Decode, rerank, eval
 and analyze read their held-out inputs only from those files, with the
 same loaders, and decode thresholds the detections at the run's own
-``alpha``. Stages run sequentially; parallelism, where any, lives inside
-the owning modules.
+``alpha``. Stages run one after another in ``STAGE_ORDER``, with one
+exception: when a run includes both ``train_me`` and ``train_rnn``, which
+share no state, ``train_me`` runs in one forked worker process while
+``train_rnn`` runs in this one. Each model's bytes are those of a
+sequential run, and the two stages are recorded, in order, once both have
+ended. If ``train_me`` fails, ``rnn.model`` may already have been written;
+no manifest is written, as after any failed stage.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import hashlib
 import json
 import os
 import reprlib
+import traceback
 from dataclasses import dataclass, field
 
 from . import analysis, artifacts, decoding, knn, maxent, metrics, recurrent, rerank
@@ -34,7 +40,7 @@ from .corpus import (
     load_features,
     split_dataset,
 )
-from .errors import InputDataError, MalformedInput
+from .errors import InputDataError, MalformedInput, ToolkitError
 
 STAGE_ORDER = (
     "ingest", "knn", "train_me", "train_rnn", "decode", "rerank", "eval", "analyze",
@@ -612,6 +618,56 @@ _STAGE_FNS = {
 }
 
 
+def _train_me_worker(ctx: PipelineContext, conn) -> None:
+    """Run ``train_me`` and send ``conn`` (True, outputs) or (False, error);
+    the parent raises the error, whatever its kind, so it is never lost here."""
+    try:
+        outputs = _STAGE_FNS["train_me"](ctx)
+    except BaseException as exc:
+        exc.add_note(f"in the train_me worker:\n{traceback.format_exc()}")
+        conn.send((False, exc))
+        return
+    conn.send((True, outputs))
+
+
+def _train_both(ctx: PipelineContext) -> dict[str, list[str]]:
+    """Outputs of ``train_me``, run in a forked worker, and of ``train_rnn``,
+    run here meanwhile. The worker is always joined, never killed; when both
+    stages fail, ``train_me``'s error is the one raised."""
+    import multiprocessing  # here, so that importing capkit does not pay for it
+
+    fork = multiprocessing.get_context("fork")
+    receiver, sender = fork.Pipe(duplex=False)
+    worker = fork.Process(target=_train_me_worker, args=(ctx, sender), name="train_me")
+    worker.start()  # flushes stdout and stderr first, so the worker prints nothing twice
+    sender.close()
+    try:
+        rnn_outputs = _STAGE_FNS["train_rnn"](ctx)
+    finally:
+        # Whether or not train_rnn raised: an error of train_me's replaces its.
+        me_ok, me_result = _result_of(worker, receiver)
+        if not me_ok:
+            raise me_result
+    return {"train_me": me_result, "train_rnn": rnn_outputs}
+
+
+def _result_of(worker, receiver) -> tuple:
+    """(True, outputs) or (False, error) that ``worker`` sent, once it has exited."""
+    try:
+        result = receiver.recv()
+    except EOFError:
+        result = None
+    finally:
+        receiver.close()
+        worker.join()
+    if result is None:
+        return False, ToolkitError(
+            f"stage {worker.name}: its worker process exited with status "
+            f"{worker.exitcode} without a result"
+        )
+    return result
+
+
 def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dict:
     """Run the requested stages in canonical order; returns the manifest."""
     if stages is None:
@@ -631,10 +687,13 @@ def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dic
         previous = artifacts.read_json(manifest_path)
         if previous.get("config_sha256") == manifest["config_sha256"]:
             manifest["stages"] = previous.get("stages", {})
+    trained: dict[str, list[str]] = {}
     for stage in STAGE_ORDER:
         if stage not in stages:
             continue
-        outputs = _STAGE_FNS[stage](ctx)
+        if stage == "train_me" and "train_rnn" in stages:
+            trained = _train_both(ctx)
+        outputs = trained.pop(stage) if stage in trained else _STAGE_FNS[stage](ctx)
         manifest["stages"][stage] = {
             name: artifacts.sha256_file(os.path.join(out_dir, name)) for name in outputs
         }

@@ -452,7 +452,8 @@ def train(lm: RecurrentLM, data, config: RnnTrainConfig) -> RecurrentLM:
                 scale = config.learning_rate
                 if config.clip > 0.0 and norm > config.clip:
                     scale *= config.clip / norm
-                flat_params -= scale * flat_grad
+                flat_grad *= scale
+                flat_params -= flat_grad
             lm.epoch_losses.append(epoch_nll / epoch_tokens)
     finally:
         lm.params = {name: arr.copy() for name, arr in lm.params.items()}

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -97,3 +98,15 @@ def maxent_gradient_error(lm, condition, rows, target, eps):
 @pytest.fixture
 def table_scorer_factory():
     return TableScorer
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_running():
+    """Fail a test whose code leaves a multiprocessing child alive; the
+    pipeline joins every worker it starts, whether a run succeeds or fails."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:  # so that one leak does not fail the tests after it
+        child.terminate()
+        child.join()
+    assert not left, f"child processes left running: {left}"

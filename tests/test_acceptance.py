@@ -16,6 +16,8 @@ import os
 import re
 import string
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -702,17 +704,22 @@ def test_knn_and_analyze_share_one_train_index(tmp_path, monkeypatch):
         assert sorted(report["systems"]) == ["knn_consensus", "knn_onenn"]
 
 
+def _small_pipeline_doc(detections=True, seed=3, **hyperparameters):
+    return {
+        "seed": seed, "split": [30, 5, 5],
+        "paths": {"captions": "captions.json", "features": "features.fvec",
+                  "detections": "detections.jsonl" if detections else None},
+        "hyperparameters": {
+            "k": 5, "m": 10, "top_k": 5, "beam": 3, "nbest": 5, "max_len": 10,
+            "me_epochs": 2, "rnn_epochs": 4, "rnn_embed": 8, "rnn_hidden": 8, "rnn_lr": 0.3,
+            "mert_restarts": 1, "mert_iters": 3, **hyperparameters,
+        },
+    }
+
+
 def _small_pipeline_config(fixture_dir, detections=True, **hyperparameters):
     return PipelineConfig.from_doc(
-        {"seed": 3, "split": [30, 5, 5],
-         "paths": {"captions": "captions.json", "features": "features.fvec",
-                   "detections": "detections.jsonl" if detections else None},
-         "hyperparameters": {
-             "k": 5, "m": 10, "top_k": 5, "beam": 3, "nbest": 5, "max_len": 10,
-             "me_epochs": 2, "rnn_epochs": 4, "rnn_embed": 8, "rnn_hidden": 8, "rnn_lr": 0.3,
-             "mert_restarts": 1, "mert_iters": 3, **hyperparameters,
-         }},
-        base_dir=str(fixture_dir),
+        _small_pipeline_doc(detections, **hyperparameters), base_dir=str(fixture_dir)
     )
 
 
@@ -762,6 +769,79 @@ def test_readme_names_every_file_of_a_full_run(tmp_path):
     assert sorted(names) == sorted(p.name for p in out.iterdir())
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+@pytest.mark.parametrize("seed", [202, 7])
+def test_trainers_at_once_match_one_stage_per_call(tmp_path, seed):
+    with criterion("trainers-at-once", 60.0):
+        generate_fixture(tmp_path, n_images=40, dim=8, seed=3)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(_small_pipeline_doc(seed=seed)))
+        # The whole run, train_me in a worker beside train_rnn, through the
+        # CLI with stdout a buffered pipe, so that a line the worker printed
+        # again from its copy of the buffer would show.
+        whole = tmp_path / "whole"
+        src = Path(pipeline.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        done = subprocess.run(
+            [sys.executable, "-m", "capkit.cli", "pipeline", "--config", str(config_path),
+             "--out-dir", str(whole)],
+            env={**env, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        wrote = [line.split()[0] for line in done.stdout.splitlines() if " wrote " in line]
+        assert wrote == [f"[{stage}]" for stage in pipeline.STAGE_ORDER]
+
+        staged = tmp_path / "staged"
+        config = PipelineConfig.from_doc(_small_pipeline_doc(seed=seed), base_dir=str(tmp_path))
+        for stage in pipeline.STAGE_ORDER:
+            run_pipeline(config, stages=[stage], out_dir=str(staged))
+        names = sorted(p.name for p in whole.iterdir())
+        assert names == sorted(p.name for p in staged.iterdir())
+        for name in names:
+            assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+def _raising(error):
+    def stage(ctx):
+        raise error
+
+    return stage
+
+
+def test_a_train_me_worker_error_is_raised_in_the_run(tmp_path, monkeypatch):
+    # The stages are replaced before the fork, so the worker runs the
+    # replacement too; neither reads an input.
+    config = _small_pipeline_config(tmp_path)
+    stages = ["train_me", "train_rnn"]
+    out = tmp_path / "out"
+    monkeypatch.setitem(pipeline._STAGE_FNS, "train_rnn", lambda ctx: [])
+    monkeypatch.setitem(pipeline._STAGE_FNS, "train_me",
+                        _raising(MalformedInput("image 5: no detections")))
+    with pytest.raises(MalformedInput) as info:
+        run_pipeline(config, stages=stages, out_dir=str(out))
+    assert str(info.value) == "image 5: no detections"
+    # The worker's traceback rides along as a note.
+    assert "_train_me_worker" in info.value.__notes__[0]
+    assert not (out / "manifest.json").exists()
+
+    # Both fail: train_me's error wins, as when the stages ran in turn.
+    monkeypatch.setitem(pipeline._STAGE_FNS, "train_rnn", _raising(NonFiniteLoss("nan")))
+    with pytest.raises(MalformedInput) as info:
+        run_pipeline(config, stages=stages, out_dir=str(out))
+    assert str(info.value) == "image 5: no detections"
+    monkeypatch.setitem(pipeline._STAGE_FNS, "train_me", lambda ctx: [])
+    with pytest.raises(NonFiniteLoss) as info:
+        run_pipeline(config, stages=stages, out_dir=str(out))
+    assert str(info.value) == "nan"
+
+
+def test_importing_capkit_does_not_import_multiprocessing():
+    src = Path(pipeline.__file__).resolve().parents[1]
+    code = "import sys, capkit.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_retrieval_stages_build_no_caption_records(tmp_path, monkeypatch):

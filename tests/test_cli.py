@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
 
 import pytest
 
+from capkit import pipeline
 from capkit.artifacts import read_captions_tsv, read_json, read_nbest_tsv
 from capkit.cli import main
 from capkit.corpus import FeatureStore, save_features
+from capkit.errors import InputDataError
 from capkit.fixture import generate_fixture
 
 @pytest.fixture(scope="module")
@@ -454,6 +457,30 @@ class TestPipelineCli:
                 assert doc == {"error": "MalformedInput",
                                "message": "config hyperparameters must be a JSON object"}
         assert not (tmp_path / "y").exists()
+
+    def test_exit_codes_of_the_train_me_worker(self, fixture_dir, tmp_path, capsys,
+                                               monkeypatch):
+        """train_me runs in a forked worker beside train_rnn; the stages are
+        replaced before the fork, so the worker runs the replacement."""
+        config_path = write_config(tmp_path / "config.json", fixture_dir)
+
+        def bad_input(ctx):
+            raise InputDataError("image 5: no detections")
+
+        monkeypatch.setitem(pipeline._STAGE_FNS, "train_rnn", lambda ctx: [])
+        for train_me, code, doc in (
+            (bad_input, 2, {"error": "InputDataError", "message": "image 5: no detections"}),
+            (lambda ctx: os._exit(3), 1, {
+                "error": "ToolkitError",
+                "message": "stage train_me: its worker process exited with status 3 "
+                           "without a result"}),
+        ):
+            monkeypatch.setitem(pipeline._STAGE_FNS, "train_me", train_me)
+            capsys.readouterr()
+            assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "run",
+                           "--stages", "train_me,train_rnn") == code
+            assert json.loads(capsys.readouterr().err.strip()) == doc
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 class TestModelVersion:

@@ -293,6 +293,25 @@ class TestSerialization:
             got = loaded.logprobs(history, remaining)
             assert got.tobytes() == lm.logprobs(history, remaining).tobytes()
 
+    def test_loaded_weights_are_writeable_copies(self, tmp_path):
+        path = tmp_path / "m.melm"
+        save_maxent(_trained_with_detections(), path)
+        loaded = load_maxent(path)
+        assert all(arr.flags.writeable and arr.flags.owndata
+                   for arr in (loaded.unigram, loaded.coverage))
+        # each context block is one writeable array, and its rows view it
+        for rows in (loaded.bigram, loaded.trigram):
+            (block,) = {id(row.base): row.base for row in rows.values()}.values()
+            assert block.flags.writeable and block.flags.owndata
+        # a model without contexts has empty blocks, and saves to the same bytes
+        empty = MaxEntLM(loaded.vocabulary, l2=0.0)
+        save_maxent(empty, path)
+        loaded = load_maxent(path)
+        assert loaded.bigram == {} and loaded.trigram == {}
+        again = tmp_path / "again.melm"
+        save_maxent(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.melm"
         path.write_bytes(b"XXXX")

@@ -298,6 +298,8 @@ class TestSerialization:
         assert loaded.vocabulary.id_of == lm.vocabulary.id_of
         for key, arr in lm.params.items():
             np.testing.assert_array_equal(loaded.params[key], arr)
+            # one writeable copy per tensor, not a view of the file's bytes
+            assert loaded.params[key].flags.writeable and loaded.params[key].flags.owndata
         cond = conditioning_for(mode, 13)
         _, lp1 = forward(lm, cond, ["the", "cat"])
         _, lp2 = forward(loaded, cond, ["the", "cat"])
