@@ -35,6 +35,7 @@ from .pipeline import (
     maxent_train_config,
     mert_config,
     recurrent_config,
+    require_features,
     rnn_train_config,
     run_pipeline,
     score_captions,
@@ -114,6 +115,7 @@ def _cmd_train_rnn(args) -> int:
         if not args.features:
             raise MalformedInput("--mode mrnn needs --features")
         features = load_features(args.features)
+        require_features(sorted(set(records.image_ids)), features)
         data = [(features.get(rec.image_id), list(rec.tokens)) for rec in records]
         config = recurrent_config(
             vars(args), args.seed, recurrent.MODE_IMAGE_INITIAL, features.dim
@@ -122,10 +124,7 @@ def _cmd_train_rnn(args) -> int:
         if not args.detections:
             raise MalformedInput("--mode dgrnn needs --detections")
         detections = load_detections(args.detections, args.alpha)
-        data = [
-            (detections.get(rec.image_id, frozenset()), list(rec.tokens))
-            for rec in records
-        ]
+        data = [(detections.get(rec.image_id), list(rec.tokens)) for rec in records]
         config = recurrent_config(vars(args), args.seed, recurrent.MODE_COVERAGE_AUX, None)
     lm = recurrent.RecurrentLM(vocab, config)
     recurrent.train(lm, data, rnn_train_config(vars(args), args.seed))
@@ -152,23 +151,28 @@ def _scorer_for(model):
     return decoding.RecurrentScorer(model)
 
 
+def _conditioning_for(model, args):
+    """The one conditioning input ``model`` reads, as (kind, images).
+
+    An image-conditioned GRLM reads ``--features``; a MELM or a dgrnn GRLM
+    reads ``--detections`` and decodes under coverage.
+    """
+    if isinstance(model, recurrent.RecurrentLM) and model.mode == recurrent.MODE_IMAGE_INITIAL:
+        if not args.features:
+            raise MalformedInput("an image-conditioned GRLM model needs --features")
+        return "features", load_features(args.features)
+    if not args.detections:
+        raise MalformedInput("a MELM or dgrnn GRLM model needs --detections")
+    return "detections", load_detections(args.detections, args.alpha)
+
+
 def _cmd_decode(args) -> int:
     model = _load_any_model(args.model)
     scorer = _scorer_for(model)
-    image_model = (isinstance(model, recurrent.RecurrentLM)
-                   and model.mode == recurrent.MODE_IMAGE_INITIAL)
+    kind, conditioning = _conditioning_for(model, args)
     if args.rescore:
-        nbests = artifacts.read_nbest_tsv(args.rescore)
-        if image_model:
-            if not args.features:
-                raise MalformedInput("rescoring with an image-conditioned model needs --features")
-            kind, conditioning = "features", load_features(args.features)
-        else:
-            if not args.detections:
-                raise MalformedInput("rescoring with a MELM or dgrnn model needs --detections")
-            kind, conditioning = "detections", load_detections(args.detections, args.alpha)
         rescored = []
-        for nb in nbests:
+        for nb in artifacts.read_nbest_tsv(args.rescore):
             if nb.image_id not in conditioning:
                 raise MalformedInput(f"no {kind} for image {nb.image_id}")
             rescored.append(decoding.rescore_logprob(
@@ -177,38 +181,17 @@ def _cmd_decode(args) -> int:
         artifacts.write_nbest_tsv(args.out, rescored)
         print(f"rescored {len(rescored)} n-best lists into {args.out}")
         return 0
-    nbests = []
-    incomplete = 0
-    if args.mode == "coverage":
-        if not args.detections:
-            raise MalformedInput("--mode coverage needs --detections")
-        if image_model:
-            raise MalformedInput("coverage decoding needs a MELM or a dgrnn GRLM model")
-        detections = load_detections(args.detections, args.alpha)
-        for image_id in sorted(detections):
-            nbest = decoding.coverage_beam_search(
-                scorer, detections[image_id], **decode_options(vars(args), coverage=True)
-            )
-            incomplete += 0 if nbest.complete else 1
-            nbests.append(nbest)
-    else:
-        if not image_model:
-            raise MalformedInput("plain decoding needs an image-conditioned GRLM model")
-        if not args.features:
-            raise MalformedInput("--mode plain needs --features")
-        features = load_features(args.features)
-        for image_id in sorted(features.ids()):
-            nbest = decoding.beam_search(
-                scorer,
-                features.get(image_id),
-                image_id=image_id,
-                **decode_options(vars(args), coverage=False),
-            )
-            incomplete += 0 if nbest.complete else 1
-            nbests.append(nbest)
+    coverage = kind == "detections"
+    search = decoding.coverage_beam_search if coverage else decoding.beam_search
+    options = decode_options(vars(args), coverage=coverage)
+    nbests = [
+        search(scorer, conditioning.get(image_id), image_id=image_id, **options)
+        for image_id in sorted(conditioning if coverage else conditioning.ids())
+    ]
     artifacts.write_nbest_tsv(args.out, nbests)
     print(f"decoded {len(nbests)} images into {args.out}")
     print(decoding.nbest_sizes(nbests, args.nbest))
+    incomplete = sum(1 for nb in nbests if not nb.complete)
     if incomplete:
         print(f"warning: {incomplete} images returned incomplete hypotheses")
     return 0
@@ -361,9 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_rnn)
 
-    p = sub.add_parser("decode", help="beam-search decode or rescore an n-best file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=("plain", "coverage"), default="plain")
+    # no abbreviations, so a leftover "--mode" is an unknown option, not "--model"
+    p = sub.add_parser("decode", help="beam-search decode or rescore an n-best file",
+                       allow_abbrev=False)
+    p.add_argument("--model", required=True,
+                   help="a MELM or dgrnn GRLM reads --detections and decodes under "
+                        "coverage; an mrnn GRLM reads --features")
     p.add_argument("--features")
     p.add_argument("--detections")
     _hyperparameter(p, "--alpha", "alpha")

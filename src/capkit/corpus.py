@@ -370,11 +370,23 @@ class DetectionSet:
                 kept[token] = score
         return cls(int(image_id), kept, float(threshold))
 
-    def tokens(self) -> frozenset[str]:
-        return frozenset(self.words)
-
     def __len__(self) -> int:
         return len(self.words)
+
+
+def coverable(detections: DetectionSet | None, candidates) -> frozenset[str]:
+    """The detected words a caption can cover: those among the model's candidates, END excluded.
+
+    ``candidates`` is the model's Vocabulary, or any container of its
+    candidate tokens that answers ``in``; START is never a candidate.
+    ``detections`` None gives the empty set. Coverage training, search and
+    scoring all start from this set and strike off each token as it is
+    emitted. The cost is one membership test per detected word.
+    """
+    if detections is None:
+        return frozenset()
+    return frozenset(tok for tok in detections.words
+                     if tok in candidates and tok != END_TOKEN and tok != START_TOKEN)
 
 
 _SCORE_TYPES = frozenset((int, float))  # JSON numbers; bool is neither

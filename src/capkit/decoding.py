@@ -9,9 +9,10 @@ deterministic. Each step stacks the live hypotheses' scores into one
 matrix, partitions out the ``beam_size``-th best score and orders only the
 expansions at or above it, so the Python work per step grows with the beam
 rather than with beam × vocabulary. In coverage mode each hypothesis
-tracks the detected words it has not yet mentioned, leaving out words the
-scorer cannot emit (they can never be covered); END only becomes
-admissible once the mentioned count reaches ``min_coverage``.
+tracks the detected words it has not yet mentioned, starting from
+``corpus.coverable`` (words the scorer cannot emit can never be covered,
+so they are left out, as in training); END only becomes admissible once
+the mentioned count reaches ``min_coverage``.
 
 A scorer provides two methods (duck-typed, see MaxEntScorer and
 RecurrentScorer): ``start(conditioning)`` builds an opaque state, and
@@ -30,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import END_TOKEN, START_ID, UNK_TOKEN, DetectionSet
+from .corpus import END_TOKEN, START_ID, UNK_TOKEN, DetectionSet, coverable
 from .errors import DimensionMismatch, InputDataError, NonFiniteLogProb, ToolkitError
 from .maxent import MaxEntLM
-from .recurrent import MODE_COVERAGE_AUX, RecurrentLM
+from .recurrent import RecurrentLM
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,9 @@ class MaxEntScorer:
 class RecurrentScorer:
     """Adapts a RecurrentLM to the decoder interface.
 
-    State is (hidden vector, previous token id). In auxiliary mode the
-    remaining set is re-encoded each step; in initial_state mode it is
-    ignored and ``start`` expects the image feature vector.
+    State is (hidden vector, previous token id). In auxiliary mode each
+    step reads the remaining set; in initial_state mode it is ignored and
+    ``start`` expects the image feature vector.
     """
 
     def __init__(self, lm: RecurrentLM):
@@ -105,20 +106,10 @@ class RecurrentScorer:
         h0, _ = self.lm.initial_hidden(conditioning)
         return (h0, START_ID)
 
-    def _remaining_ids(self, remaining):
-        if self.lm.mode != MODE_COVERAGE_AUX:
-            return None
-        return self.lm.encode_detections(remaining or frozenset())
-
     def logprobs(self, state, remaining):
         h_prev, prev_id = state
-        h, lps = self.lm.step(h_prev, prev_id, self._remaining_ids(remaining))
+        h, lps = self.lm.step(h_prev, prev_id, self.lm.coverage_ids(remaining))
         return lps, lambda token: (h, self.lm.vocabulary.lookup(token))
-
-
-def _coverable(scorer, detections) -> frozenset[str]:
-    """Detected words among the scorer's candidates, END excluded."""
-    return detections.tokens().intersection(scorer.candidates) - {END_TOKEN}
 
 
 def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_coverage,
@@ -130,7 +121,9 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
     coverage_mode = detections is not None
-    detected = _coverable(scorer, detections) if coverage_mode else frozenset()
+    candidates = scorer.candidates
+    index_of = _candidate_index(scorer)
+    detected = coverable(detections, index_of)
     if coverage_mode:
         if min_coverage is None:
             min_coverage = min(len(detected), max_len - 1)
@@ -139,11 +132,9 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
                 f"image {image_id}: min_coverage {min_coverage} exceeds "
                 f"detection count {len(detections)}"
             )
-    candidates = scorer.candidates
-    try:
-        end_index = candidates.index(END_TOKEN)
-    except ValueError as exc:
-        raise ToolkitError("scorer candidates must include the END token") from exc
+    if END_TOKEN not in index_of:
+        raise ToolkitError("scorer candidates must include the END token")
+    end_index = index_of[END_TOKEN]
 
     width = len(candidates)
     live = [BeamHypothesis((), 0.0, detected, state=scorer.start(conditioning))]
@@ -234,9 +225,9 @@ def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_bes
                          min_coverage: int | None, image_id: int | None = None) -> NBestList:
     """Beam search that must mention at least ``min_coverage`` detected words.
 
-    Each hypothesis tracks the detected words among ``scorer.candidates``
-    (END excluded) that it has not yet emitted, and the scorer sees that
-    set every step; END is only admissible once enough words are covered.
+    Each hypothesis tracks the words of ``corpus.coverable`` that it has
+    not yet emitted, and the scorer sees that set every step; END is only
+    admissible once enough words are covered.
     ``min_coverage`` None means all of those words, capped at
     ``max_len - 1``; a value above the detection count raises
     InputDataError. Feature rows gain a ``covered`` column. If
@@ -253,15 +244,15 @@ def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_bes
 def sequence_logprob(scorer, conditioning, tokens) -> float:
     """Total log-probability of ``tokens`` followed by END under ``scorer``.
 
-    A DetectionSet ``conditioning`` gives the scorer the detected words it
-    can emit that are not yet emitted, exactly as coverage search does;
+    A DetectionSet ``conditioning`` gives the scorer the words of
+    ``corpus.coverable`` not yet emitted, exactly as coverage search does;
     otherwise the remaining set is None. Tokens outside
     ``scorer.candidates`` score as UNK.
     """
     index_of = _candidate_index(scorer)
     unk_index = index_of.get(UNK_TOKEN)
     coverage = isinstance(conditioning, DetectionSet)
-    remaining = _coverable(scorer, conditioning) if coverage else None
+    remaining = coverable(conditioning, index_of) if coverage else None
     state = scorer.start(conditioning)
     total = 0.0
     for token in tokens:
@@ -300,7 +291,7 @@ def rescore_logprob(nbest: NBestList, scorer, conditioning, feature_name: str) -
             node = node[0].setdefault(token, ({}, []))
         node[1].append(i)
     totals = [0.0] * len(nbest.hypotheses)
-    remaining = _coverable(scorer, conditioning) if coverage else None
+    remaining = coverable(conditioning, index_of) if coverage else None
     stack = [(root, scorer.start(conditioning), 0.0, remaining)] if totals else []
     while stack:
         (children, ending), state, total, remaining = stack.pop()

@@ -27,7 +27,7 @@ from random import Random
 import numpy as np
 
 from ._binio import ByteReader, atomic_write_bytes, pack_str_list
-from .corpus import END_TOKEN, START_ID, Vocabulary
+from .corpus import END_TOKEN, START_ID, Vocabulary, coverable
 from .errors import DegenerateCorpus, MalformedInput, NonFiniteLoss
 
 # Slots of MaxEntLM.coverage.
@@ -134,11 +134,12 @@ class MaxEntTrainConfig:
 def _training_events(lm: MaxEntLM, record, detections, conditions: dict):
     """(condition key, target index) pairs for one caption, END included.
 
-    ``conditions`` maps each key, the last two history tokens and the
-    remaining detection set, to its condition.
+    The remaining set starts as ``corpus.coverable`` of the detections, as
+    in decoding. ``conditions`` maps each key, the last two history tokens
+    and the remaining set, to its condition.
     """
     mapped = lm.vocabulary.map_tokens(record.tokens)
-    remaining = set(detections.tokens()) if detections is not None else set()
+    remaining = set(coverable(detections, lm.vocabulary))
     events = []
     history: list[str] = []
     for target in [*mapped, END_TOKEN]:

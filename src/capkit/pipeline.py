@@ -364,13 +364,18 @@ def references_for(captions, image_ids) -> dict:
     return refs
 
 
+def require_features(image_ids, features) -> None:
+    """Raise MalformedInput naming the first few of ``image_ids`` that ``features`` lacks."""
+    missing = [i for i in image_ids if i not in features]
+    if missing:
+        raise MalformedInput(f"images missing feature vectors: {missing[:5]}")
+
+
 def _stage_ingest(ctx: PipelineContext) -> list[str]:
     table = ctx.caption_table()
     features = ctx.features()
     image_ids = sorted(set(table.image_ids))
-    missing = [i for i in image_ids if i not in features]
-    if missing:
-        raise MalformedInput(f"images missing feature vectors: {missing[:5]}")
+    require_features(image_ids, features)
     detections = ctx.detections() if ctx.config.detections_path is not None else None
     split = split_dataset(image_ids, ctx.config.split_sizes, ctx.config.seed)
     train = set(split.train_ids)

@@ -4,9 +4,10 @@
 to form the initial hidden state, after which the model runs as a plain
 recurrent LM. ``auxiliary_vector`` starts from a zero state and instead
 augments every step's input with a sigmoid-squashed auxiliary vector built
-from the previous word's embedding, the summed embeddings of the detection
-words not yet mentioned, and a learned map of the previous hidden state;
-the not-yet-mentioned set shrinks as the caption emits detection words.
+from the previous word's embedding, the summed embeddings of the detected
+words not yet mentioned (starting from ``corpus.coverable``), and a learned
+map of the previous hidden state; the not-yet-mentioned set shrinks as the
+caption emits detected words.
 
 All gradients are hand-derived backpropagation through time and are
 checked against finite differences in the test suite. Only the forward
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._binio import ByteReader, atomic_write_bytes, pack_f64_array, pack_str, pack_str_list
-from .corpus import END_ID, START_ID, Vocabulary
+from .corpus import END_ID, START_ID, Vocabulary, coverable
 from .errors import (
     DegenerateCorpus,
     DimensionMismatch,
@@ -126,10 +127,14 @@ class RecurrentLM:
         """Vocabulary ids for a token sequence; unknown tokens map to UNK."""
         return [self.vocabulary.lookup(tok) for tok in tokens]
 
-    def encode_detections(self, detections) -> list[int]:
-        """Sorted unique vocabulary ids of a detection word set."""
-        words = detections.tokens() if hasattr(detections, "tokens") else detections
-        return sorted({self.vocabulary.lookup(w) for w in words})
+    def coverage_ids(self, remaining) -> list[int] | None:
+        """What ``step`` reads of ``remaining``, detected words not yet emitted
+        (from ``corpus.coverable``): their sorted ids in auxiliary_vector
+        mode, None in initial_state mode or when ``remaining`` is None."""
+        if remaining is None or self.mode != MODE_COVERAGE_AUX:
+            return None
+        id_of = self.vocabulary.id_of
+        return sorted(id_of[tok] for tok in remaining)
 
     def initial_hidden(self, conditioning):
         """h0 (and its pre-activation cache in initial_state mode)."""
@@ -250,7 +255,8 @@ def _forward_stacked(lm: RecurrentLM, gates: _Gates, conditioning, tokens) -> _C
     inputs = [START_ID] + ids
     h, feat = lm.initial_hidden(conditioning)
     aux = lm.mode == MODE_COVERAGE_AUX
-    remaining = set(lm.encode_detections(conditioning)) if aux else set()
+    # struck off by target id, so a caption word outside the vocabulary strikes off UNK
+    remaining = set(lm.coverage_ids(coverable(conditioning, lm.vocabulary))) if aux else set()
     n, d_h = len(inputs), lm.config.hidden_dim
     x_rows = np.empty((n, gates.w.shape[0]))
     hs = np.empty((n + 1, d_h))

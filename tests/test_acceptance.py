@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from capkit import analysis, knn
 from capkit._binio import atomic_write_bytes
-from capkit.artifacts import read_json
+from capkit.artifacts import read_json, read_nbest_tsv
 from capkit.corpus import (
     END_TOKEN,
     START_TOKEN,
@@ -70,7 +70,8 @@ from capkit.errors import (
     NonFiniteLoss,
     ZeroVector,
 )
-from capkit.fixture import generate_fixture
+from capkit.cli import main as cli_main
+from capkit.fixture import THEMES, generate_fixture
 from capkit.knn import FeatureIndex, consensus_caption, nearest
 from capkit.maxent import (
     END_DONE,
@@ -1177,7 +1178,9 @@ def test_gradient_checks():
                 if mode == MODE_IMAGE_INITIAL:
                     conditioning = rng.standard_normal(4)
                 else:
-                    conditioning = {"cat", "the"}
+                    conditioning = DetectionSet.from_scored_words(
+                        0, [("cat", 0.9), ("the", 0.9)], 0.5
+                    )
                 tokens = [
                     str(t) for t in rng.choice(["cat", "dog", "sat", "the"], size=3)
                 ]
@@ -1260,7 +1263,11 @@ def _oracle_forward(lm, conditioning, tokens):
     h, feat = lm.initial_hidden(conditioning)
     h0 = h
     aux = lm.mode == MODE_COVERAGE_AUX
-    remaining = set(lm.encode_detections(conditioning)) if aux else set()
+    # the ids of the detected words the model can emit other than END
+    remaining = set()
+    if aux and conditioning is not None:
+        emittable = set(lm.vocabulary.candidate_tokens()) - {END_TOKEN}
+        remaining = {lm.vocabulary.id_of[w] for w in emittable.intersection(conditioning.words)}
     out_w, out_b = lm.params["out_w"], lm.params["out_b"]
     caches = []
     nll = 0.0
@@ -1339,7 +1346,9 @@ def _bptt_batch(mode, rng, words, n_items, lengths):
         if mode == MODE_IMAGE_INITIAL:
             conditioning = rng.standard_normal(6)
         else:
-            conditioning = {str(w) for w in rng.choice(words, size=rng.integers(0, 5))}
+            conditioning = DetectionSet.from_scored_words(
+                0, [(str(w), 0.9) for w in rng.choice(words, size=rng.integers(0, 5))], 0.5
+            )
         batch.append((conditioning, tokens))
     return batch
 
@@ -1347,7 +1356,8 @@ def _bptt_batch(mode, rng, words, n_items, lengths):
 def test_bptt_matches_per_step_oracle():
     with criterion("bptt-oracle", 60.0):
         vocab = Vocabulary(["cat", "dog", "sat", "ran", "the", "on", "mat"])
-        # "zebra" is outside the vocabulary, so it is read as UNK
+        # "zebra" is outside the vocabulary: a caption reads it as UNK, and
+        # a detection of it is not coverable
         words = [*vocab.word_tokens(), "zebra"]
         for mode in (MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX):
             rng = np.random.default_rng(5)
@@ -1597,8 +1607,10 @@ def maxent_oracle(pairs, vocabulary, config):
     same SGD: one blake2b id per (template, context, candidate), sparse L2
     decay on the ids an event touches. Returns the weight dict."""
     events_per_pair = []
+    # the detected words the model can emit other than END
+    emittable = set(vocabulary.candidate_tokens()) - {END_TOKEN}
     for record, detections in pairs:
-        remaining = set(detections.tokens()) if detections is not None else set()
+        remaining = emittable.intersection(detections.words) if detections is not None else set()
         events, history = [], []
         for target in [*vocabulary.map_tokens(record.tokens), END_TOKEN]:
             events.append((tuple(history), target, frozenset(remaining)))
@@ -1658,7 +1670,7 @@ def test_maxent_matches_hashed_oracle(tmp_path):
 
             rng = Random(17)
             words = [*vocabulary.word_tokens(), UNK_TOKEN, "unseen"]
-            detected = sorted({tok for det in detections.values() for tok in det.tokens()})
+            detected = sorted({tok for det in detections.values() for tok in det.words})
             unseen_trigrams = 0
             for call in range(300):
                 if call % 2:
@@ -1736,7 +1748,7 @@ def beam_search_oracle(scorer, conditioning, beam_size, max_len, n_best, detecti
     coverage_mode = detections is not None
     detected = frozenset()
     if coverage_mode:
-        detected = detections.tokens().intersection(scorer.candidates) - {END_TOKEN}
+        detected = frozenset(detections.words).intersection(scorer.candidates) - {END_TOKEN}
         if min_coverage is None:
             min_coverage = min(len(detected), max_len - 1)
     candidates = scorer.candidates
@@ -1898,3 +1910,26 @@ def test_end_to_end_synthetic(tmp_path):
             rep = system_report["repetition"]
             assert 0.0 <= rep["unique_fraction"] <= 1.0
             assert 0.0 <= rep["seen_in_training_fraction"] <= 1.0
+
+
+def test_dgrnn_names_each_theme(tmp_path):
+    """The detection-conditioned GRU, trained and coverage-decoded through the
+    CLI, names each image's theme noun in its top caption."""
+    with criterion("dgrnn-themes", 60.0):
+        summary = generate_fixture(tmp_path, n_images=40, seed=3)
+        model, nbest = tmp_path / "dgrnn.model", tmp_path / "nbest.tsv"
+        detections = str(tmp_path / "detections.jsonl")
+        assert cli_main([
+            "train-rnn", "--mode", "dgrnn", "--captions", str(tmp_path / "captions.json"),
+            "--detections", detections, "--embed", "16", "--hidden", "32", "--epochs", "40",
+            "--out", str(model),
+        ]) == 0
+        assert cli_main([
+            "decode", "--model", str(model), "--detections", detections, "--beam", "4",
+            "--nbest", "4", "--max-len", "10", "--min-coverage", "0", "--out", str(nbest),
+        ]) == 0
+        top = {nb.image_id: nb.hypotheses[0].tokens for nb in read_nbest_tsv(nbest)}
+        assert sorted(top) == summary["image_ids"]
+        for image_id, tokens in top.items():
+            assert THEMES[summary["theme_of"][image_id]]["noun"] in tokens, (image_id, tokens)
+        assert len(set(top.values())) >= len(THEMES)

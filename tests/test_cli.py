@@ -127,7 +127,6 @@ class TestTrainAndDecode:
         code = run_cli(
             "decode",
             "--model", me_model,
-            "--mode", "coverage",
             "--detections", fixture_dir / "detections.jsonl",
             "--beam", "5", "--nbest", "8", "--max-len", "10",
             "--out", nbest,
@@ -180,7 +179,6 @@ class TestTrainAndDecode:
         code = run_cli(
             "decode",
             "--model", rnn_model,
-            "--mode", "plain",
             "--features", fixture_dir / "features.fvec",
             "--beam", "4", "--nbest", "1", "--max-len", "10",
             "--out", plain,
@@ -217,7 +215,6 @@ class TestTrainAndDecode:
         code = run_cli(
             "decode",
             "--model", model,
-            "--mode", "coverage",
             "--detections", fixture_dir / "detections.jsonl",
             "--beam", "4", "--nbest", "4", "--max-len", "10",
             "--out", nbest,
@@ -255,7 +252,6 @@ class TestTrainAndDecode:
         code = run_cli(
             "decode",
             "--model", model,
-            "--mode", "coverage",
             "--detections", fixture_dir / "detections.jsonl",
             "--beam", "4", "--nbest", "50", "--max-len", "10",
             # END always admissible, so every list finishes (partials lack the
@@ -492,7 +488,7 @@ class TestModelVersion:
         model = tmp_path / "v1.model"
         model.write_bytes(b"MELM" + struct.pack("<Id", 1, 1e-6) + pack_str_list(["a"]))
         out = tmp_path / "nbest.tsv"
-        code = run_cli("decode", "--model", model, "--mode", "coverage",
+        code = run_cli("decode", "--model", model,
                        "--detections", fixture_dir / "detections.jsonl", "--out", out)
         assert code == 2
         doc = json.loads(capsys.readouterr().err.strip())
@@ -522,7 +518,7 @@ class TestModelVersion:
             model.write_bytes(damaged)
             out = tmp_path / f"{name}.tsv"
             capsys.readouterr()
-            code = run_cli("decode", "--model", model, "--mode", "plain",
+            code = run_cli("decode", "--model", model,
                            "--features", fixture_dir / "features.fvec", "--out", out)
             assert code == 2, name
             doc = json.loads(capsys.readouterr().err.strip())
@@ -676,7 +672,7 @@ class TestIngestedArtifacts:
         def raw_decode(alpha):
             """The same coverage search over the raw detections file at ``alpha``."""
             out = tmp_path / f"raw-{alpha}.tsv"
-            assert run_cli("decode", "--model", run_dir / "me.model", "--mode", "coverage",
+            assert run_cli("decode", "--model", run_dir / "me.model",
                            "--detections", fixture_dir / "detections.jsonl", "--alpha", alpha,
                            "--beam", "3", "--nbest", "5", "--max-len", "8", "--out", out) == 0
             return {i: lists for i, lists in searched(out).items() if i in val}
@@ -776,7 +772,7 @@ def _command_args(command, fixture_dir, me_model, generated, out):
                      "--out", out],
         "train-rnn": ["--mode", "mrnn", "--captions", captions, "--features", features,
                       "--embed", "4", "--hidden", "4", "--epochs", "1", "--out", out],
-        "decode": ["--model", me_model, "--mode", "coverage", "--detections", detections,
+        "decode": ["--model", me_model, "--detections", detections,
                    "--beam", "2", "--nbest", "2", "--max-len", "4", "--out", out],
         "analyze": ["--generated", generated, "--captions", captions,
                     "--features-train", features, "--features-test", features],
@@ -866,7 +862,7 @@ class TestBadValuesExit2:
     def test_min_coverage_above_detection_count(self, fixture_dir, me_model, tmp_path, capsys):
         out = tmp_path / "nbest.tsv"
         capsys.readouterr()
-        assert run_cli("decode", "--model", me_model, "--mode", "coverage",
+        assert run_cli("decode", "--model", me_model,
                        "--detections", fixture_dir / "detections.jsonl",
                        "--min-coverage", "4", "--out", out) == 2
         doc = json.loads(capsys.readouterr().err.strip())
@@ -876,18 +872,27 @@ class TestBadValuesExit2:
 
 
 class TestDetectionOutsideTheModel:
-    def test_coverage_decode_ignores_the_word(self, fixture_dir, me_model, tmp_path, capsys):
+    """A detected word outside the vocabulary can never be covered, so
+    training and decoding alike leave it out."""
+
+    @pytest.fixture(scope="class")
+    def zebra(self, fixture_dir, tmp_path_factory):
+        """The fixture's detections with "zebra" added to image 101."""
         lines = (fixture_dir / "detections.jsonl").read_text().splitlines()
         first = json.loads(lines[0])
         assert first["image_id"] == 101
         first["words"].append({"token": "zebra", "score": 0.9})
-        zebra = tmp_path / "zebra.jsonl"
-        zebra.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        path = tmp_path_factory.mktemp("zebra") / "zebra.jsonl"
+        path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        return path
+
+    def test_coverage_decode_ignores_the_word(self, fixture_dir, me_model, zebra, tmp_path,
+                                              capsys):
         outputs = []
         for detections in (fixture_dir / "detections.jsonl", zebra):
             out = tmp_path / f"{detections.stem}.tsv"
             capsys.readouterr()
-            assert run_cli("decode", "--model", me_model, "--mode", "coverage",
+            assert run_cli("decode", "--model", me_model,
                            "--detections", detections, "--beam", "4", "--max-len", "10",
                            "--out", out) == 0
             assert "incomplete" not in capsys.readouterr().out
@@ -895,12 +900,118 @@ class TestDetectionOutsideTheModel:
         assert outputs[0] == outputs[1]
 
         out = tmp_path / "over.tsv"
-        assert run_cli("decode", "--model", me_model, "--mode", "coverage",
+        assert run_cli("decode", "--model", me_model,
                        "--detections", zebra, "--min-coverage", "5", "--out", out) == 2
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc == {"error": "InputDataError",
                        "message": "image 101: min_coverage 5 exceeds detection count 4"}
         assert not out.exists()
+
+    @pytest.mark.parametrize("trainer", [
+        ["train-me", "--epochs", "2"],
+        ["train-rnn", "--mode", "dgrnn", "--embed", "8", "--hidden", "10", "--epochs", "1"],
+    ], ids=["melm", "dgrnn"])
+    def test_training_ignores_the_word(self, fixture_dir, zebra, tmp_path, trainer):
+        models = []
+        for detections in (fixture_dir / "detections.jsonl", zebra):
+            out = tmp_path / f"{detections.stem}.model"
+            assert run_cli(*trainer, "--captions", fixture_dir / "captions.json",
+                           "--detections", detections, "--out", out) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
+
+@pytest.fixture(scope="module")
+def models(fixture_dir, me_model, tmp_path_factory):
+    """A small model of each kind: MELM, mrnn GRLM and dgrnn GRLM."""
+    base = tmp_path_factory.mktemp("models")
+    inputs = {"mrnn": ["--features", fixture_dir / "features.fvec"],
+              "dgrnn": ["--detections", fixture_dir / "detections.jsonl"]}
+    for mode, flags in inputs.items():
+        assert run_cli("train-rnn", "--mode", mode, "--captions", fixture_dir / "captions.json",
+                       *flags, "--embed", "4", "--hidden", "4", "--epochs", "1",
+                       "--out", base / f"{mode}.model") == 0
+    return {"melm": me_model, "mrnn": base / "mrnn.model", "dgrnn": base / "dgrnn.model"}
+
+
+class TestModelDecidesConditioning:
+    """``decode`` has no mode: an mrnn model reads --features and runs plain
+    search, a MELM or dgrnn model reads --detections and runs coverage search."""
+
+    NEEDS = {"melm": "--detections", "mrnn": "--features", "dgrnn": "--detections"}
+
+    def test_decode_has_no_mode_option(self, fixture_dir, models, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("decode", "--model", models["melm"], "--mode", "coverage",
+                    "--detections", fixture_dir / "detections.jsonl", "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode coverage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["melm", "mrnn", "dgrnn"])
+    def test_model_reads_its_one_input(self, fixture_dir, models, tmp_path, kind):
+        nbest = tmp_path / "nbest.tsv"
+        assert run_cli("decode", "--model", models[kind],
+                       "--features", fixture_dir / "features.fvec",
+                       "--detections", fixture_dir / "detections.jsonl",
+                       "--beam", "2", "--nbest", "2", "--max-len", "6", "--out", nbest) == 0
+        lists = read_nbest_tsv(nbest)
+        assert len(lists) == 40
+        covered = {"covered" in h.features for nb in lists for h in nb.hypotheses}
+        assert covered == {kind != "mrnn"}
+
+    @pytest.mark.parametrize("rescore", [False, True], ids=["decode", "rescore"])
+    @pytest.mark.parametrize("kind", ["melm", "mrnn", "dgrnn"])
+    def test_missing_input_names_its_flag(self, fixture_dir, models, tmp_path, capsys, kind,
+                                          rescore):
+        # the other model kind's input is given, and does not stand in
+        other = {"--features": ["--detections", fixture_dir / "detections.jsonl"],
+                 "--detections": ["--features", fixture_dir / "features.fvec"]}
+        flag = self.NEEDS[kind]
+        extra = ["--rescore", tmp_path / "never-read.tsv"] if rescore else []
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        assert run_cli("decode", "--model", models[kind], *other[flag], *extra,
+                       "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == "MalformedInput" and flag in doc["message"]
+        assert not out.exists()
+
+
+class TestTrainRnnInputs:
+    def test_mrnn_image_without_features_exits_2(self, fixture_dir, tmp_path, capsys):
+        from capkit.corpus import load_features
+
+        full = load_features(fixture_dir / "features.fvec")
+        kept = full.ids()[:-2]
+        features = tmp_path / "features.fvec"
+        save_subset(full, kept, features)
+        out = tmp_path / "rnn.model"
+        capsys.readouterr()
+        assert run_cli("train-rnn", "--mode", "mrnn", "--captions", fixture_dir / "captions.json",
+                       "--features", features, "--embed", "4", "--hidden", "4",
+                       "--epochs", "1", "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "MalformedInput",
+                       "message": f"images missing feature vectors: {sorted(full.ids()[-2:])}"}
+        assert not out.exists()
+
+    def test_dgrnn_image_without_detections_reads_none(self, fixture_dir, tmp_path):
+        """An image with no detections line trains as one with no detected words."""
+        lines = (fixture_dir / "detections.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        emptied = tmp_path / "emptied.jsonl"
+        emptied.write_text("\n".join([json.dumps({**first, "words": []})] + lines[1:]) + "\n")
+        dropped = tmp_path / "dropped.jsonl"
+        dropped.write_text("\n".join(lines[1:]) + "\n")
+        models = []
+        for detections in (emptied, dropped):
+            out = tmp_path / f"{detections.stem}.model"
+            assert run_cli("train-rnn", "--mode", "dgrnn",
+                           "--captions", fixture_dir / "captions.json", "--detections",
+                           detections, "--embed", "4", "--hidden", "4", "--epochs", "1",
+                           "--out", out) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
 
 class TestEmptyCaptionFile:

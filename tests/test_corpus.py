@@ -14,6 +14,7 @@ from capkit.corpus import (
     FeatureStore,
     build_vocabulary,
     CaptionRecord,
+    coverable,
     load_captions,
     load_detections,
     load_features,
@@ -259,14 +260,24 @@ class TestDetections:
             5, [("cat", 0.9), ("cat", 0.6), ("dog", 0.4), ("rug", 0.5)], threshold=0.5
         )
         assert det.words == {"cat": 0.9, "rug": 0.5}
-        assert det.tokens() == frozenset({"cat", "rug"})
+
+    def test_coverable_keeps_detected_candidates_but_end(self):
+        vocab = Vocabulary(["cat", "dog"])
+        det = DetectionSet.from_scored_words(1, [
+            ("cat", 0.9), ("zebra", 0.9), (END_TOKEN, 0.9), (START_TOKEN, 0.9),
+            (UNK_TOKEN, 0.9), ("dog", 0.4),
+        ], threshold=0.5)
+        want = frozenset({"cat", UNK_TOKEN})
+        assert coverable(det, vocab) == want
+        assert coverable(det, vocab.candidate_tokens()) == want
+        assert coverable(None, vocab) == frozenset()
 
     def test_load_jsonl(self, tmp_path):
         path = write_detections_jsonl(
             tmp_path / "d.jsonl", {7: [("cat", 0.8), ("mat", 0.2)]}
         )
         dets = load_detections(path, threshold=0.5)
-        assert dets[7].tokens() == frozenset({"cat"})
+        assert dets[7].words == {"cat": 0.8}
 
     def test_duplicate_image(self, tmp_path):
         lines = [
@@ -380,7 +391,7 @@ class TestParserFuzz:
             return
         for image_id, det in detections.items():
             assert type(image_id) is int
-            assert all(isinstance(tok, str) and tok for tok in det.tokens())
+            assert all(isinstance(tok, str) and tok for tok in det.words)
             assert all(type(score) is float and math.isfinite(score)
                        for score in det.words.values())
 

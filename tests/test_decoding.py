@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from capkit.corpus import DetectionSet, END_TOKEN, Vocabulary
+from capkit.corpus import CaptionRecord, DetectionSet, END_TOKEN, Vocabulary
 from capkit.decoding import (
     MaxEntScorer,
     RecurrentScorer,
@@ -13,8 +13,23 @@ from capkit.decoding import (
     sequence_logprob,
 )
 from capkit.errors import DimensionMismatch, InputDataError, NonFiniteLogProb, ToolkitError
-from capkit.maxent import MaxEntLM
-from capkit.recurrent import MODE_COVERAGE_AUX, MODE_IMAGE_INITIAL, RecurrentConfig, RecurrentLM
+from capkit.maxent import (
+    END_PENDING,
+    MaxEntLM,
+    MaxEntTrainConfig,
+    _event_nll_and_grad,
+    _training_events,
+    train_maxent,
+)
+from capkit.recurrent import (
+    MODE_COVERAGE_AUX,
+    MODE_IMAGE_INITIAL,
+    RecurrentConfig,
+    RecurrentLM,
+    RnnTrainConfig,
+    forward,
+    train,
+)
 
 from conftest import TableScorer
 
@@ -388,3 +403,55 @@ class TestSequenceLogprob:
                 assert hyp.features["again"] == hyp.features["logprob"]
                 checked += 1
         assert checked > 0
+
+
+class TestTrainingAndScoringShareCoverage:
+    """Training starts from the coverable set as decoding does, so a detected
+    word the model cannot emit changes neither the trained model nor a score."""
+
+    VOCAB = Vocabulary(["a", "cat", "dog", "sat"])
+    CAPTIONS = [("a", "cat", "sat"), ("a", "dog"), ("a", "zebra", "cat")]
+
+    def _detections(self, *extra):
+        return DetectionSet.from_scored_words(1, [("cat", 0.9), *extra], 0.5)
+
+    def test_maxent(self):
+        config = MaxEntTrainConfig(epochs=3, learning_rate=0.3, l2=0.0, seed=0)
+        models = []
+        for det in (self._detections(), self._detections(("zebra", 0.8), (END_TOKEN, 0.7))):
+            pairs = [(CaptionRecord(1, tokens), det) for tokens in self.CAPTIONS]
+            lm = train_maxent(pairs, config, self.VOCAB)
+            assert lm.coverage[END_PENDING] != 0.0
+            scorer = MaxEntScorer(lm)
+            conditions = {}
+            for record, _ in pairs:
+                events = _training_events(lm, record, det, conditions)
+                nll = sum(_event_nll_and_grad(lm, conditions[key], target)[0]
+                          for key, target in events)
+                assert -nll == pytest.approx(sequence_logprob(scorer, det, record.tokens),
+                                             abs=1e-12)
+            models.append(lm)
+        plain, extra = models
+        assert extra.coverage.tobytes() == plain.coverage.tobytes()
+        assert extra.unigram.tobytes() == plain.unigram.tobytes()
+        for rows in ("bigram", "trigram"):
+            got, want = getattr(extra, rows), getattr(plain, rows)
+            assert got.keys() == want.keys()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_recurrent(self):
+        config = RecurrentConfig(MODE_COVERAGE_AUX, embed_dim=3, hidden_dim=4,
+                                 feature_dim=None, seed=2)
+        models = []
+        for det in (self._detections(), self._detections(("zebra", 0.8), (END_TOKEN, 0.7))):
+            lm = RecurrentLM(self.VOCAB, config)
+            train(lm, [(det, list(tokens)) for tokens in self.CAPTIONS],
+                  RnnTrainConfig(epochs=2, learning_rate=0.3, clip=5.0, seed=0))
+            scorer = RecurrentScorer(lm)
+            for tokens in self.CAPTIONS:
+                _, trained_lp = forward(lm, det, list(tokens))
+                assert sequence_logprob(scorer, det, tokens) == pytest.approx(trained_lp,
+                                                                               abs=1e-12)
+            models.append(lm)
+        for name, arr in models[0].params.items():
+            assert models[1].params[name].tobytes() == arr.tobytes(), name

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capkit._binio import pack_str
-from capkit.corpus import END_ID, RESERVED_TOKENS, Vocabulary
+from capkit.corpus import END_ID, RESERVED_TOKENS, DetectionSet, Vocabulary
 from capkit.decoding import RecurrentScorer, sequence_logprob
 from capkit.errors import DegenerateCorpus, DimensionMismatch, MalformedInput
 from capkit.recurrent import (
@@ -39,10 +39,15 @@ def small_lm(mode, seed=0, feature_dim=6):
     return RecurrentLM(VOCAB, config)
 
 
+def detected(*words):
+    """A DetectionSet of ``words``, in that order, all above threshold."""
+    return DetectionSet.from_scored_words(0, [(w, 0.9) for w in words], 0.5)
+
+
 def conditioning_for(mode, seed=0):
     if mode == MODE_IMAGE_INITIAL:
         return np.random.default_rng(seed).standard_normal(6)
-    return {"cat", "the"}
+    return detected("cat", "the")
 
 
 def gru_scalar_oracle(x, h, params):
@@ -139,21 +144,21 @@ class TestForward:
         lm = small_lm(MODE_COVERAGE_AUX, seed=3)
         zeroed = small_lm(MODE_COVERAGE_AUX, seed=3)
         zeroed.params["det_embeddings"] = np.zeros_like(zeroed.params["det_embeddings"])
-        rows_a, lp_a = forward(lm, frozenset(), ["the", "cat"])
-        rows_b, lp_b = forward(zeroed, frozenset(), ["the", "cat"])
+        rows_a, lp_a = forward(lm, detected(), ["the", "cat"])
+        rows_b, lp_b = forward(zeroed, None, ["the", "cat"])
         np.testing.assert_array_equal(rows_a, rows_b)
         assert lp_a == lp_b
 
     def test_detection_order_invariance(self):
         lm = small_lm(MODE_COVERAGE_AUX, seed=4)
-        rows1, lp1 = forward(lm, ["cat", "the", "dog"], ["the", "cat"])
-        rows2, lp2 = forward(lm, ["dog", "cat", "the"], ["the", "cat"])
+        rows1, lp1 = forward(lm, detected("cat", "the", "dog"), ["the", "cat"])
+        rows2, lp2 = forward(lm, detected("dog", "cat", "the"), ["the", "cat"])
         np.testing.assert_array_equal(rows1, rows2)
         assert lp1 == lp2
 
     def test_emitted_word_leaves_coverage_sum(self):
         lm = small_lm(MODE_COVERAGE_AUX, seed=5)
-        fp = _forward_stacked(lm, _fuse(lm.params), {"cat"}, ["cat", "sat"])
+        fp = _forward_stacked(lm, _fuse(lm.params), detected("cat"), ["cat", "sat"])
         cat_id = lm.vocabulary.lookup("cat")
         assert fp.remaining[0] == [cat_id]
         assert fp.remaining[1] == []  # removed right after emission
@@ -223,7 +228,7 @@ class TestTrain:
         data = []
         for i in range(n):
             cap = captions[i % len(captions)]
-            cond = rng.standard_normal(6) if mode == MODE_IMAGE_INITIAL else set(cap[1:2])
+            cond = rng.standard_normal(6) if mode == MODE_IMAGE_INITIAL else detected(cap[1])
             data.append((cond, cap))
         return data
 
