@@ -1,4 +1,5 @@
-"""Low-level helpers for the little-endian binary model/feature formats."""
+"""File I/O shared by every format: the one input reader, the atomic writer,
+and the little-endian binary model/feature helpers."""
 
 from __future__ import annotations
 
@@ -10,6 +11,22 @@ import tempfile
 import numpy as np
 
 from .errors import MalformedInput
+
+
+def read_file(path, what: str, parse=None, *, binary: bool = False):
+    """The UTF-8 text of ``path`` (its bytes if ``binary``), through ``parse`` if given.
+
+    Every input file is read here. Text has universal newlines, so its
+    lines split on ``"\\n"`` as ``readlines()`` would. An ``OSError``, a
+    ``ValueError`` (bad UTF-8, a JSON error, a NUL in the path) or a
+    ``RecursionError`` raises ``MalformedInput("cannot read <what> <path>: ...")``.
+    """
+    try:
+        with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as fh:
+            data = fh.read()
+        return data if parse is None else parse(data)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MalformedInput(f"cannot read {what} {path}: {exc}") from exc
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

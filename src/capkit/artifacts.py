@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 
-from ._binio import atomic_write_bytes
+from ._binio import atomic_write_bytes, read_file
 from .decoding import DecodedHypothesis, NBestList
 from .errors import MalformedInput
 
@@ -28,11 +28,7 @@ def write_json(path, doc) -> None:
 
 
 def read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise MalformedInput(f"cannot read JSON file {path}: {exc}") from exc
+    return read_file(path, "JSON file", json.loads)
 
 
 def sha256_file(path) -> str:
@@ -53,13 +49,8 @@ def write_captions_tsv(path, captions) -> None:
 
 def read_captions_tsv(path) -> dict[int, tuple[str, ...]]:
     captions: dict[int, tuple[str, ...]] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedInput(f"cannot read captions TSV {path}: {exc}") from exc
+    lines = read_file(path, "captions TSV").split("\n")
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split("\t")
@@ -109,14 +100,9 @@ def write_nbest_tsv(path, nbests) -> None:
 
 
 def read_nbest_tsv(path) -> list[NBestList]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedInput(f"cannot read n-best TSV {path}: {exc}") from exc
+    lines = read_file(path, "n-best TSV").split("\n")
     lists: dict[int, NBestList] = {}
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split("\t")

@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import analysis, artifacts, decoding, knn, maxent, recurrent, rerank
+from ._binio import read_file
 from .corpus import (
     build_vocabulary,
     captions_by_image,
@@ -133,11 +134,7 @@ def _cmd_train_rnn(args) -> int:
 
 
 def _load_any_model(path):
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read model file {path}: {exc}") from exc
+    magic = read_file(path, "model file", binary=True)[:4]
     if magic == b"MELM":
         return maxent.load_maxent(path)
     if magic == b"GRLM":

@@ -18,7 +18,7 @@ from random import Random
 
 import numpy as np
 
-from ._binio import atomic_write_bytes
+from ._binio import atomic_write_bytes, read_file
 from .errors import (
     DimensionMismatch,
     DuplicateAnnotationId,
@@ -112,11 +112,7 @@ def load_captions(path) -> CaptionTable:
     that tokenize to nothing; DuplicateAnnotationId for repeated annotation
     ids. Of several faults, the one in the earliest annotation is raised.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise MalformedInput(f"cannot read captions file {path}: {exc}") from exc
+    doc = read_file(path, "captions file", json.loads)
     if not isinstance(doc, dict) or not isinstance(doc.get("annotations"), list):
         raise MalformedInput(f"{path}: expected an object with an 'annotations' list")
     ann_ids: list[int] = []
@@ -234,11 +230,7 @@ def load_features(path) -> FeatureStore:
 
     The vectors are read-only row views of one matrix over the file's bytes.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read features file {path}: {exc}") from exc
+    data = read_file(path, "features file", binary=True)
     header_size = len(_FVEC_MAGIC) + struct.calcsize(_FVEC_HEADER)
     if len(data) < header_size:
         raise MalformedInput(f"{path}: shorter than the FVEC header")
@@ -351,15 +343,14 @@ def split_dataset(ids, sizes, seed: int) -> DatasetSplit:
 
 @dataclass(frozen=True)
 class DetectionSet:
-    """Detected caption words for one image, thresholded at ``threshold``.
+    """Detected caption words for one image.
 
-    Word scores are deduplicated keeping the maximum; only words scoring at
-    least the threshold are retained.
+    ``from_scored_words`` deduplicates word scores keeping the maximum and
+    retains only words scoring at least its threshold.
     """
 
     image_id: int
     words: dict[str, float]
-    threshold: float
 
     @classmethod
     def from_scored_words(cls, image_id: int, scored, threshold: float) -> "DetectionSet":
@@ -368,7 +359,7 @@ class DetectionSet:
             score = float(score)
             if score >= threshold and score > kept.get(token, float("-inf")):
                 kept[token] = score
-        return cls(int(image_id), kept, float(threshold))
+        return cls(int(image_id), kept)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -395,11 +386,7 @@ _SCORE_TYPES = frozenset((int, float))  # JSON numbers; bool is neither
 def load_detections(path, threshold: float) -> dict[int, DetectionSet]:
     """Read detections from JSON-lines: one ``{"image_id", "words": [...]}`` per line."""
     detections: dict[int, DetectionSet] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedInput(f"cannot read detections file {path}: {exc}") from exc
+    lines = read_file(path, "detections file").split("\n")
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:

@@ -127,10 +127,10 @@ def _search(scorer, conditioning, beam_size, max_len, n_best, detections, min_co
     if coverage_mode:
         if min_coverage is None:
             min_coverage = min(len(detected), max_len - 1)
-        if min_coverage > len(detections):
+        if min_coverage > len(detected):
             raise InputDataError(
                 f"image {image_id}: min_coverage {min_coverage} exceeds "
-                f"detection count {len(detections)}"
+                f"detection count {len(detected)}"
             )
     if END_TOKEN not in index_of:
         raise ToolkitError("scorer candidates must include the END token")
@@ -229,10 +229,10 @@ def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_bes
     not yet emitted, and the scorer sees that set every step; END is only
     admissible once enough words are covered.
     ``min_coverage`` None means all of those words, capped at
-    ``max_len - 1``; a value above the detection count raises
-    InputDataError. Feature rows gain a ``covered`` column. If
-    coverage is unreachable within ``max_len``, best-effort partials come
-    back with ``complete=False``.
+    ``max_len - 1``; a value above the number of those words (the
+    "detection count" of the error) raises InputDataError. Feature rows
+    gain a ``covered`` column. If coverage is unreachable within
+    ``max_len``, best-effort partials come back with ``complete=False``.
     """
     if image_id is None:
         image_id = detections.image_id

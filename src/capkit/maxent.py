@@ -26,7 +26,7 @@ from random import Random
 
 import numpy as np
 
-from ._binio import ByteReader, atomic_write_bytes, pack_str_list
+from ._binio import ByteReader, atomic_write_bytes, pack_str_list, read_file
 from .corpus import END_TOKEN, START_ID, Vocabulary, coverable
 from .errors import DegenerateCorpus, MalformedInput, NonFiniteLoss
 
@@ -256,11 +256,7 @@ def _read_rows(reader: ByteReader, n_ids: int, n_tokens: int, width: int) -> dic
 
 
 def load_maxent(path) -> MaxEntLM:
-    try:
-        with open(path, "rb") as fh:
-            reader = ByteReader(fh.read(), str(path))
-    except OSError as exc:
-        raise MalformedInput(f"cannot read model file {path}: {exc}") from exc
+    reader = ByteReader(read_file(path, "model file", binary=True), str(path))
     reader.expect_magic(_MELM_MAGIC)
     (version,) = reader.unpack("<I")
     if version != _MELM_VERSION:

@@ -28,6 +28,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from . import analysis, artifacts, decoding, knn, maxent, metrics, recurrent, rerank
+from ._binio import read_file
 from .corpus import (
     CaptionRecord,
     DetectionSet,
@@ -405,10 +406,10 @@ def _stage_ingest(ctx: PipelineContext) -> list[str]:
     outputs = ["vocab.json", "split.json", "heldout_captions.json"]
     if detections is not None:
         # load_detections keeps one record per non-empty line, in file order.
-        with open(ctx.config.detections_path, encoding="utf-8") as fh:
-            lines = (line for line in fh if line.strip())
-            text = "".join(line.rstrip("\n") + "\n"
-                           for line, image_id in zip(lines, detections) if image_id in heldout)
+        lines = read_file(ctx.config.detections_path, "detections file").split("\n")
+        records = (line for line in lines if line.strip())
+        text = "".join(line + "\n" for line, image_id in zip(records, detections)
+                       if image_id in heldout)
         artifacts.atomic_write_text(ctx.artifact("heldout_detections.jsonl"), text)
         outputs.append("heldout_detections.jsonl")
     return outputs

@@ -34,7 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._binio import ByteReader, atomic_write_bytes, pack_f64_array, pack_str, pack_str_list
+from ._binio import (
+    ByteReader, atomic_write_bytes, pack_f64_array, pack_str, pack_str_list, read_file,
+)
 from .corpus import END_ID, START_ID, Vocabulary, coverable
 from .errors import (
     DegenerateCorpus,
@@ -500,11 +502,7 @@ def load_recurrent(path) -> RecurrentLM:
     Every tensor's shape is checked against the sizes in the header before
     the model is built, so a damaged header allocates nothing.
     """
-    try:
-        with open(path, "rb") as fh:
-            reader = ByteReader(fh.read(), str(path))
-    except OSError as exc:
-        raise MalformedInput(f"cannot read model file {path}: {exc}") from exc
+    reader = ByteReader(read_file(path, "model file", binary=True), str(path))
     reader.expect_magic(_GRLM_MAGIC)
     (version,) = reader.unpack("<I")
     if version != _GRLM_VERSION:

@@ -899,13 +899,15 @@ class TestDetectionOutsideTheModel:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+        # The bound is the 3 words the model can emit, not the 4 detected.
         out = tmp_path / "over.tsv"
-        assert run_cli("decode", "--model", me_model,
-                       "--detections", zebra, "--min-coverage", "5", "--out", out) == 2
-        doc = json.loads(capsys.readouterr().err.strip())
-        assert doc == {"error": "InputDataError",
-                       "message": "image 101: min_coverage 5 exceeds detection count 4"}
-        assert not out.exists()
+        for min_coverage in ("4", "5"):
+            assert run_cli("decode", "--model", me_model, "--detections", zebra,
+                           "--min-coverage", min_coverage, "--out", out) == 2
+            doc = json.loads(capsys.readouterr().err.strip())
+            assert doc == {"error": "InputDataError", "message":
+                           f"image 101: min_coverage {min_coverage} exceeds detection count 3"}
+            assert not out.exists()
 
     @pytest.mark.parametrize("trainer", [
         ["train-me", "--epochs", "2"],

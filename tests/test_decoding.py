@@ -240,10 +240,10 @@ class TestCoverageBeamSearch:
             assert hyp.features["covered"] == len({"cat", "dog"} & set(hyp.tokens))
 
     def test_unreachable_coverage_flags_partials(self):
-        detections = self._detections(["zzz"])  # never in the candidate vocabulary
+        detections = self._detections(["a", "b"])  # two words need three steps with END
         scorer = TableScorer(["a", "b"], 0)
         result = coverage_beam_search(
-            scorer, detections, beam_size=3, max_len=4, n_best=4, min_coverage=1
+            scorer, detections, beam_size=3, max_len=2, n_best=4, min_coverage=2
         )
         assert not result.complete
         assert result.hypotheses  # best-effort partials
@@ -271,6 +271,17 @@ class TestCoverageBeamSearch:
                 scorer, self._detections(["a"]), beam_size=10, max_len=16, n_best=500,
                 min_coverage=2,
             )
+
+    def test_min_coverage_above_coverable_words_rejected(self):
+        # "zebra" is detected but can never be covered, so 4 words are out of reach
+        scorer = CoverageAwareScorer(["cat", "dog", "a"], 0)
+        detections = self._detections(["cat", "dog", "a", "zebra"])
+        with pytest.raises(InputDataError, match="^image 7: min_coverage 4 exceeds "
+                                                  "detection count 3$"):
+            coverage_beam_search(scorer, detections, beam_size=4, max_len=8, n_best=4,
+                                 min_coverage=4)
+        assert coverage_beam_search(scorer, detections, beam_size=4, max_len=8, n_best=4,
+                                    min_coverage=3).complete
 
 
 class TestModelScorers:
