@@ -66,6 +66,14 @@ def read_captions_tsv(path) -> dict[int, tuple[str, ...]]:
     return captions
 
 
+def read_generated(path) -> dict[int, tuple[str, ...]]:
+    """The captions TSV at ``path``, which must hold some generated captions."""
+    generated = read_captions_tsv(path)
+    if not generated:
+        raise MalformedInput(f"{path}: no generated captions")
+    return generated
+
+
 def _format_features(features: dict[str, float]) -> str:
     return ";".join(f"{name}={repr(float(features[name]))}" for name in sorted(features))
 

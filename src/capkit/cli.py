@@ -213,7 +213,8 @@ def _cmd_mert(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    scores = score_captions(args.hyp, captions_by_image(load_captions(args.refs)))
+    captions = captions_by_image(load_captions(args.refs))
+    scores = score_captions(artifacts.read_generated(args.hyp), captions)
     if args.metric in ("bleu", "all"):
         print(f"BLEU {scores['bleu']:.2f}")
     if args.metric in ("meteor", "all"):
@@ -234,7 +235,8 @@ def _cmd_analyze(args) -> int:
         top_k=args.top_k,
         tail_fraction=args.tail,
     )
-    report = caption_report(args.generated, captions, train_strings, bins)
+    generated = artifacts.read_generated(args.generated)
+    report = caption_report(generated, captions, train_strings, bins)
     if args.report == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

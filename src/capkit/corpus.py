@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 import string
 import struct
 from collections import Counter
@@ -40,13 +41,17 @@ _PUNCT_TABLE = str.maketrans("", "", "".join(c for c in string.punctuation if c 
 _LOOSE_HYPHEN = re.compile(r"-(?:(?<![0-9a-z]-)|(?![0-9a-z]))")
 
 
-def json_int(value, what: str) -> int:
-    """``value``, an id or count read from JSON, if it is an integer.
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
-    Booleans, floats (even integral ones) and strings raise MalformedInput.
+
+def json_typed(value, kind, what: str):
+    """``value``, read from JSON, if its type is exactly ``kind``.
+
+    Exactly, so a boolean is no integer, and neither is a float, even an
+    integral one. Any other value raises MalformedInput naming ``what``.
     """
-    if type(value) is not int:
-        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+    if type(value) is not kind:
+        raise MalformedInput(f"{what} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
     return value
 
 
@@ -128,9 +133,9 @@ def load_captions(path) -> CaptionTable:
                 ann_id, image_id, caption = entry["id"], entry["image_id"], entry["caption"]
             except KeyError as exc:
                 raise MalformedInput(f"{path}: annotation missing id/image_id/caption") from exc
-            if type(ann_id) is not int or type(image_id) is not int:  # json_int raises
-                ann_id = json_int(ann_id, f"{path}: annotation id")
-                json_int(image_id, f"{path}: annotation {ann_id} image_id")
+            if type(ann_id) is not int or type(image_id) is not int:  # json_typed raises
+                ann_id = json_typed(ann_id, int, f"{path}: annotation id")
+                json_typed(image_id, int, f"{path}: annotation {ann_id} image_id")
             if not isinstance(caption, str):
                 raise MalformedInput(f"{path}: annotation {ann_id} caption must be a string")
             if ann_id in seen:
@@ -393,11 +398,7 @@ def load_detections(path, threshold: float) -> dict[int, DetectionSet]:
             continue
         try:
             doc = json.loads(line)
-            image_id = doc["image_id"]
-            if type(image_id) is not int:
-                raise MalformedInput(
-                    f"{path}:{lineno}: image_id must be an integer, got {image_id!r}"
-                )
+            image_id = json_typed(doc["image_id"], int, f"{path}:{lineno}: image_id")
             words = [(w["token"], w["score"]) for w in doc["words"]]
             scores = [score for _, score in words]
             if not (set(map(type, scores)) <= _SCORE_TYPES and all(map(math.isfinite, scores))):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import reprlib
 import traceback
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ from .corpus import (
     Vocabulary,
     build_vocabulary,
     captions_by_image,
-    json_int,
+    json_typed,
     load_captions,
     load_detections,
     load_features,
@@ -190,8 +189,8 @@ class PipelineConfig:
         def resolve(p):
             return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
 
-        split_sizes = tuple(json_int(s, "config split entry") for s in split)
-        seed = json_int(doc.get("seed", 0), "config seed")
+        split_sizes = tuple(json_typed(s, int, "config split entry") for s in split)
+        seed = json_typed(doc.get("seed", 0), int, "config seed")
         try:
             return cls(
                 captions_path=resolve(captions),
@@ -225,7 +224,8 @@ class PipelineConfig:
 
 
 class PipelineContext:
-    """Lazy, cached access to inputs and prior-stage artifacts."""
+    """Lazy access to inputs and prior-stage artifacts; the inputs and the
+    ingest artifacts are cached."""
 
     def __init__(self, config: PipelineConfig, out_dir: str):
         self.config = config
@@ -236,13 +236,28 @@ class PipelineContext:
     def artifact(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def require_artifact(self, name: str, producer: str) -> str:
+    def read(self, name: str, producer: str, load):
+        """``load(path)`` of the artifact ``name`` that the stage ``producer`` writes.
+
+        Every artifact a stage reads back is read here, and nothing is
+        cached. A missing file asks for ``producer`` to run first. A fault
+        in the file (an InputDataError from ``load``, or a KeyError,
+        TypeError or ValueError, such as a missing JSON key or a duplicate
+        token) raises an InputDataError that names the file and asks for
+        ``producer`` to run again.
+        """
         path = self.artifact(name)
         if not os.path.exists(path):
+            raise MalformedInput(f"missing artifact {path}; run the '{producer}' stage first")
+        try:
+            return load(path)
+        except InputDataError as exc:
+            raise type(exc)(f"{exc}; run the '{producer}' stage again") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise MalformedInput(
-                f"missing artifact {path}; run the '{producer}' stage first"
-            )
-        return path
+                f"{path}: {problem}; run the '{producer}' stage again"
+            ) from exc
 
     def _cached(self, key, builder):
         if key not in self._cache:
@@ -266,32 +281,12 @@ class PipelineContext:
             lambda: load_detections(self.config.detections_path, self.hp["alpha"]),
         )
 
-    def _ingested(self, name, load):
-        """``load(path)`` of the artifact ``name`` that ingest wrote, cached.
-
-        A fault in the file (for a JSON document: a missing key, a value of
-        the wrong type or a duplicate token) raises an InputDataError that
-        names the file and asks for ingest to run again.
-        """
-        def build():
-            path = self.require_artifact(name, "ingest")
-            try:
-                return load(path)
-            except InputDataError as exc:
-                raise type(exc)(f"{exc}; run the 'ingest' stage again") from exc
-            except (KeyError, TypeError, ValueError) as exc:
-                problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise MalformedInput(
-                    f"{path}: {problem}; run the 'ingest' stage again"
-                ) from exc
-
-        return self._cached(name, build)
-
     def split(self):
         def load(path):
-            doc = _typed(artifacts.read_json(path), dict, "the document")
+            doc = json_typed(artifacts.read_json(path), dict, f"{path}: the document")
             split = {
-                k: sorted(_typed(i, int, f"{k} image id") for i in _typed(doc[k], list, k))
+                k: sorted(json_typed(i, int, f"{path}: {k} image id")
+                          for i in json_typed(doc[k], list, f"{path}: {k}"))
                 for k in ("train", "val", "testval")
             }
             sizes = tuple(len(ids) for ids in split.values())
@@ -300,30 +295,30 @@ class PipelineContext:
                                  f"{list(self.config.split_sizes)}")
             return split
 
-        return self._ingested("split.json", load)
+        return self._cached("split.json", lambda: self.read("split.json", "ingest", load))
 
     def vocabulary(self):
         def load(path):
-            doc = _typed(artifacts.read_json(path), dict, "the document")
-            return Vocabulary(
-                _typed(tok, str, "token") for tok in _typed(doc["tokens"], list, "tokens")
-            )
+            doc = json_typed(artifacts.read_json(path), dict, f"{path}: the document")
+            return Vocabulary(json_typed(tok, str, f"{path}: token")
+                              for tok in json_typed(doc["tokens"], list, f"{path}: tokens"))
 
-        return self._ingested("vocab.json", load)
+        return self._cached("vocab.json", lambda: self.read("vocab.json", "ingest", load))
 
     def heldout_references(self) -> dict[int, list[tuple[str, ...]]]:
         """Reference captions of the val and testval images, from ingest."""
-        return self._ingested(
-            "heldout_captions.json", lambda path: captions_by_image(load_captions(path))
-        )
+        return self._cached("heldout_captions.json", lambda: self.read(
+            "heldout_captions.json", "ingest", lambda path: captions_by_image(load_captions(path))
+        ))
 
     def heldout_detections(self) -> dict[int, DetectionSet]:
         """Detections of the val and testval images, from ingest, at this run's alpha."""
         if self.config.detections_path is None:
             raise MalformedInput("this stage needs a detections path in the config")
-        return self._ingested(
-            "heldout_detections.jsonl", lambda path: load_detections(path, self.hp["alpha"])
-        )
+        return self._cached("heldout_detections.jsonl", lambda: self.read(
+            "heldout_detections.jsonl", "ingest",
+            lambda path: load_detections(path, self.hp["alpha"]),
+        ))
 
     def train_index(self):
         return self._cached(
@@ -343,16 +338,6 @@ class PipelineContext:
         train = set(self.split()["train"])
         table = self.caption_table()
         return [row for row in zip(table.image_ids, table.tokens) if row[0] in train]
-
-
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
-
-
-def _typed(value, kind, what):
-    """``value`` if its type is exactly ``kind`` (so no bool for int), else TypeError."""
-    if type(value) is not kind:
-        raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, got {reprlib.repr(value)}")
-    return value
 
 
 def references_for(captions, image_ids) -> dict:
@@ -456,8 +441,8 @@ def _stage_train_rnn(ctx: PipelineContext) -> list[str]:
 
 
 def _stage_decode(ctx: PipelineContext) -> list[str]:
-    me_lm = maxent.load_maxent(ctx.require_artifact("me.model", "train_me"))
-    rnn_lm = recurrent.load_recurrent(ctx.require_artifact("rnn.model", "train_rnn"))
+    me_lm = ctx.read("me.model", "train_me", maxent.load_maxent)
+    rnn_lm = ctx.read("rnn.model", "train_rnn", recurrent.load_recurrent)
     me_scorer = decoding.MaxEntScorer(me_lm)
     rnn_scorer = decoding.RecurrentScorer(rnn_lm)
     detections = ctx.heldout_detections()
@@ -497,9 +482,7 @@ def _stage_decode(ctx: PipelineContext) -> list[str]:
 
 
 def _stage_rerank(ctx: PipelineContext) -> list[str]:
-    val_nbests = artifacts.read_nbest_tsv(
-        ctx.require_artifact("me_nbest_val.tsv", "decode")
-    )
+    val_nbests = ctx.read("me_nbest_val.tsv", "decode", artifacts.read_nbest_tsv)
     refs = references_for(ctx.heldout_references(), [nb.image_id for nb in val_nbests])
     weights = rerank.mert_optimize(
         val_nbests,
@@ -508,9 +491,7 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
         mert_config(ctx.hp, ctx.config.seed),
     )
     artifacts.write_json(ctx.artifact("weights.json"), weights)
-    test_nbests = artifacts.read_nbest_tsv(
-        ctx.require_artifact("me_nbest_testval.tsv", "decode")
-    )
+    test_nbests = ctx.read("me_nbest_testval.tsv", "decode", artifacts.read_nbest_tsv)
     reranked = {
         nb.image_id: rerank.apply_weights(nb, weights).tokens for nb in test_nbests
     }
@@ -518,32 +499,24 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
     return ["weights.json", "reranked_testval.tsv"]
 
 
+# (system, caption file, the stage that writes it)
 _EVAL_SYSTEMS = (
-    ("knn_consensus", "knn_consensus.tsv"),
-    ("knn_onenn", "knn_onenn.tsv"),
-    ("mrnn", "mrnn_testval.tsv"),
-    ("me_reranked", "reranked_testval.tsv"),
+    ("knn_consensus", "knn_consensus.tsv", "knn"),
+    ("knn_onenn", "knn_onenn.tsv", "knn"),
+    ("mrnn", "mrnn_testval.tsv", "decode"),
+    ("me_reranked", "reranked_testval.tsv", "rerank"),
 )
 
 
-def _system_files(ctx: PipelineContext):
-    """(system, path) for each generated caption file present in the run."""
-    for system, filename in _EVAL_SYSTEMS:
-        path = ctx.artifact(filename)
-        if os.path.exists(path):
-            yield system, path
+def _generated(ctx: PipelineContext):
+    """(system, captions) of each generated caption file present in the run."""
+    for system, name, producer in _EVAL_SYSTEMS:
+        if os.path.exists(ctx.artifact(name)):
+            yield system, ctx.read(name, producer, artifacts.read_generated)
 
 
-def _read_generated(path) -> dict:
-    generated = artifacts.read_captions_tsv(path)
-    if not generated:
-        raise MalformedInput(f"{path}: no generated captions")
-    return generated
-
-
-def score_captions(path, captions) -> dict[str, float]:
-    """Corpus BLEU and mean METEOR of the caption TSV at ``path`` against ``captions``."""
-    generated = _read_generated(path)
+def score_captions(generated, captions) -> dict[str, float]:
+    """Corpus BLEU and mean METEOR of ``generated`` (image id -> tokens) against ``captions``."""
     refs = references_for(captions, generated)
     pairs = [(tokens, refs[image_id]) for image_id, tokens in sorted(generated.items())]
     return {
@@ -552,10 +525,9 @@ def score_captions(path, captions) -> dict[str, float]:
     }
 
 
-def caption_report(path, captions, train_strings, bins) -> dict:
+def caption_report(generated, captions, train_strings, bins) -> dict:
     """Repetition (against ``train_strings``, see ``analysis.caption_strings``)
-    and per-bin BLEU of the caption TSV at ``path``."""
-    generated = _read_generated(path)
+    and per-bin BLEU of ``generated`` (image id -> tokens)."""
     refs = references_for(captions, generated)
     rep = analysis.repetition_stats(generated, train_strings)
     return {
@@ -575,8 +547,8 @@ def caption_report(path, captions, train_strings, bins) -> dict:
 
 def _stage_eval(ctx: PipelineContext) -> list[str]:
     scores = {}
-    for system, path in _system_files(ctx):
-        row = score_captions(path, ctx.heldout_references())
+    for system, generated in _generated(ctx):
+        row = score_captions(generated, ctx.heldout_references())
         scores[system] = {name: round(value, 6) for name, value in row.items()}
     if not scores:
         raise MalformedInput("eval stage found no generated caption files; run knn/decode")
@@ -602,8 +574,8 @@ def _stage_analyze(ctx: PipelineContext) -> list[str]:
             for name in (analysis.BIN_LEAST, analysis.BIN_MIDDLE, analysis.BIN_MOST)
         },
         "systems": {
-            system: caption_report(path, ctx.heldout_references(), train_strings, bins)
-            for system, path in _system_files(ctx)
+            system: caption_report(generated, ctx.heldout_references(), train_strings, bins)
+            for system, generated in _generated(ctx)
         },
     }
     if not report["systems"]:
@@ -674,6 +646,15 @@ def _result_of(worker, receiver) -> tuple:
     return result
 
 
+def _previous_manifest(path) -> dict:
+    """The manifest at ``path``, an object whose ``stages`` map each stage to an object."""
+    previous = json_typed(artifacts.read_json(path), dict, f"{path}: the document")
+    stages = json_typed(previous.get("stages", {}), dict, f"{path}: stages")
+    for stage, files in stages.items():
+        json_typed(files, dict, f"{path}: stages[{stage!r}]")
+    return previous
+
+
 def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dict:
     """Run the requested stages in canonical order; returns the manifest."""
     if stages is None:
@@ -681,6 +662,11 @@ def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dic
     unknown = [s for s in stages if s not in _STAGE_FNS]
     if unknown:
         raise MalformedInput(f"unknown stages: {unknown}; valid: {list(STAGE_ORDER)}")
+    if "rerank" in stages and config.split_sizes[1] == 0:
+        raise MalformedInput(
+            "the rerank stage runs MERT on the val images, but the config split "
+            "sets val size 0"
+        )
     os.makedirs(out_dir, exist_ok=True)
     ctx = PipelineContext(config, out_dir)
     manifest: dict = {
@@ -690,7 +676,7 @@ def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dic
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.exists(manifest_path):
-        previous = artifacts.read_json(manifest_path)
+        previous = _previous_manifest(manifest_path)
         if previous.get("config_sha256") == manifest["config_sha256"]:
             manifest["stages"] = previous.get("stages", {})
     trained: dict[str, list[str]] = {}

@@ -45,7 +45,7 @@ from capkit.corpus import (
     Vocabulary,
     build_vocabulary,
     captions_by_image,
-    json_int,
+    json_typed,
     load_captions,
     load_detections,
     load_features,
@@ -450,8 +450,8 @@ def load_captions_oracle(path):
             ann_id, image_id, caption = entry["id"], entry["image_id"], entry["caption"]
         except KeyError as exc:
             raise MalformedInput(f"{path}: annotation missing id/image_id/caption") from exc
-        ann_id = json_int(ann_id, f"{path}: annotation id")
-        image_id = json_int(image_id, f"{path}: annotation {ann_id} image_id")
+        ann_id = json_typed(ann_id, int, f"{path}: annotation id")
+        image_id = json_typed(image_id, int, f"{path}: annotation {ann_id} image_id")
         if not isinstance(caption, str):
             raise MalformedInput(f"{path}: annotation {ann_id} caption must be a string")
         if ann_id in seen:

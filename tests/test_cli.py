@@ -454,6 +454,44 @@ class TestPipelineCli:
                                "message": "config hyperparameters must be a JSON object"}
         assert not (tmp_path / "y").exists()
 
+    @pytest.mark.parametrize("manifest, problem", [
+        pytest.param([], "the document must be an object, got []", id="array"),
+        pytest.param({"stages": [1]}, "stages must be an object, got [1]", id="stages-array"),
+        pytest.param({"stages": {"ingest": 1}}, "stages['ingest'] must be an object, got 1",
+                     id="stage-entry-number"),
+    ])
+    def test_damaged_manifest_exits_2_before_any_stage(self, fixture_dir, tmp_path, capsys,
+                                                       manifest, problem):
+        config_path = write_config(tmp_path / "config.json", fixture_dir, detections=False)
+        out_dir = tmp_path / "run"
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", out_dir,
+                       "--stages", "ingest") == 0
+        if isinstance(manifest, dict):  # under the run's own config hash
+            manifest = {**read_json(out_dir / "manifest.json"), **manifest}
+        (out_dir / "manifest.json").write_text(json.dumps(manifest))
+        (out_dir / "vocab.json").unlink()
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", out_dir,
+                       "--stages", "ingest") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [{
+            "error": "MalformedInput", "message": f"{out_dir / 'manifest.json'}: {problem}",
+        }]
+        assert not (out_dir / "vocab.json").exists()
+
+    def test_rerank_without_val_images_exits_2_before_any_stage(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        config_path = write_config(tmp_path / "config.json", fixture_dir, split=[30, 0, 10])
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "run") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput",
+            "message": "the rerank stage runs MERT on the val images, but the config split "
+                       "sets val size 0",
+        }
+        assert not (tmp_path / "run").exists()
+
     def test_exit_codes_of_the_train_me_worker(self, fixture_dir, tmp_path, capsys,
                                                monkeypatch):
         """train_me runs in a forked worker beside train_rnn; the stages are
@@ -553,9 +591,11 @@ _SMALL_MODELS = {
 
 
 class TestIngestedArtifacts:
-    """Stages after ingest read split.json, vocab.json, heldout_captions.json
-    and heldout_detections.jsonl; a damaged or stale one exits 2 with the
-    JSON error line, naming the file."""
+    """Stages read back the artifacts of earlier stages: ingest's split.json,
+    vocab.json, heldout_captions.json and heldout_detections.jsonl, the
+    models, the n-best lists and the caption files. A missing, damaged or
+    stale one exits 2 with the JSON error line, naming the file and the
+    stage to rerun."""
 
     @pytest.fixture(scope="class")
     def trained(self, fixture_dir, tmp_path_factory):
@@ -657,6 +697,58 @@ class TestIngestedArtifacts:
         assert code == 2
         assert doc == {"error": error, "message":
                        f"{run_dir / name}{problem}; run the 'ingest' stage again"}
+
+    @pytest.fixture(scope="class")
+    def reranked(self, trained, fixture_dir, tmp_path_factory):
+        """``trained`` after decode and rerank: every artifact a stage reads back.
+
+        Its GRU is large enough to end each testval caption, so that eval and
+        analyze can score every system."""
+        base = tmp_path_factory.mktemp("reranked")
+        shutil.copytree(trained, base / "run")
+        config = write_config(base / "config.json", fixture_dir, hyperparameters={
+            **_SMALL_MODELS, "rnn_epochs": 8, "rnn_embed": 8, "rnn_hidden": 16, "max_len": 12,
+        })
+        assert run_cli("pipeline", "--config", config, "--out-dir", base / "run",
+                       "--stages", "train_rnn,decode,rerank") == 0
+        return base / "run"
+
+    # (artifact, the stage that writes it, a stage that reads it back, the
+    # system an eval of the file scores: a caption file that is absent only
+    # drops its system)
+    @pytest.mark.parametrize("edit", ["deleted", "garbage"])
+    @pytest.mark.parametrize("name, producer, reader, system", [
+        ("split.json", "ingest", "knn", None),
+        ("vocab.json", "ingest", "train_me", None),
+        ("heldout_captions.json", "ingest", "eval", None),
+        ("heldout_detections.jsonl", "ingest", "decode", None),
+        ("me.model", "train_me", "decode", None),
+        ("rnn.model", "train_rnn", "decode", None),
+        ("me_nbest_val.tsv", "decode", "rerank", None),
+        ("me_nbest_testval.tsv", "decode", "rerank", None),
+        ("knn_consensus.tsv", "knn", "eval", "knn_consensus"),
+        ("knn_onenn.tsv", "knn", "analyze", "knn_onenn"),
+        ("mrnn_testval.tsv", "decode", "eval", "mrnn"),
+        ("reranked_testval.tsv", "rerank", "analyze", "me_reranked"),
+    ])
+    def test_every_artifact_read_back(self, reranked, fixture_dir, tmp_path, capsys,
+                                      name, producer, reader, system, edit):
+        code, doc, run_dir = self.run_after(reranked, fixture_dir, tmp_path, capsys, reader,
+                                            {name: None if edit == "deleted" else "garbage\n"})
+        if edit == "garbage":
+            assert code == 2
+            assert doc["error"] == "MalformedInput"
+            assert str(run_dir / name) in doc["message"]
+            assert doc["message"].endswith(f"; run the '{producer}' stage again")
+        elif system is None:
+            assert code == 2
+            assert doc == {"error": "MalformedInput", "message":
+                           f"missing artifact {run_dir / name}; run the '{producer}' stage first"}
+        else:
+            assert code == 0 and doc is None
+            report = read_json(run_dir / ("scores.json" if reader == "eval" else "analysis.json"))
+            systems = report if reader == "eval" else report["systems"]
+            assert system not in systems and len(systems) == 3
 
     def test_decode_thresholds_detections_at_its_own_alpha(
         self, trained, fixture_dir, tmp_path, capsys

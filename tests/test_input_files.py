@@ -106,3 +106,22 @@ def test_only_binio_opens_files_for_reading():
             if (path.name, function) != ("artifacts.py", "sha256_file"):
                 found.append(f"{path.name}:{line} in {function}")
     assert found == []
+
+
+def test_stages_read_artifacts_only_through_the_context():
+    """pipeline.py hands each artifact loader to ``PipelineContext.read``,
+    which names the stage to rerun; it never calls one itself."""
+    src = pathlib.Path(corpus.__file__).parent
+    loaders = {"load_maxent", "load_recurrent", "read_nbest_tsv", "read_captions_tsv",
+               "read_generated"}
+    found = []
+    for node in ast.walk(ast.parse((src / "pipeline.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in loaders:
+                found.append(f"pipeline.py:{node.lineno} calls {name}")
+    for path in sorted(src.glob("*.py")):
+        if "require_artifact" in path.read_text():
+            found.append(f"{path.name} names require_artifact")
+    assert found == []
