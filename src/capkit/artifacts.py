@@ -130,3 +130,17 @@ def read_nbest_tsv(path) -> list[NBestList]:
             raise MalformedInput(f"{where}: rank {rank} out of order for image {image_id}")
         nb.hypotheses.append(DecodedHypothesis(tuple(parts[2].split()), features))
     return [lists[i] for i in sorted(lists)]
+
+
+def nbest_reader(image_ids):
+    """A loader of an n-best TSV that must hold one list for each of ``image_ids``."""
+    def load(path) -> list[NBestList]:
+        nbests = read_nbest_tsv(path)
+        found, wanted = {nb.image_id for nb in nbests}, set(image_ids)
+        if found != wanted:
+            raise MalformedInput(
+                f"{path}: n-best lists do not match the split: missing images "
+                f"{sorted(wanted - found)}, extra images {sorted(found - wanted)}"
+            )
+        return nbests
+    return load

@@ -12,6 +12,7 @@ import re
 import reprlib
 import string
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -76,12 +77,13 @@ def tokenize_all(texts) -> list[tuple[str, ...]]:
     alike), so a newline can separate the texts. Neither newline nor space
     is cased or case-ignorable, so lowercasing cannot see across it (the
     final-sigma rule stops there), and the hyphen rule reads a newline
-    like the start or end of a text.
+    like the start or end of a text. Tokens are interned, so a word that
+    recurs across the texts is held as one string object.
     """
     if not texts:
         return []
     joined = "\n".join([text.replace("\n", " ") for text in texts])
-    return [tuple(line.split()) for line in _normalize(joined).split("\n")]
+    return [tuple(map(sys.intern, line.split())) for line in _normalize(joined).split("\n")]
 
 
 @dataclass(frozen=True)

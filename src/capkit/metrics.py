@@ -90,10 +90,16 @@ def bleu_from_stats(row: np.ndarray) -> float:
 
 
 def corpus_bleu(pairs) -> float:
-    """BLEU over an iterable of (hypothesis tokens, reference list) pairs."""
+    """BLEU over an iterable of (hypothesis tokens, reference list) pairs.
+
+    Pairs whose hypotheses hold no token at all (an under-trained model may
+    decode only empty captions) score 0.
+    """
     total = np.zeros(BLEU_ROW_WIDTH, dtype=np.int64)
     for hyp, refs in pairs:
         total += bleu_stats(hyp, refs)
+    if total[2 * BLEU_MAX_ORDER] == 0:  # the summed hypothesis length
+        return 0.0
     return bleu_from_stats(total)
 
 

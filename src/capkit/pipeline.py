@@ -482,7 +482,8 @@ def _stage_decode(ctx: PipelineContext) -> list[str]:
 
 
 def _stage_rerank(ctx: PipelineContext) -> list[str]:
-    val_nbests = ctx.read("me_nbest_val.tsv", "decode", artifacts.read_nbest_tsv)
+    val_ids, test_ids = ctx.split()["val"], ctx.split()["testval"]
+    val_nbests = ctx.read("me_nbest_val.tsv", "decode", artifacts.nbest_reader(val_ids))
     refs = references_for(ctx.heldout_references(), [nb.image_id for nb in val_nbests])
     weights = rerank.mert_optimize(
         val_nbests,
@@ -491,7 +492,7 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
         mert_config(ctx.hp, ctx.config.seed),
     )
     artifacts.write_json(ctx.artifact("weights.json"), weights)
-    test_nbests = ctx.read("me_nbest_testval.tsv", "decode", artifacts.read_nbest_tsv)
+    test_nbests = ctx.read("me_nbest_testval.tsv", "decode", artifacts.nbest_reader(test_ids))
     reranked = {
         nb.image_id: rerank.apply_weights(nb, weights).tokens for nb in test_nbests
     }

@@ -19,9 +19,11 @@ state once by [Uz | Ur]; training stacks them once per caption and
 decoding once per model (see ``RecurrentLM.step``). Training keeps every
 parameter in one flat buffer and the gradient in a second, with the
 tensors as views into them, so clipping and the update are a few whole-
-buffer operations per caption. Training is single-threaded and
-bit-reproducible given a seed; a trained model is immutable in practice
-and safe to score from many threads.
+buffer operations per caption. Training runs in one Python thread and is
+bit-reproducible given a seed and a BLAS thread count: at a vocabulary
+of a few thousand words, OpenBLAS rounds the batched output-layer
+products differently with one thread than with two. A trained model is
+immutable in practice and safe to score from many threads.
 """
 
 from __future__ import annotations

@@ -845,6 +845,20 @@ def test_importing_capkit_does_not_import_multiprocessing():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("imports, loaded", [
+    ("capkit.corpus", ["capkit", "capkit._binio", "capkit.corpus", "capkit.errors"]),
+    ("capkit.corpus, capkit.fixture",
+     ["capkit", "capkit._binio", "capkit.corpus", "capkit.errors", "capkit.fixture"]),
+])
+def test_importing_a_module_loads_only_what_it_imports(imports, loaded):
+    src = Path(pipeline.__file__).resolve().parents[1]
+    code = (f"import sys, {imports}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'capkit'))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == str(loaded)
+
+
 def test_retrieval_stages_build_no_caption_records(tmp_path, monkeypatch):
     with criterion("caption-columns", 30.0):
         generate_fixture(tmp_path, n_images=40, dim=8, seed=3)

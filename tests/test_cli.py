@@ -750,6 +750,43 @@ class TestIngestedArtifacts:
             systems = report if reader == "eval" else report["systems"]
             assert system not in systems and len(systems) == 3
 
+    @pytest.mark.parametrize("name, edit", [
+        ("me_nbest_val.tsv", "empty"),
+        ("me_nbest_testval.tsv", "drop-first-image"),
+        ("me_nbest_val.tsv", "testval-lists"),
+    ])
+    def test_nbest_file_must_hold_its_split(self, reranked, fixture_dir, tmp_path, capsys,
+                                            name, edit):
+        split = read_json(reranked / "split.json")
+        wanted = split["val" if name == "me_nbest_val.tsv" else "testval"]
+        if edit == "empty":
+            text, missing, extra = "", sorted(wanted), []
+        elif edit == "drop-first-image":
+            first = min(wanted)
+            lines = (reranked / name).read_text().splitlines(keepends=True)
+            text = "".join(line for line in lines if not line.startswith(f"{first}\t"))
+            missing, extra = [first], []
+        else:
+            text = (reranked / "me_nbest_testval.tsv").read_text()
+            missing, extra = sorted(wanted), sorted(split["testval"])
+        code, doc, run_dir = self.run_after(reranked, fixture_dir, tmp_path, capsys, "rerank",
+                                            {name: text})
+        assert code == 2
+        assert doc == {"error": "MalformedInput", "message":
+                       f"{run_dir / name}: n-best lists do not match the split: missing images "
+                       f"{missing}, extra images {extra}; run the 'decode' stage again"}
+
+    def test_a_system_of_empty_captions_scores_zero(self, trained, fixture_dir, tmp_path,
+                                                    capsys):
+        # A GRU this small ends no testval caption, so mrnn's captions are all empty.
+        code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys,
+                                            "decode,rerank,eval,analyze")
+        assert code == 0 and doc is None
+        assert set(read_captions_tsv(run_dir / "mrnn_testval.tsv").values()) == {()}
+        assert read_json(run_dir / "scores.json")["mrnn"] == {"bleu": 0.0, "meteor": 0.0}
+        binned = read_json(run_dir / "analysis.json")["systems"]["mrnn"]["binned_bleu"]
+        assert binned and set(binned.values()) == {0.0}
+
     def test_decode_thresholds_detections_at_its_own_alpha(
         self, trained, fixture_dir, tmp_path, capsys
     ):

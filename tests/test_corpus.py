@@ -21,6 +21,7 @@ from capkit.corpus import (
     save_features,
     split_dataset,
     tokenize,
+    tokenize_all,
     END_TOKEN,
     START_TOKEN,
     UNK_TOKEN,
@@ -56,6 +57,11 @@ class TestTokenize:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40)))
             once = tokenize(text)
             assert tokenize(" ".join(once)) == once
+
+    def test_equal_tokens_of_two_captions_are_one_object(self):
+        first, second = tokenize_all(["A skateboarder jumps.", "The Skateboarder falls"])
+        assert first[1] == second[1] == "skateboarder"
+        assert first[1] is second[1]
 
 
 class TestLoadCaptions:
