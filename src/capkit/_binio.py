@@ -85,10 +85,16 @@ class ByteReader:
         return [self.read_str() for _ in range(n)]
 
     def read_f64_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next ``shape`` float64 block, copied once out of the data."""
+        """The next ``shape`` float64 block, copied once out of the data; a
+        NaN or infinite value in it raises MalformedInput."""
         count = math.prod(shape)
         start = self._advance(8 * count)
-        return np.frombuffer(self.data, "<f8", count, start).reshape(shape).astype(np.float64)
+        block = np.frombuffer(self.data, "<f8", count, start)
+        finite = np.isfinite(block)
+        if not finite.all():
+            offset = start + 8 * int(np.argmin(finite))
+            raise MalformedInput(f"{self.label}: non-finite weight at offset {offset}")
+        return block.reshape(shape).astype(np.float64)
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):

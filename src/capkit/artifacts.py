@@ -74,6 +74,15 @@ def read_generated(path) -> dict[int, tuple[str, ...]]:
     return generated
 
 
+def check_feature_name(name: str) -> None:
+    """Raise MalformedInput unless an n-best file can hold the feature ``name``."""
+    if not name or any(c in name for c in "=;\t\r\n"):
+        raise MalformedInput(
+            f"bad feature name {name!r}: an n-best file holds a non-empty name "
+            "without '=', ';', a tab or a line break"
+        )
+
+
 def _format_features(features: dict[str, float]) -> str:
     return ";".join(f"{name}={repr(float(features[name]))}" for name in sorted(features))
 

@@ -164,6 +164,7 @@ def _conditioning_for(model, args):
 
 
 def _cmd_decode(args) -> int:
+    artifacts.check_feature_name(args.feature_name)
     model = _load_any_model(args.model)
     scorer = _scorer_for(model)
     kind, conditioning = _conditioning_for(model, args)
@@ -196,6 +197,8 @@ def _cmd_decode(args) -> int:
 
 def _cmd_mert(args) -> int:
     nbests = artifacts.read_nbest_tsv(args.nbest_path)
+    if not nbests:
+        raise MalformedInput(f"{args.nbest_path}: no n-best lists")
     refs = captions_by_image(load_captions(args.refs))
     log: list = []
     weights = rerank.mert_optimize(
@@ -271,7 +274,7 @@ def _cmd_pipeline(args) -> int:
             hyperparameters[key] = value
     base = os.path.dirname(os.path.abspath(args.config))
     config = PipelineConfig.from_doc(doc, base_dir=base)
-    stages = args.stages.split(",") if args.stages else None
+    stages = args.stages.split(",") if args.stages is not None else None
     run_pipeline(config, stages, args.out_dir)
     return 0
 

@@ -3,6 +3,10 @@
 Stages communicate only through files inside the output directory, write
 atomically, and a manifest records the configuration hash plus a checksum
 of every artifact, so identical (config, seed) runs are byte-comparable.
+A stage names each file it writes once, through ``ctx.artifact``, and
+returns nothing. Its manifest entry lists the files it wrote in that run,
+whatever else the directory holds, and its ``[stage] wrote`` line names
+them in write order.
 Only ingest reads the raw caption and detection files for the val and
 testval images: it writes those images' inputs in the raw input formats,
 their tokenized captions to ``heldout_captions.json`` and their lines of
@@ -41,10 +45,6 @@ from .corpus import (
     split_dataset,
 )
 from .errors import InputDataError, MalformedInput, ToolkitError
-
-STAGE_ORDER = (
-    "ingest", "knn", "train_me", "train_rnn", "decode", "rerank", "eval", "analyze",
-)
 
 DEFAULT_HYPERPARAMETERS: dict = {
     "alpha": 0.5,
@@ -232,8 +232,11 @@ class PipelineContext:
         self.hp = config.hyperparameters
         self.out_dir = out_dir
         self._cache: dict = {}
+        self.written: list[str] = []
 
     def artifact(self, name: str) -> str:
+        """The path to write the artifact ``name`` to; the name joins ``written``."""
+        self.written.append(name)
         return os.path.join(self.out_dir, name)
 
     def read(self, name: str, producer: str, load):
@@ -246,7 +249,7 @@ class PipelineContext:
         token) raises an InputDataError that names the file and asks for
         ``producer`` to run again.
         """
-        path = self.artifact(name)
+        path = os.path.join(self.out_dir, name)
         if not os.path.exists(path):
             raise MalformedInput(f"missing artifact {path}; run the '{producer}' stage first")
         try:
@@ -357,7 +360,7 @@ def require_features(image_ids, features) -> None:
         raise MalformedInput(f"images missing feature vectors: {missing[:5]}")
 
 
-def _stage_ingest(ctx: PipelineContext) -> list[str]:
+def _stage_ingest(ctx: PipelineContext) -> None:
     table = ctx.caption_table()
     features = ctx.features()
     image_ids = sorted(set(table.image_ids))
@@ -388,7 +391,6 @@ def _stage_ingest(ctx: PipelineContext) -> list[str]:
         {"id": n, "image_id": i, "caption": " ".join(tokens)}
         for n, (i, tokens) in enumerate(references, start=1)
     ]})
-    outputs = ["vocab.json", "split.json", "heldout_captions.json"]
     if detections is not None:
         # load_detections keeps one record per non-empty line, in file order.
         lines = read_file(ctx.config.detections_path, "detections file").split("\n")
@@ -396,11 +398,9 @@ def _stage_ingest(ctx: PipelineContext) -> list[str]:
         text = "".join(line + "\n" for line, image_id in zip(records, detections)
                        if image_id in heldout)
         artifacts.atomic_write_text(ctx.artifact("heldout_detections.jsonl"), text)
-        outputs.append("heldout_detections.jsonl")
-    return outputs
 
 
-def _stage_knn(ctx: PipelineContext) -> list[str]:
+def _stage_knn(ctx: PipelineContext) -> None:
     features = ctx.features()
     found = knn.retrieve_captions(
         ctx.train_index(),
@@ -412,10 +412,9 @@ def _stage_knn(ctx: PipelineContext) -> list[str]:
     )
     artifacts.write_captions_tsv(ctx.artifact("knn_consensus.tsv"), found["consensus"])
     artifacts.write_captions_tsv(ctx.artifact("knn_onenn.tsv"), found["onenn"])
-    return ["knn_consensus.tsv", "knn_onenn.tsv"]
 
 
-def _stage_train_me(ctx: PipelineContext) -> list[str]:
+def _stage_train_me(ctx: PipelineContext) -> None:
     detections = ctx.detections()
     pairs = [
         (CaptionRecord(*row), detections.get(row[0])) for row in ctx.train_rows()
@@ -424,10 +423,9 @@ def _stage_train_me(ctx: PipelineContext) -> list[str]:
         pairs, maxent_train_config(ctx.hp, ctx.config.seed), vocabulary=ctx.vocabulary()
     )
     maxent.save_maxent(lm, ctx.artifact("me.model"))
-    return ["me.model"]
 
 
-def _stage_train_rnn(ctx: PipelineContext) -> list[str]:
+def _stage_train_rnn(ctx: PipelineContext) -> None:
     features = ctx.features()
     data = [(features.get(image_id), list(tokens)) for image_id, tokens in ctx.train_rows()]
     seed = ctx.config.seed
@@ -437,17 +435,15 @@ def _stage_train_rnn(ctx: PipelineContext) -> list[str]:
     )
     recurrent.train(lm, data, rnn_train_config(ctx.hp, seed))
     recurrent.save_recurrent(lm, ctx.artifact("rnn.model"))
-    return ["rnn.model"]
 
 
-def _stage_decode(ctx: PipelineContext) -> list[str]:
+def _stage_decode(ctx: PipelineContext) -> None:
     me_lm = ctx.read("me.model", "train_me", maxent.load_maxent)
     rnn_lm = ctx.read("rnn.model", "train_rnn", recurrent.load_recurrent)
     me_scorer = decoding.MaxEntScorer(me_lm)
     rnn_scorer = decoding.RecurrentScorer(rnn_lm)
     detections = ctx.heldout_detections()
     features = ctx.features()
-    outputs = []
     for split_name in ("val", "testval"):
         nbests = []
         for image_id in ctx.split()[split_name]:
@@ -464,9 +460,7 @@ def _stage_decode(ctx: PipelineContext) -> list[str]:
         incomplete = sum(1 for nb in nbests if not nb.complete)
         if incomplete:
             print(f"[decode] warning: {incomplete} {split_name} images incomplete")
-        name = f"me_nbest_{split_name}.tsv"
-        artifacts.write_nbest_tsv(ctx.artifact(name), nbests)
-        outputs.append(name)
+        artifacts.write_nbest_tsv(ctx.artifact(f"me_nbest_{split_name}.tsv"), nbests)
     mrnn_captions = {}
     for image_id in ctx.split()["testval"]:
         result = decoding.beam_search(
@@ -477,11 +471,9 @@ def _stage_decode(ctx: PipelineContext) -> list[str]:
         )
         mrnn_captions[image_id] = result.hypotheses[0].tokens if result.hypotheses else ()
     artifacts.write_captions_tsv(ctx.artifact("mrnn_testval.tsv"), mrnn_captions)
-    outputs.append("mrnn_testval.tsv")
-    return outputs
 
 
-def _stage_rerank(ctx: PipelineContext) -> list[str]:
+def _stage_rerank(ctx: PipelineContext) -> None:
     val_ids, test_ids = ctx.split()["val"], ctx.split()["testval"]
     val_nbests = ctx.read("me_nbest_val.tsv", "decode", artifacts.nbest_reader(val_ids))
     refs = references_for(ctx.heldout_references(), [nb.image_id for nb in val_nbests])
@@ -497,7 +489,6 @@ def _stage_rerank(ctx: PipelineContext) -> list[str]:
         nb.image_id: rerank.apply_weights(nb, weights).tokens for nb in test_nbests
     }
     artifacts.write_captions_tsv(ctx.artifact("reranked_testval.tsv"), reranked)
-    return ["weights.json", "reranked_testval.tsv"]
 
 
 # (system, caption file, the stage that writes it)
@@ -512,7 +503,7 @@ _EVAL_SYSTEMS = (
 def _generated(ctx: PipelineContext):
     """(system, captions) of each generated caption file present in the run."""
     for system, name, producer in _EVAL_SYSTEMS:
-        if os.path.exists(ctx.artifact(name)):
+        if os.path.exists(os.path.join(ctx.out_dir, name)):
             yield system, ctx.read(name, producer, artifacts.read_generated)
 
 
@@ -546,7 +537,7 @@ def caption_report(generated, captions, train_strings, bins) -> dict:
     }
 
 
-def _stage_eval(ctx: PipelineContext) -> list[str]:
+def _stage_eval(ctx: PipelineContext) -> None:
     scores = {}
     for system, generated in _generated(ctx):
         row = score_captions(generated, ctx.heldout_references())
@@ -556,10 +547,9 @@ def _stage_eval(ctx: PipelineContext) -> list[str]:
     for system, row in scores.items():
         print(f"[eval] {system}: BLEU {row['bleu']:.2f} METEOR {row['meteor']:.2f}")
     artifacts.write_json(ctx.artifact("scores.json"), scores)
-    return ["scores.json"]
 
 
-def _stage_analyze(ctx: PipelineContext) -> list[str]:
+def _stage_analyze(ctx: PipelineContext) -> None:
     bins = analysis.overlap_bins(
         analysis.unit_index(ctx.features(), "test", ctx.split()["testval"]),
         ctx.train_index(),
@@ -582,7 +572,6 @@ def _stage_analyze(ctx: PipelineContext) -> list[str]:
     if not report["systems"]:
         raise MalformedInput("analyze stage found no generated caption files")
     artifacts.write_json(ctx.artifact("analysis.json"), report)
-    return ["analysis.json"]
 
 
 _STAGE_FNS = {
@@ -596,23 +585,27 @@ _STAGE_FNS = {
     "analyze": _stage_analyze,
 }
 
+STAGE_ORDER = tuple(_STAGE_FNS)
+
 
 def _train_me_worker(ctx: PipelineContext, conn) -> None:
-    """Run ``train_me`` and send ``conn`` (True, outputs) or (False, error);
-    the parent raises the error, whatever its kind, so it is never lost here."""
+    """Run ``train_me`` and send ``conn`` (True, the names it wrote) or
+    (False, error); the parent raises the error, whatever its kind, so it
+    is never lost here."""
     try:
-        outputs = _STAGE_FNS["train_me"](ctx)
+        _STAGE_FNS["train_me"](ctx)
     except BaseException as exc:
         exc.add_note(f"in the train_me worker:\n{traceback.format_exc()}")
         conn.send((False, exc))
         return
-    conn.send((True, outputs))
+    conn.send((True, ctx.written))
 
 
 def _train_both(ctx: PipelineContext) -> dict[str, list[str]]:
-    """Outputs of ``train_me``, run in a forked worker, and of ``train_rnn``,
-    run here meanwhile. The worker is always joined, never killed; when both
-    stages fail, ``train_me``'s error is the one raised."""
+    """Names written by ``train_me``, run in a forked worker, and by
+    ``train_rnn``, run here meanwhile, from an empty ``ctx.written``. The
+    worker is always joined, never killed; when both stages fail,
+    ``train_me``'s error is the one raised."""
     import multiprocessing  # here, so that importing capkit does not pay for it
 
     fork = multiprocessing.get_context("fork")
@@ -621,17 +614,17 @@ def _train_both(ctx: PipelineContext) -> dict[str, list[str]]:
     worker.start()  # flushes stdout and stderr first, so the worker prints nothing twice
     sender.close()
     try:
-        rnn_outputs = _STAGE_FNS["train_rnn"](ctx)
+        _STAGE_FNS["train_rnn"](ctx)
     finally:
         # Whether or not train_rnn raised: an error of train_me's replaces its.
         me_ok, me_result = _result_of(worker, receiver)
         if not me_ok:
             raise me_result
-    return {"train_me": me_result, "train_rnn": rnn_outputs}
+    return {"train_me": me_result, "train_rnn": ctx.written}
 
 
 def _result_of(worker, receiver) -> tuple:
-    """(True, outputs) or (False, error) that ``worker`` sent, once it has exited."""
+    """(True, names written) or (False, error) that ``worker`` sent, once it has exited."""
     try:
         result = receiver.recv()
     except EOFError:
@@ -684,9 +677,12 @@ def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dic
     for stage in STAGE_ORDER:
         if stage not in stages:
             continue
+        ctx.written = []
         if stage == "train_me" and "train_rnn" in stages:
             trained = _train_both(ctx)
-        outputs = trained.pop(stage) if stage in trained else _STAGE_FNS[stage](ctx)
+        if stage not in trained:
+            _STAGE_FNS[stage](ctx)
+        outputs = trained.pop(stage, ctx.written)
         manifest["stages"][stage] = {
             name: artifacts.sha256_file(os.path.join(out_dir, name)) for name in outputs
         }

@@ -6,8 +6,10 @@ brute-force enumeration, grid search, finite differences) of the code
 paths they check.
 """
 
+import ast
 import builtins
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -770,6 +772,26 @@ def test_readme_names_every_file_of_a_full_run(tmp_path):
     assert sorted(names) == sorted(p.name for p in out.iterdir())
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+def _returns_of(node):
+    """Line numbers of the ``return <value>`` statements in ``node``'s own body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Return) and child.value is not None:
+            yield child.lineno
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _returns_of(child)
+
+
+def test_no_stage_returns_a_value():
+    """A stage names the files it writes only through ``ctx.artifact``,
+    which records them for the manifest; run_pipeline ignores its result."""
+    found = {}
+    for stage, fn in pipeline._STAGE_FNS.items():
+        (tree,) = ast.parse(inspect.getsource(fn)).body
+        if lines := list(_returns_of(tree)):
+            found[stage] = lines
+    assert found == {}
 
 
 @pytest.mark.parametrize("seed", [202, 7])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capkit.artifacts import (
     read_captions_tsv,
@@ -86,6 +88,38 @@ class TestNbestTsv:
         path.write_text("1\t1\ta cat\tlogprob\n")
         with pytest.raises(MalformedInput):
             read_nbest_tsv(path)
+
+
+# What the two TSV formats can hold: u64 image ids, tokens without
+# whitespace, feature names without '=', ';', a tab or a line break, and
+# finite values.
+_IMAGE_IDS = st.integers(0, 2**64 - 1)
+_TOKENS = st.lists(
+    st.text(min_size=1).filter(lambda t: not any(c.isspace() for c in t)), max_size=4
+).map(tuple)
+_FEATURES = st.dictionaries(
+    st.text(min_size=1).filter(lambda n: not any(c in n for c in "=;\t\r\n")),
+    st.floats(allow_nan=False, allow_infinity=False),
+    max_size=3,
+)
+_HYPOTHESES = st.builds(DecodedHypothesis, _TOKENS, _FEATURES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lists=st.dictionaries(_IMAGE_IDS, st.lists(_HYPOTHESES, min_size=1, max_size=3),
+                             max_size=4))
+def test_nbest_tsv_round_trip(tmp_path_factory, lists):
+    path = tmp_path_factory.getbasetemp() / "round-trip-nbest.tsv"
+    write_nbest_tsv(path, [NBestList(i, hyps) for i, hyps in lists.items()])
+    assert read_nbest_tsv(path) == [NBestList(i, lists[i]) for i in sorted(lists)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(captions=st.dictionaries(_IMAGE_IDS, _TOKENS, max_size=5))
+def test_captions_tsv_round_trip(tmp_path_factory, captions):
+    path = tmp_path_factory.getbasetemp() / "round-trip-captions.tsv"
+    write_captions_tsv(path, captions)
+    assert read_captions_tsv(path) == captions
 
 
 class TestJson:

@@ -390,6 +390,33 @@ class TestPipelineCli:
                        "--out-dir", tmp_path / "x", "--stages", "nope")
         assert code == 2
 
+    def test_empty_stage_list_exits_2_before_any_output(self, fixture_dir, tmp_path, capsys):
+        config_path = write_config(tmp_path / "config.json", fixture_dir)
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "run",
+                       "--stages", "") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput",
+            "message": f"unknown stages: ['']; valid: {list(pipeline.STAGE_ORDER)}",
+        }
+        assert not (tmp_path / "run").exists()
+
+    def test_manifest_lists_the_files_a_stage_wrote(self, fixture_dir, tmp_path, capsys):
+        # The second ingest, without detections, leaves the first one's
+        # heldout_detections.jsonl in the directory, but did not write it.
+        run_dir = tmp_path / "run"
+        for detections in (True, False):
+            config_path = write_config(tmp_path / "config.json", fixture_dir,
+                                       detections=detections)
+            capsys.readouterr()
+            assert run_cli("pipeline", "--config", config_path, "--out-dir", run_dir,
+                           "--stages", "ingest") == 0
+        assert (run_dir / "heldout_detections.jsonl").exists()
+        assert "[ingest] wrote vocab.json split.json heldout_captions.json\n" in (
+            capsys.readouterr().out)
+        assert sorted(read_json(run_dir / "manifest.json")["stages"]["ingest"]) == [
+            "heldout_captions.json", "split.json", "vocab.json"]
+
     def test_decode_before_training_exits_2(self, fixture_dir, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
@@ -613,6 +640,8 @@ class TestIngestedArtifacts:
         for name, text in (edit or {}).items():
             if text is None:
                 (run_dir / name).unlink()
+            elif isinstance(text, bytes):
+                (run_dir / name).write_bytes(text)
             else:
                 (run_dir / name).write_text(text)
         config = write_config(tmp_path / "config.json", fixture_dir,
@@ -622,6 +651,22 @@ class TestIngestedArtifacts:
                        "--stages", stages, *extra)
         err = capsys.readouterr().err.strip()
         return code, (json.loads(err) if err else None), run_dir
+
+    @pytest.mark.parametrize("name, producer, value", [
+        ("me.model", "train_me", float("nan")),
+        ("rnn.model", "train_rnn", float("inf")),
+    ])
+    def test_model_with_a_non_finite_weight(self, trained, fixture_dir, tmp_path, capsys,
+                                            name, producer, value):
+        damaged = tmp_path / name
+        _set_first_weight(trained / name, damaged, value)
+        code, doc, run_dir = self.run_after(trained, fixture_dir, tmp_path, capsys, "decode",
+                                            {name: damaged.read_bytes()})
+        assert code == 2
+        assert doc["error"] == "MalformedInput"
+        assert doc["message"].startswith(f"{run_dir / name}: non-finite weight at offset ")
+        assert doc["message"].endswith(f"; run the '{producer}' stage again")
+        assert not (run_dir / "me_nbest_val.tsv").exists()
 
     @pytest.mark.parametrize("text, problem", [
         (json.dumps({"train": [1], "testval": [2]}), "missing key 'val'"),
@@ -961,6 +1006,34 @@ class TestBadValuesExit2:
                        "message": f"{nbest}:2: non-finite feature value 'logprob={value}'"}
         assert not out.exists()
 
+    def test_mert_on_an_empty_nbest_file(self, fixture_dir, tmp_path, capsys):
+        nbest = tmp_path / "nbest.tsv"
+        nbest.write_text("")
+        out = tmp_path / "weights.json"
+        capsys.readouterr()
+        assert run_cli("mert", "--nbest", nbest, "--refs", fixture_dir / "captions.json",
+                       "--features", "logprob", "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "MalformedInput", "message": f"{nbest}: no n-best lists"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["", "m;x", "m=x", "m\tx", "m\rx", "m\nx"])
+    def test_rescore_feature_name_an_nbest_file_cannot_hold(self, fixture_dir, tmp_path,
+                                                            capsys, name):
+        nbest = tmp_path / "nbest.tsv"
+        nbest.write_text("101\t1\ta bus\tlogprob=-1.5\n")
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        # The model path does not exist: the name is checked before any model is read.
+        assert run_cli("decode", "--model", tmp_path / "absent.model", "--rescore", nbest,
+                       "--detections", fixture_dir / "detections.jsonl",
+                       "--feature-name", name, "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "MalformedInput", "message":
+                       f"bad feature name {name!r}: an n-best file holds a non-empty name "
+                       "without '=', ';', a tab or a line break"}
+        assert not out.exists()
+
     def test_mert_feature_missing_from_nbest(self, fixture_dir, tmp_path, capsys):
         nbest = tmp_path / "nbest.tsv"
         nbest.write_text("101\t1\ta bus\tlogprob=-1.5\n101\t2\ta cat\tlogprob=-2.0\n")
@@ -1052,6 +1125,21 @@ class TestDetectionOutsideTheModel:
         assert models[0] == models[1]
 
 
+def _set_first_weight(model_path, out_path, value):
+    """Save the model at ``model_path`` to ``out_path`` with its first
+    ``unigram`` (MELM) or ``out_w`` (GRLM) weight set to ``value``."""
+    from capkit import maxent, recurrent
+
+    if model_path.read_bytes().startswith(b"MELM"):
+        lm = maxent.load_maxent(model_path)
+        lm.unigram[0] = value
+        maxent.save_maxent(lm, out_path)
+    else:
+        lm = recurrent.load_recurrent(model_path)
+        lm.params["out_w"][0, 0] = value
+        recurrent.save_recurrent(lm, out_path)
+
+
 @pytest.fixture(scope="module")
 def models(fixture_dir, me_model, tmp_path_factory):
     """A small model of each kind: MELM, mrnn GRLM and dgrnn GRLM."""
@@ -1063,6 +1151,22 @@ def models(fixture_dir, me_model, tmp_path_factory):
                        *flags, "--embed", "4", "--hidden", "4", "--epochs", "1",
                        "--out", base / f"{mode}.model") == 0
     return {"melm": me_model, "mrnn": base / "mrnn.model", "dgrnn": base / "dgrnn.model"}
+
+
+@pytest.mark.parametrize("kind, value", [("melm", float("nan")), ("mrnn", float("inf"))])
+def test_decode_with_a_non_finite_model_weight_exits_2(fixture_dir, models, tmp_path, capsys,
+                                                       kind, value):
+    model = tmp_path / "damaged.model"
+    _set_first_weight(models[kind], model, value)
+    out = tmp_path / "nbest.tsv"
+    capsys.readouterr()
+    assert run_cli("decode", "--model", model, "--features", fixture_dir / "features.fvec",
+                   "--detections", fixture_dir / "detections.jsonl",
+                   "--beam", "2", "--nbest", "2", "--max-len", "4", "--out", out) == 2
+    doc = json.loads(capsys.readouterr().err.strip())
+    assert doc["error"] == "MalformedInput"
+    assert doc["message"].startswith(f"{model}: non-finite weight at offset ")
+    assert not out.exists()
 
 
 class TestModelDecidesConditioning:
