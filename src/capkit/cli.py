@@ -74,8 +74,7 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
 
 
 def _cmd_knn_caption(args) -> int:
-    train_features = load_features(args.features_train)
-    test_features = load_features(args.features_test)
+    train_features, test_features = _train_and_test_features(args)
     captions = captions_by_image(load_captions(args.captions))
     out = knn.retrieve_captions(
         knn.FeatureIndex.from_store(train_features),
@@ -109,65 +108,71 @@ def _cmd_train_me(args) -> int:
     return _report_training(lm, args.out)
 
 
+# train-rnn --mode: the recurrent mode of each model name
+_RNN_MODES = {"mrnn": recurrent.MODE_IMAGE_INITIAL, "dgrnn": recurrent.MODE_COVERAGE_AUX}
+
+
 def _cmd_train_rnn(args) -> int:
     records = load_captions(args.captions)
     vocab = build_vocabulary(records.tokens, args.min_count)
-    if args.mode == "mrnn":
-        if not args.features:
-            raise MalformedInput("--mode mrnn needs --features")
-        features = load_features(args.features)
-        require_features(sorted(set(records.image_ids)), features)
-        data = [(features.get(rec.image_id), list(rec.tokens)) for rec in records]
-        config = recurrent_config(
-            vars(args), args.seed, recurrent.MODE_IMAGE_INITIAL, features.dim
-        )
-    else:
-        if not args.detections:
-            raise MalformedInput("--mode dgrnn needs --detections")
-        detections = load_detections(args.detections, args.alpha)
-        data = [(detections.get(rec.image_id), list(rec.tokens)) for rec in records]
-        config = recurrent_config(vars(args), args.seed, recurrent.MODE_COVERAGE_AUX, None)
-    lm = recurrent.RecurrentLM(vocab, config)
+    mode = _RNN_MODES[args.mode]
+    _, conditioning, feature_dim = _conditioning_for(mode, args, sorted(set(records.image_ids)))
+    data = [(conditioning.get(rec.image_id), list(rec.tokens)) for rec in records]
+    lm = recurrent.RecurrentLM(vocab, recurrent_config(vars(args), args.seed, mode, feature_dim))
     recurrent.train(lm, data, rnn_train_config(vars(args), args.seed))
     recurrent.save_recurrent(lm, args.out)
     return _report_training(lm, args.out)
 
 
 def _load_any_model(path):
+    """The model at ``path`` as (scorer, recurrent mode, feature dimension); a
+    MELM has no mode, and only an mrnn GRLM has a feature dimension."""
     magic = read_file(path, "model file", binary=True)[:4]
     if magic == b"MELM":
-        return maxent.load_maxent(path)
+        return decoding.MaxEntScorer(maxent.load_maxent(path)), None, None
     if magic == b"GRLM":
-        return recurrent.load_recurrent(path)
+        lm = recurrent.load_recurrent(path)
+        return decoding.RecurrentScorer(lm), lm.mode, lm.config.feature_dim
     raise MalformedInput(f"{path}: unknown model magic {magic!r}")
 
 
-def _scorer_for(model):
-    if isinstance(model, maxent.MaxEntLM):
-        return decoding.MaxEntScorer(model)
-    return decoding.RecurrentScorer(model)
+def _features_of_dim(path, dim, owner):
+    """The features file at ``path``, whose dimension must be ``owner``'s ``dim`` (if set)."""
+    features = load_features(path)
+    if dim is not None and features.dim != dim:
+        raise MalformedInput(f"{path}: {features.dim}-d feature vectors, but {owner} has {dim}-d")
+    return features
 
 
-def _conditioning_for(model, args):
-    """The one conditioning input ``model`` reads, as (kind, images).
+def _train_and_test_features(args):
+    """The ``--features-train`` and ``--features-test`` stores, of one dimension."""
+    train = load_features(args.features_train)
+    return train, _features_of_dim(args.features_test, train.dim, args.features_train)
 
-    An image-conditioned GRLM reads ``--features``; a MELM or a dgrnn GRLM
-    reads ``--detections`` and decodes under coverage.
+
+def _conditioning_for(mode, args, image_ids=(), feature_dim=None):
+    """(kind, images, feature dimension) of the one input a model of recurrent
+    ``mode`` (None for a MELM) reads.
+
+    An mrnn GRLM reads ``--features``: a vector for each of ``image_ids``, of
+    dimension ``feature_dim`` if set. A MELM or a dgrnn GRLM reads
+    ``--detections``, decodes under coverage and has no feature dimension.
     """
-    if isinstance(model, recurrent.RecurrentLM) and model.mode == recurrent.MODE_IMAGE_INITIAL:
+    if mode == recurrent.MODE_IMAGE_INITIAL:
         if not args.features:
-            raise MalformedInput("an image-conditioned GRLM model needs --features")
-        return "features", load_features(args.features)
+            raise MalformedInput("an mrnn model needs --features")
+        features = _features_of_dim(args.features, feature_dim, "the model")
+        require_features(image_ids, features)
+        return "features", features, features.dim
     if not args.detections:
-        raise MalformedInput("a MELM or dgrnn GRLM model needs --detections")
-    return "detections", load_detections(args.detections, args.alpha)
+        raise MalformedInput("a MELM or dgrnn model needs --detections")
+    return "detections", load_detections(args.detections, args.alpha), None
 
 
 def _cmd_decode(args) -> int:
     artifacts.check_feature_name(args.feature_name)
-    model = _load_any_model(args.model)
-    scorer = _scorer_for(model)
-    kind, conditioning = _conditioning_for(model, args)
+    scorer, mode, feature_dim = _load_any_model(args.model)
+    kind, conditioning, _ = _conditioning_for(mode, args, feature_dim=feature_dim)
     if args.rescore:
         rescored = []
         for nb in artifacts.read_nbest_tsv(args.rescore):
@@ -227,8 +232,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     captions = captions_by_image(load_captions(args.captions))
-    train_features = load_features(args.features_train)
-    test_features = load_features(args.features_test)
+    train_features, test_features = _train_and_test_features(args)
     train_strings = analysis.caption_strings(
         cap for image_id in train_features.ids() for cap in captions.get(image_id, ())
     )
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_me)
 
     p = sub.add_parser("train-rnn", help="train a gated recurrent LM")
-    p.add_argument("--mode", choices=("mrnn", "dgrnn"), required=True)
+    p.add_argument("--mode", choices=tuple(_RNN_MODES), required=True)
     p.add_argument("--features")
     p.add_argument("--detections")
     _hyperparameter(p, "--alpha", "alpha")

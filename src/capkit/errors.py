@@ -35,8 +35,8 @@ class DimensionMismatch(ToolkitError):
     """Vectors or matrices with incompatible dimensions were combined."""
 
 
-class ZeroVector(ToolkitError):
-    """A zero vector was used where a direction is required."""
+class ZeroVector(InputDataError):
+    """A zero feature vector was used where a direction is required."""
 
 
 class EmptyIndex(ToolkitError):

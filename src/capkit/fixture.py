@@ -14,6 +14,7 @@ from random import Random
 
 import numpy as np
 
+from ._binio import atomic_write_bytes
 from .corpus import FeatureStore, save_features
 
 THEMES = (
@@ -84,10 +85,9 @@ def generate_fixture(out_dir, n_images: int = 200, dim: int = 8, seed: int = 13,
         ]
         detection_lines.append(json.dumps({"image_id": image_id, "words": words}))
 
-    with open(os.path.join(out_dir, "captions.json"), "w", encoding="utf-8") as fh:
-        json.dump({"annotations": annotations}, fh, sort_keys=True)
-        fh.write("\n")
+    atomic_write_bytes(os.path.join(out_dir, "captions.json"),
+                       (json.dumps({"annotations": annotations}, sort_keys=True) + "\n").encode())
     save_features(store, os.path.join(out_dir, "features.fvec"))
-    with open(os.path.join(out_dir, "detections.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(detection_lines) + "\n")
+    atomic_write_bytes(os.path.join(out_dir, "detections.jsonl"),
+                       ("\n".join(detection_lines) + "\n").encode())
     return {"image_ids": image_ids, "theme_of": theme_of}

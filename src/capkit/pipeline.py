@@ -91,7 +91,8 @@ _RULES = {
 
 
 def _check_ranges(hp: dict) -> None:
-    """Raise MalformedInput for the first value in ``hp`` that breaks its rule."""
+    """Raise MalformedInput for the first value in ``hp`` that breaks its rule,
+    then if ``min_coverage`` is not below ``max_len``."""
     for key, (types, in_range, requirement) in _RULES.items():
         if key not in hp:
             continue
@@ -100,6 +101,12 @@ def _check_ranges(hp: dict) -> None:
             raise MalformedInput(f"hyperparameter {key} has the wrong type: {value!r}")
         if not in_range(value):
             raise MalformedInput(f"hyperparameter out of range: {key} must be {requirement}")
+    min_coverage, max_len = hp.get("min_coverage"), hp.get("max_len")
+    if min_coverage is not None and max_len is not None and min_coverage >= max_len:
+        # Each covered word takes a step, and END takes one more.
+        raise MalformedInput(
+            f"hyperparameter out of range: min_coverage must be < max_len ({max_len})"
+        )
 
 
 # Library configs from a mapping keyed like DEFAULT_HYPERPARAMETERS: the
@@ -225,7 +232,8 @@ class PipelineConfig:
 
 class PipelineContext:
     """Lazy access to inputs and prior-stage artifacts; the inputs and the
-    ingest artifacts are cached."""
+    ingest artifacts are cached. It checks no config fact: ``run_pipeline``
+    has checked each stage's ``_NEEDS`` before any stage runs."""
 
     def __init__(self, config: PipelineConfig, out_dir: str):
         self.config = config
@@ -277,8 +285,6 @@ class PipelineContext:
         return self._cached("features", lambda: load_features(self.config.features_path))
 
     def detections(self):
-        if self.config.detections_path is None:
-            raise MalformedInput("this stage needs a detections path in the config")
         return self._cached(
             "detections",
             lambda: load_detections(self.config.detections_path, self.hp["alpha"]),
@@ -316,8 +322,6 @@ class PipelineContext:
 
     def heldout_detections(self) -> dict[int, DetectionSet]:
         """Detections of the val and testval images, from ingest, at this run's alpha."""
-        if self.config.detections_path is None:
-            raise MalformedInput("this stage needs a detections path in the config")
         return self._cached("heldout_detections.jsonl", lambda: self.read(
             "heldout_detections.jsonl", "ingest",
             lambda path: load_detections(path, self.hp["alpha"]),
@@ -587,6 +591,23 @@ _STAGE_FNS = {
 
 STAGE_ORDER = tuple(_STAGE_FNS)
 
+# The config facts each stage reads besides its hyperparameters: one row per
+# (stage, what it does with the fact, what a config without it lacks, the
+# test that the config holds it). run_pipeline checks them all before any
+# stage runs.
+_TRAIN = ("split sets train size 0", lambda config: config.split_sizes[0] > 0)
+_VAL = ("split sets val size 0", lambda config: config.split_sizes[1] > 0)
+_DETECTIONS = ("has no detections path", lambda config: config.detections_path is not None)
+_NEEDS = (
+    ("knn", "retrieves captions of the train images", *_TRAIN),
+    ("train_me", "trains on the train captions", *_TRAIN),
+    ("train_me", "conditions on the word detections", *_DETECTIONS),
+    ("train_rnn", "trains on the train captions", *_TRAIN),
+    ("decode", "decodes under the word detections", *_DETECTIONS),
+    ("rerank", "runs MERT on the val images", *_VAL),
+    ("analyze", "bins the testval images against the train images", *_TRAIN),
+)
+
 
 def _train_me_worker(ctx: PipelineContext, conn) -> None:
     """Run ``train_me`` and send ``conn`` (True, the names it wrote) or
@@ -656,11 +677,9 @@ def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dic
     unknown = [s for s in stages if s not in _STAGE_FNS]
     if unknown:
         raise MalformedInput(f"unknown stages: {unknown}; valid: {list(STAGE_ORDER)}")
-    if "rerank" in stages and config.split_sizes[1] == 0:
-        raise MalformedInput(
-            "the rerank stage runs MERT on the val images, but the config split "
-            "sets val size 0"
-        )
+    for stage, does, lacks, holds in _NEEDS:
+        if stage in stages and not holds(config):
+            raise MalformedInput(f"the {stage} stage {does}, but the config {lacks}")
     os.makedirs(out_dir, exist_ok=True)
     ctx = PipelineContext(config, out_dir)
     manifest: dict = {

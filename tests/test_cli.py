@@ -2,12 +2,13 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from capkit import pipeline
 from capkit.artifacts import read_captions_tsv, read_json, read_nbest_tsv
 from capkit.cli import main
-from capkit.corpus import FeatureStore, save_features
+from capkit.corpus import FeatureStore, load_features, save_features
 from capkit.errors import InputDataError
 from capkit.fixture import generate_fixture
 
@@ -81,6 +82,19 @@ class TestIngest:
         err = capsys.readouterr().err.strip()
         doc = json.loads(err)
         assert "nope.fvec" in doc["message"]
+
+    @pytest.mark.parametrize("sizes, message", [
+        ("30,5", "--sizes must be train,val,testval"),
+        ("30,five,5", "bad --sizes value '30,five,5'"),
+    ])
+    def test_bad_sizes_exit_2(self, fixture_dir, tmp_path, capsys, sizes, message):
+        capsys.readouterr()
+        assert run_cli("ingest", "--captions", fixture_dir / "captions.json",
+                       "--features", fixture_dir / "features.fvec", "--sizes", sizes,
+                       "--out-dir", tmp_path / "run") == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "MalformedInput",
+                                                       "message": message}
+        assert not (tmp_path / "run").exists()
 
 
 class TestKnnCaption:
@@ -351,6 +365,14 @@ class TestAnalyzeCli:
             assert json.loads(captured.err.strip())["error"] == "EmptyIndex"
 
 
+# (id, write_config edit) that takes away the fact each row of pipeline._NEEDS tests
+_LACKING = {
+    "split sets train size 0": ("train", {"split": [0, 20, 20]}),
+    "split sets val size 0": ("val", {"split": [30, 0, 10]}),
+    "has no detections path": ("detections", {"detections": False}),
+}
+
+
 class TestPipelineCli:
     def test_eval_only_stage_with_prebuilt_artifacts(self, fixture_dir, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -519,6 +541,54 @@ class TestPipelineCli:
         }
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("stage, does, lacks", [row[:3] for row in pipeline._NEEDS],
+                             ids=[f"{row[0]}-{_LACKING[row[2]][0]}" for row in pipeline._NEEDS])
+    def test_each_stage_need_exits_2_before_any_stage(self, fixture_dir, tmp_path, capsys,
+                                                      stage, does, lacks):
+        config_path = write_config(tmp_path / "config.json", fixture_dir,
+                                   **_LACKING[lacks][1])
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "run",
+                       "--stages", f"ingest,{stage}") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput",
+            "message": f"the {stage} stage {does}, but the config {lacks}",
+        }
+        assert not (tmp_path / "run").exists()
+
+    def test_seed_option_overrides_the_config_seed(self, fixture_dir, tmp_path):
+        config_path = write_config(tmp_path / "config.json", fixture_dir)
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "option",
+                       "--stages", "ingest", "--seed", "11") == 0
+        config_path = write_config(tmp_path / "seeded.json", fixture_dir, seed=11)
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "config",
+                       "--stages", "ingest") == 0
+        for name in ("split.json", "manifest.json"):
+            assert ((tmp_path / "option" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes())
+        assert read_json(tmp_path / "option" / "manifest.json")["seed"] == 11
+
+    def test_set_value_that_is_not_json_is_a_string(self, fixture_dir, tmp_path, capsys):
+        config_path = write_config(tmp_path / "config.json", fixture_dir)
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "run",
+                       "--stages", "ingest", "--set", "k=ten") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput", "message": "hyperparameter k has the wrong type: 'ten'",
+        }
+        assert not (tmp_path / "run").exists()
+
+    def test_min_coverage_max_len_cannot_reach_exits_2(self, fixture_dir, tmp_path, capsys):
+        config_path = write_config(tmp_path / "config.json", fixture_dir,
+                                   hyperparameters={"max_len": 8, "min_coverage": 8})
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "run") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput",
+            "message": "hyperparameter out of range: min_coverage must be < max_len (8)",
+        }
+        assert not (tmp_path / "run").exists()
+
     def test_exit_codes_of_the_train_me_worker(self, fixture_dir, tmp_path, capsys,
                                                monkeypatch):
         """train_me runs in a forked worker beside train_rnn; the stages are
@@ -651,6 +721,19 @@ class TestIngestedArtifacts:
                        "--stages", stages, *extra)
         err = capsys.readouterr().err.strip()
         return code, (json.loads(err) if err else None), run_dir
+
+    def test_decode_stage_warns_of_incomplete_decodes(self, trained, fixture_dir, tmp_path,
+                                                      capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained, run_dir)
+        config = write_config(tmp_path / "config.json", fixture_dir,
+                              hyperparameters={**_SMALL_MODELS, "max_len": 2})
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config, "--out-dir", run_dir,
+                       "--stages", "decode") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "[decode] warning: 5 val images incomplete" in lines
+        assert "[decode] warning: 5 testval images incomplete" in lines
 
     @pytest.mark.parametrize("name, producer, value", [
         ("me.model", "train_me", float("nan")),
@@ -1174,6 +1257,11 @@ class TestModelDecidesConditioning:
     search, a MELM or dgrnn model reads --detections and runs coverage search."""
 
     NEEDS = {"melm": "--detections", "mrnn": "--features", "dgrnn": "--detections"}
+    MESSAGES = {"--features": "an mrnn model needs --features",
+                "--detections": "a MELM or dgrnn model needs --detections"}
+    # the other model kind's input, which does not stand in
+    OTHER = {"--features": ["--detections", "detections.jsonl"],
+             "--detections": ["--features", "features.fvec"]}
 
     def test_decode_has_no_mode_option(self, fixture_dir, models, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1198,18 +1286,166 @@ class TestModelDecidesConditioning:
     @pytest.mark.parametrize("kind", ["melm", "mrnn", "dgrnn"])
     def test_missing_input_names_its_flag(self, fixture_dir, models, tmp_path, capsys, kind,
                                           rescore):
-        # the other model kind's input is given, and does not stand in
-        other = {"--features": ["--detections", fixture_dir / "detections.jsonl"],
-                 "--detections": ["--features", fixture_dir / "features.fvec"]}
-        flag = self.NEEDS[kind]
+        flag, other = self.NEEDS[kind], self.OTHER[self.NEEDS[kind]]
         extra = ["--rescore", tmp_path / "never-read.tsv"] if rescore else []
         out = tmp_path / "out.tsv"
         capsys.readouterr()
-        assert run_cli("decode", "--model", models[kind], *other[flag], *extra,
-                       "--out", out) == 2
+        assert run_cli("decode", "--model", models[kind], other[0], fixture_dir / other[1],
+                       *extra, "--out", out) == 2
         doc = json.loads(capsys.readouterr().err.strip())
-        assert doc["error"] == "MalformedInput" and flag in doc["message"]
+        assert doc == {"error": "MalformedInput", "message": self.MESSAGES[flag]}
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["mrnn", "dgrnn"])
+    def test_train_rnn_missing_input_names_the_same_flag(self, fixture_dir, tmp_path, capsys,
+                                                         kind):
+        flag, other = self.NEEDS[kind], self.OTHER[self.NEEDS[kind]]
+        out = tmp_path / "rnn.model"
+        capsys.readouterr()
+        assert run_cli("train-rnn", "--mode", kind, "--captions", fixture_dir / "captions.json",
+                       other[0], fixture_dir / other[1], "--out", out) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "MalformedInput", "message": self.MESSAGES[flag]}
+        assert not out.exists()
+
+
+def _store_like(full, vector_of):
+    """A store of ``vector_of(image_id, vector)`` for each vector of ``full``."""
+    vectors = {i: np.asarray(vector_of(i, v), dtype=np.float32) for i, v in full.items()}
+    store = FeatureStore(len(next(iter(vectors.values()))))
+    for image_id, vector in vectors.items():
+        store.add(image_id, vector)
+    return store
+
+
+class TestFeatureInputs:
+    """A features file that cannot serve as one is bad input, exit 2."""
+
+    @pytest.fixture(scope="class")
+    def bad_features(self, fixture_dir, tmp_path_factory):
+        """The fixture's features with image 101's vector zeroed, and with a 9th component."""
+        full = load_features(fixture_dir / "features.fvec")
+        base = tmp_path_factory.mktemp("bad-features")
+        save_features(_store_like(full, lambda i, v: v * (i != 101)), base / "zeroed.fvec")
+        save_features(_store_like(full, lambda i, v: np.append(v, 0.5)), base / "nine.fvec")
+        return base
+
+    def test_zero_vector_exits_2(self, fixture_dir, bad_features, tmp_path, capsys):
+        zeroed, features = bad_features / "zeroed.fvec", fixture_dir / "features.fvec"
+        for train, test in ((zeroed, features), (features, zeroed)):
+            capsys.readouterr()
+            assert run_cli("knn-caption", "--features-train", train, "--features-test", test,
+                           "--captions", fixture_dir / "captions.json",
+                           "--out", tmp_path / "out.tsv") == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "ZeroVector"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            # no val images, so image 101 is a train or a testval image
+            "seed": 3, "split": [35, 0, 5],
+            "paths": {"captions": str(fixture_dir / "captions.json"), "features": str(zeroed)},
+        }))
+        run_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", run_dir,
+                       "--stages", "ingest,knn") == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ZeroVector"
+        assert (run_dir / "split.json").exists() and not (run_dir / "knn_onenn.tsv").exists()
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_train_and_test_features_of_two_dimensions_exit_2(
+        self, fixture_dir, bad_features, first_captions_tsv, tmp_path, capsys
+    ):
+        nine, features = bad_features / "nine.fvec", fixture_dir / "features.fvec"
+        for argv in (
+            ["knn-caption", "--captions", fixture_dir / "captions.json",
+             "--out", tmp_path / "out.tsv"],
+            ["analyze", "--generated", first_captions_tsv,
+             "--captions", fixture_dir / "captions.json"],
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv, "--features-train", features, "--features-test", nine) == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "MalformedInput",
+                "message": f"{nine}: 9-d feature vectors, but {features} has 8-d",
+            }
+        assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize("rescore", [False, True], ids=["decode", "rescore"])
+    def test_decode_features_of_another_dimension_exit_2(
+        self, models, bad_features, tmp_path, capsys, rescore
+    ):
+        nine = bad_features / "nine.fvec"
+        extra = ["--rescore", tmp_path / "never-read.tsv"] if rescore else []
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        assert run_cli("decode", "--model", models["mrnn"], "--features", nine, *extra,
+                       "--out", out) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput",
+            "message": f"{nine}: 9-d feature vectors, but the model has 8-d",
+        }
+        assert not out.exists()
+
+
+class TestDecodeInputs:
+    @pytest.fixture(scope="class")
+    def nbest(self, fixture_dir, me_model, tmp_path_factory):
+        """Coverage n-best lists of all 40 fixture images."""
+        path = tmp_path_factory.mktemp("nbest") / "nbest.tsv"
+        assert run_cli("decode", "--model", me_model,
+                       "--detections", fixture_dir / "detections.jsonl",
+                       "--beam", "2", "--nbest", "2", "--max-len", "6", "--out", path) == 0
+        return path
+
+    @pytest.mark.parametrize("kind", ["melm", "mrnn"])
+    def test_rescore_over_an_image_its_input_lacks_exits_2(
+        self, fixture_dir, models, nbest, tmp_path, capsys, kind
+    ):
+        """Image 101, the first of the fixture, is dropped from the model's input."""
+        if kind == "mrnn":
+            full = load_features(fixture_dir / "features.fvec")
+            save_subset(full, full.ids()[1:], tmp_path / "input")
+            flag, what = "--features", "features"
+        else:
+            lines = (fixture_dir / "detections.jsonl").read_text().splitlines()
+            assert json.loads(lines[0])["image_id"] == 101
+            (tmp_path / "input").write_text("\n".join(lines[1:]) + "\n")
+            flag, what = "--detections", "detections"
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        assert run_cli("decode", "--model", models[kind], flag, tmp_path / "input",
+                       "--rescore", nbest, "--feature-name", "again", "--out", out) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput", "message": f"no {what} for image 101",
+        }
+        assert not out.exists()
+
+    def test_unknown_model_magic_exits_2(self, fixture_dir, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.write_bytes(b"XXXX" + bytes(16))
+        capsys.readouterr()
+        assert run_cli("decode", "--model", model, "--detections",
+                       fixture_dir / "detections.jsonl", "--out", tmp_path / "out.tsv") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput", "message": f"{model}: unknown model magic b'XXXX'",
+        }
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_min_coverage_max_len_cannot_reach_exits_2(self, fixture_dir, me_model, tmp_path,
+                                                       capsys):
+        """Each covered word takes a step and END one more, so max_len 3
+        covers at most 2 words."""
+        out = tmp_path / "nbest.tsv"
+        argv = ["decode", "--model", me_model, "--detections", fixture_dir / "detections.jsonl",
+                "--beam", "2", "--max-len", "3", "--out", out]
+        capsys.readouterr()
+        assert run_cli(*argv, "--min-coverage", "3") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput",
+            "message": "hyperparameter out of range: min_coverage must be < max_len (3)",
+        }
+        assert not out.exists()
+        assert run_cli(*argv, "--min-coverage", "2") == 0
 
 
 class TestTrainRnnInputs:

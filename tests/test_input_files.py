@@ -72,8 +72,10 @@ def test_pipeline_path_with_a_nul_byte_exits_2(fixture_dir, tmp_path, capsys, ke
     assert doc["message"].startswith(f"cannot read {what} {paths[key]}: embedded null byte")
 
 
-def _read_mode_opens(tree):
-    """(enclosing function, line) of each call that opens a file for reading."""
+def _file_calls(tree):
+    """(enclosing function, line, whether it reads, whether it writes) of each
+    call that opens, reads or writes a file. An ``open`` whose mode is not a
+    constant counts as both."""
     found = []
 
     def visit(node, function):
@@ -82,13 +84,16 @@ def _read_mode_opens(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
-                        node.args[1] if len(node.args) > 1 else None)
-            write_only = (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                          and set(mode.value) & set("wax") and "+" not in mode.value)
-            if (name in ("open", "fdopen") and not write_only
-                    or name in ("read_text", "read_bytes")):
-                found.append((function, node.lineno))
+            if name in ("open", "fdopen"):
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                            node.args[1] if len(node.args) > 1 else ast.Constant("r"))
+                known = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                flags = set(mode.value) if known else set("r+")
+                writes = bool(flags & set("wax+"))
+                found.append((function, node.lineno, "+" in flags or not writes, writes))
+            elif name in ("read_text", "read_bytes", "write_text", "write_bytes"):
+                reads = name.startswith("read")
+                found.append((function, node.lineno, reads, not reads))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -96,16 +101,27 @@ def _read_mode_opens(tree):
     return found
 
 
-def test_only_binio_opens_files_for_reading():
+def _file_calls_outside_binio(reads: bool):
+    """(file, function, line) of each call outside ``_binio.py`` that reads
+    (``reads``) or writes (otherwise) a file."""
     src = pathlib.Path(corpus.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "_binio.py":
-            continue
-        for function, line in _read_mode_opens(ast.parse(path.read_text())):
-            if (path.name, function) != ("artifacts.py", "sha256_file"):
-                found.append(f"{path.name}:{line} in {function}")
+        if path.name != "_binio.py":
+            found += [(path.name, function, line)
+                      for function, line, *does in _file_calls(ast.parse(path.read_text()))
+                      if does[0 if reads else 1]]
+    return found
+
+
+def test_only_binio_opens_files_for_reading():
+    found = [call for call in _file_calls_outside_binio(reads=True)
+             if call[:2] != ("artifacts.py", "sha256_file")]
     assert found == []
+
+
+def test_only_binio_opens_files_for_writing():
+    assert _file_calls_outside_binio(reads=False) == []
 
 
 def test_stages_read_artifacts_only_through_the_context():
