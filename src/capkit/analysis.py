@@ -7,8 +7,6 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyIndex, MissingReferences, ZeroVector
@@ -18,23 +16,6 @@ from .metrics import corpus_bleu
 BIN_LEAST = "least"
 BIN_MIDDLE = "middle"
 BIN_MOST = "most"
-
-
-@dataclass(frozen=True)
-class RepetitionReport:
-    """How repetitive generated captions are, and how many were memorized."""
-
-    total: int
-    unique: int
-    seen_in_training: int
-
-    @property
-    def unique_fraction(self) -> float:
-        return self.unique / self.total
-
-    @property
-    def seen_in_training_fraction(self) -> float:
-        return self.seen_in_training / self.total
 
 
 def _caption_string(tokens) -> str:
@@ -47,29 +28,21 @@ def caption_strings(captions) -> frozenset[str]:
     return frozenset(map(_caption_string, captions))
 
 
-def repetition_stats(generated, training: frozenset[str]) -> RepetitionReport:
-    """Distinct-caption and seen-in-training fractions of generated captions.
+def repetition_stats(generated, training: frozenset[str]) -> dict:
+    """How repetitive generated captions are, and how many were memorized.
 
     ``generated`` maps image ids to token sequences; ``training`` is the
-    ``caption_strings`` of the training captions, built once per run.
+    ``caption_strings`` of the training captions, built once per run. Returns
+    the counts ``total``, ``unique`` and ``seen_in_training``, and the last
+    two over ``total`` as ``unique_fraction`` and ``seen_in_training_fraction``.
     """
     if not generated:
         raise ValueError("repetition_stats needs at least one generated caption")
     strings = list(map(_caption_string, generated.values()))
+    total, unique = len(strings), len(set(strings))
     seen = sum(1 for s in strings if s in training)
-    return RepetitionReport(len(strings), len(set(strings)), seen)
-
-
-@dataclass(frozen=True)
-class OverlapBinAssignment:
-    """Per test image: mean similarity to its closest training images, and
-    membership in the least / middle / most overlapping bin."""
-
-    mean_similarity: dict[int, float]
-    bin_of: dict[int, str]
-
-    def images_in(self, bin_name: str) -> list[int]:
-        return sorted(i for i, b in self.bin_of.items() if b == bin_name)
+    return {"total": total, "unique": unique, "seen_in_training": seen,
+            "unique_fraction": unique / total, "seen_in_training_fraction": seen / total}
 
 
 def unit_index(store, label: str, image_ids=None) -> FeatureIndex:
@@ -81,9 +54,9 @@ def unit_index(store, label: str, image_ids=None) -> FeatureIndex:
 
 
 def overlap_bins(test: FeatureIndex, train: FeatureIndex, top_k: int,
-                 tail_fraction: float) -> OverlapBinAssignment:
-    """Bin test images by mean cosine similarity to their ``top_k`` closest
-    training images.
+                 tail_fraction: float) -> dict[int, str]:
+    """The least, middle or most overlapping bin of each test image id, by
+    mean cosine similarity to its ``top_k`` closest training images.
 
     After sorting ascending by that mean (ties by ascending image id), the
     lowest ``floor(tail_fraction * N)`` images land in the "least" bin and
@@ -114,12 +87,12 @@ def overlap_bins(test: FeatureIndex, train: FeatureIndex, top_k: int,
         else:
             name = BIN_MIDDLE
         bin_of[int(test_ids[idx])] = name
-    means = {int(i): float(m) for i, m in zip(test_ids, top_means)}
-    return OverlapBinAssignment(means, bin_of)
+    return bin_of
 
 
-def binned_bleu(generated, refs, bins: OverlapBinAssignment) -> dict[str, float]:
-    """Corpus BLEU computed independently inside each overlap bin.
+def binned_bleu(generated, refs, bins: dict[int, str]) -> dict[str, float]:
+    """Corpus BLEU computed independently inside each overlap bin of
+    ``bins`` (image id -> bin name, as ``overlap_bins`` returns).
 
     Raises MissingReferences when a generated image lacks references or a
     bin assignment. Bins with no images are omitted from the result.
@@ -128,7 +101,7 @@ def binned_bleu(generated, refs, bins: OverlapBinAssignment) -> dict[str, float]
     for image_id, tokens in generated.items():
         if image_id not in refs:
             raise MissingReferences(f"no references for image {image_id}")
-        if image_id not in bins.bin_of:
+        if image_id not in bins:
             raise MissingReferences(f"no overlap bin for image {image_id}")
-        pairs.setdefault(bins.bin_of[image_id], []).append((tokens, refs[image_id]))
+        pairs.setdefault(bins[image_id], []).append((tokens, refs[image_id]))
     return {name: corpus_bleu(binned) for name, binned in sorted(pairs.items())}

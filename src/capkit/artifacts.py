@@ -32,11 +32,8 @@ def read_json(path):
 
 
 def sha256_file(path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def write_captions_tsv(path, captions) -> None:

@@ -77,7 +77,7 @@ def _cmd_knn_caption(args) -> int:
     train_features, test_features = _train_and_test_features(args)
     captions = captions_by_image(load_captions(args.captions))
     out = knn.retrieve_captions(
-        knn.FeatureIndex.from_store(train_features),
+        analysis.unit_index(train_features, "train"),
         captions,
         ((image_id, test_features.get(image_id)) for image_id in sorted(test_features.ids())),
         rng_seed=args.seed,

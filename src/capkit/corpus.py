@@ -318,15 +318,9 @@ def build_vocabulary(token_seqs, min_count: int) -> Vocabulary:
     return Vocabulary(kept)
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train_ids: frozenset[int]
-    val_ids: frozenset[int]
-    testval_ids: frozenset[int]
-
-
-def split_dataset(ids, sizes, seed: int) -> DatasetSplit:
-    """Deterministic disjoint split of ``ids`` into train/val/testval.
+def split_dataset(ids, sizes, seed: int) -> dict[str, list[int]]:
+    """Deterministic disjoint split of ``ids`` into ``{"train", "val",
+    "testval"}`` lists of sorted image ids, the document of ``split.json``.
 
     ``sizes`` must sum to the number of distinct ids, else SizeMismatch.
     """
@@ -338,14 +332,10 @@ def split_dataset(ids, sizes, seed: int) -> DatasetSplit:
         raise SizeMismatch(
             f"split sizes sum to {n_train + n_val + n_testval}, have {len(unique)} ids"
         )
-    rng = Random(seed)
     order = list(unique)
-    rng.shuffle(order)
-    return DatasetSplit(
-        train_ids=frozenset(order[:n_train]),
-        val_ids=frozenset(order[n_train:n_train + n_val]),
-        testval_ids=frozenset(order[n_train + n_val:]),
-    )
+    Random(seed).shuffle(order)
+    return {"train": sorted(order[:n_train]), "val": sorted(order[n_train:n_train + n_val]),
+            "testval": sorted(order[n_train + n_val:])}
 
 
 @dataclass(frozen=True)

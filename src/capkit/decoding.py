@@ -28,13 +28,16 @@ so one model may serve many images concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import END_TOKEN, START_ID, UNK_TOKEN, DetectionSet, coverable
 from .errors import DimensionMismatch, InputDataError, NonFiniteLogProb, ToolkitError
-from .maxent import MaxEntLM
-from .recurrent import RecurrentLM
+
+if TYPE_CHECKING:
+    from .maxent import MaxEntLM
+    from .recurrent import RecurrentLM
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ ascending image id so results are reproducible.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
 
 import numpy as np
@@ -71,24 +70,11 @@ class FeatureIndex:
         return int(self.ids.shape[0])
 
 
-@dataclass(frozen=True)
-class NeighborList:
-    """(image_id, similarity) pairs sorted by similarity desc, id asc."""
+def nearest(index: FeatureIndex, query, k: int) -> list[tuple[int, float]]:
+    """Top-``k`` index entries by cosine similarity to ``query``, as
+    (image id, similarity) pairs sorted by similarity desc, id asc.
 
-    entries: tuple[tuple[int, float], ...]
-
-    def ids(self) -> list[int]:
-        return [image_id for image_id, _ in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def nearest(index: FeatureIndex, query, k: int) -> NeighborList:
-    """Top-``k`` index entries by cosine similarity to ``query``.
-
-    Returns the whole index when ``k`` exceeds its size. Ties are broken by
-    ascending image id.
+    Returns the whole index when ``k`` exceeds its size.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -103,8 +89,7 @@ def nearest(index: FeatureIndex, query, k: int) -> NeighborList:
     sims = index.unit_vectors @ (q / qnorm)
     sims = np.clip(sims, -1.0, 1.0)
     order = np.lexsort((index.ids, -sims))[: min(k, len(index))]
-    entries = tuple((int(index.ids[i]), float(sims[i])) for i in order)
-    return NeighborList(entries)
+    return [(int(index.ids[i]), float(sims[i])) for i in order]
 
 
 def _draw_caption(captions, image_id: int, rng_seed: int) -> tuple[str, ...]:
@@ -120,7 +105,7 @@ def one_nn_caption(index: FeatureIndex, captions, query, rng_seed: int) -> tuple
     ``captions`` maps image_id to a list of token sequences. Deterministic
     given ``rng_seed``.
     """
-    return _draw_caption(captions, nearest(index, query, 1).entries[0][0], rng_seed)
+    return _draw_caption(captions, nearest(index, query, 1)[0][0], rng_seed)
 
 
 def _clipped_matches(captions, n: int, totals: np.ndarray) -> np.ndarray:
@@ -185,16 +170,9 @@ def ngram_overlap_fscore(a, b, max_n: int = DEFAULT_MAX_ORDER) -> float:
     return float(_pair_fscores([tuple(a), tuple(b)], max_n)[0, 1])
 
 
-@dataclass(frozen=True)
-class ConsensusResult:
-    caption: tuple[str, ...]
-    mean_overlap: float
-    candidate_pool_size: int
-
-
-def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> ConsensusResult:
-    """Pick the pool caption with the highest mean n-gram overlap with its
-    ``m`` most-overlapping pool mates.
+def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> tuple[tuple, float]:
+    """(caption, mean overlap) of the pool caption with the highest mean
+    n-gram overlap with its ``m`` most-overlapping pool mates.
 
     Ties go to the earliest caption in pool order. A single-caption pool
     returns that caption with overlap 0. All pair overlaps come from one
@@ -210,7 +188,7 @@ def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> Consensus
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if len(captions) == 1:
-        return ConsensusResult(captions[0], 0.0, 1)
+        return captions[0], 0.0
     # A pair's score depends only on its two captions, and two copies of a
     # caption score its diagonal value, so the distinct captions' matrix
     # gathered back to pool positions holds every pool pair's bits.
@@ -225,21 +203,22 @@ def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> Consensus
     descending = np.sort(top, axis=1)[:, ::-1]
     means = np.cumsum(descending, axis=1)[:, -1] / keep
     best = int(np.argmax(means))
-    return ConsensusResult(captions[best], float(means[best]), len(captions))
+    return captions[best], float(means[best])
 
 
-def _caption_pool(captions, image_ids) -> list[tuple[str, ...]]:
-    return [tuple(cap) for image_id in image_ids for cap in captions.get(image_id, ())]
+def _caption_pool(captions, neighbors) -> list[tuple[str, ...]]:
+    """The captions of each (image id, similarity) of ``neighbors``, in order."""
+    return [tuple(cap) for image_id, _ in neighbors for cap in captions.get(image_id, ())]
 
 
 def neighbor_caption_pool(index: FeatureIndex, captions, query, k: int) -> list[tuple[str, ...]]:
     """Union of the captions of the ``k`` nearest images, in neighbor order."""
-    return _caption_pool(captions, nearest(index, query, k).ids())
+    return _caption_pool(captions, nearest(index, query, k))
 
 
 def consensus_for_query(index: FeatureIndex, captions, query, k: int, m: int,
-                        max_n: int = DEFAULT_MAX_ORDER) -> ConsensusResult:
-    """Consensus caption over the pooled captions of the k nearest images."""
+                        max_n: int = DEFAULT_MAX_ORDER) -> tuple[tuple, float]:
+    """``consensus_caption`` over the pooled captions of the k nearest images."""
     pool = neighbor_caption_pool(index, captions, query, k)
     return consensus_caption(pool, m, max_n)
 
@@ -254,17 +233,19 @@ def retrieve_captions(index: FeatureIndex, captions, queries, rng_seed: int, k: 
     Returns ``{mode: {image_id: caption}}`` for each of ``modes``:
     "consensus" is ``consensus_for_query`` and "onenn" is ``one_nn_caption``
     with seed ``rng_seed + image_id``. Each query runs one ``nearest``
-    search; its first entry is the 1-NN image.
+    search; its first entry is the 1-NN image. A zero query vector raises
+    ZeroVector naming its image.
     """
     out: dict[str, dict[int, tuple[str, ...]]] = {mode: {} for mode in modes}
     depth = k if "consensus" in modes else 1
     for image_id, query in queries:
-        neighbors = nearest(index, query, depth)
+        try:
+            neighbors = nearest(index, query, depth)
+        except ZeroVector:
+            raise ZeroVector(f"query image {image_id} has a zero feature vector") from None
         if "consensus" in out:
-            pool = _caption_pool(captions, neighbors.ids())
-            out["consensus"][image_id] = consensus_caption(pool, m).caption
+            pool = _caption_pool(captions, neighbors)
+            out["consensus"][image_id] = consensus_caption(pool, m)[0]
         if "onenn" in out:
-            out["onenn"][image_id] = _draw_caption(
-                captions, neighbors.entries[0][0], rng_seed + image_id
-            )
+            out["onenn"][image_id] = _draw_caption(captions, neighbors[0][0], rng_seed + image_id)
     return out

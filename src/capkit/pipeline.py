@@ -233,12 +233,14 @@ class PipelineConfig:
 class PipelineContext:
     """Lazy access to inputs and prior-stage artifacts; the inputs and the
     ingest artifacts are cached. It checks no config fact: ``run_pipeline``
-    has checked each stage's ``_NEEDS`` before any stage runs."""
+    has checked each stage's ``_NEEDS`` before any stage runs. ``systems``
+    are the ``_EVAL_SYSTEMS`` rows that eval and analyze score."""
 
-    def __init__(self, config: PipelineConfig, out_dir: str):
+    def __init__(self, config: PipelineConfig, out_dir: str, systems=()):
         self.config = config
         self.hp = config.hyperparameters
         self.out_dir = out_dir
+        self.systems = systems
         self._cache: dict = {}
         self.written: list[str] = []
 
@@ -281,8 +283,11 @@ class PipelineContext:
     def captions(self):
         return self._cached("captions", lambda: captions_by_image(self.caption_table()))
 
-    def features(self):
-        return self._cached("features", lambda: load_features(self.config.features_path))
+    def features(self, image_ids=()):
+        """The features store, which must hold a vector for each of ``image_ids``."""
+        features = self._cached("features", lambda: load_features(self.config.features_path))
+        require_features(image_ids, features)
+        return features
 
     def detections(self):
         return self._cached(
@@ -328,10 +333,11 @@ class PipelineContext:
         ))
 
     def train_index(self):
-        return self._cached(
-            "train_index",
-            lambda: analysis.unit_index(self.features(), "train", self.split()["train"]),
-        )
+        def build():
+            train = self.split()["train"]
+            return analysis.unit_index(self.features(train), "train", train)
+
+        return self._cached("train_index", build)
 
     def train_captions(self):
         def build():
@@ -366,29 +372,21 @@ def require_features(image_ids, features) -> None:
 
 def _stage_ingest(ctx: PipelineContext) -> None:
     table = ctx.caption_table()
-    features = ctx.features()
     image_ids = sorted(set(table.image_ids))
-    require_features(image_ids, features)
+    ctx.features(image_ids)
     detections = ctx.detections() if ctx.config.detections_path is not None else None
     split = split_dataset(image_ids, ctx.config.split_sizes, ctx.config.seed)
-    train = set(split.train_ids)
+    train = set(split["train"])
     vocab = build_vocabulary(
         (tokens for image_id, tokens in zip(table.image_ids, table.tokens) if image_id in train),
         ctx.hp["min_count"],
     )
     artifacts.write_json(ctx.artifact("vocab.json"), {"tokens": vocab.word_tokens()})
-    artifacts.write_json(
-        ctx.artifact("split.json"),
-        {
-            "train": sorted(split.train_ids),
-            "val": sorted(split.val_ids),
-            "testval": sorted(split.testval_ids),
-        },
-    )
+    artifacts.write_json(ctx.artifact("split.json"), split)
     # The val and testval images' inputs, in the raw input formats: each
     # caption as its space-joined tokens (which tokenize to themselves), and
     # each detections line verbatim, unthresholded.
-    heldout = split.val_ids | split.testval_ids
+    heldout = set(split["val"] + split["testval"])
     captions = ctx.captions()
     references = [(i, tokens) for i in sorted(heldout) for tokens in captions[i]]
     artifacts.write_json(ctx.artifact("heldout_captions.json"), {"annotations": [
@@ -405,11 +403,12 @@ def _stage_ingest(ctx: PipelineContext) -> None:
 
 
 def _stage_knn(ctx: PipelineContext) -> None:
-    features = ctx.features()
+    test_ids = ctx.split()["testval"]
+    features = ctx.features(test_ids)
     found = knn.retrieve_captions(
         ctx.train_index(),
         ctx.train_captions(),
-        ((image_id, features.get(image_id)) for image_id in ctx.split()["testval"]),
+        ((image_id, features.get(image_id)) for image_id in test_ids),
         rng_seed=ctx.config.seed,
         k=ctx.hp["k"],
         m=ctx.hp["m"],
@@ -430,7 +429,7 @@ def _stage_train_me(ctx: PipelineContext) -> None:
 
 
 def _stage_train_rnn(ctx: PipelineContext) -> None:
-    features = ctx.features()
+    features = ctx.features(ctx.split()["train"])
     data = [(features.get(image_id), list(tokens)) for image_id, tokens in ctx.train_rows()]
     seed = ctx.config.seed
     lm = recurrent.RecurrentLM(
@@ -447,7 +446,7 @@ def _stage_decode(ctx: PipelineContext) -> None:
     me_scorer = decoding.MaxEntScorer(me_lm)
     rnn_scorer = decoding.RecurrentScorer(rnn_lm)
     detections = ctx.heldout_detections()
-    features = ctx.features()
+    features = ctx.features(ctx.split()["val"] + ctx.split()["testval"])
     for split_name in ("val", "testval"):
         nbests = []
         for image_id in ctx.split()[split_name]:
@@ -505,10 +504,9 @@ _EVAL_SYSTEMS = (
 
 
 def _generated(ctx: PipelineContext):
-    """(system, captions) of each generated caption file present in the run."""
-    for system, name, producer in _EVAL_SYSTEMS:
-        if os.path.exists(os.path.join(ctx.out_dir, name)):
-            yield system, ctx.read(name, producer, artifacts.read_generated)
+    """(system, captions) of each of ``ctx.systems``."""
+    for system, name, producer in ctx.systems:
+        yield system, ctx.read(name, producer, artifacts.read_generated)
 
 
 def score_captions(generated, captions) -> dict[str, float]:
@@ -523,17 +521,12 @@ def score_captions(generated, captions) -> dict[str, float]:
 
 def caption_report(generated, captions, train_strings, bins) -> dict:
     """Repetition (against ``train_strings``, see ``analysis.caption_strings``)
-    and per-bin BLEU of ``generated`` (image id -> tokens)."""
+    and per-bin BLEU (``bins`` as ``analysis.overlap_bins`` returns) of
+    ``generated`` (image id -> tokens)."""
     refs = references_for(captions, generated)
     rep = analysis.repetition_stats(generated, train_strings)
     return {
-        "repetition": {
-            "total": rep.total,
-            "unique": rep.unique,
-            "seen_in_training": rep.seen_in_training,
-            "unique_fraction": round(rep.unique_fraction, 6),
-            "seen_in_training_fraction": round(rep.seen_in_training_fraction, 6),
-        },
+        "repetition": {key: round(value, 6) for key, value in rep.items()},
         "binned_bleu": {
             name: round(score, 6)
             for name, score in analysis.binned_bleu(generated, refs, bins).items()
@@ -546,16 +539,15 @@ def _stage_eval(ctx: PipelineContext) -> None:
     for system, generated in _generated(ctx):
         row = score_captions(generated, ctx.heldout_references())
         scores[system] = {name: round(value, 6) for name, value in row.items()}
-    if not scores:
-        raise MalformedInput("eval stage found no generated caption files; run knn/decode")
     for system, row in scores.items():
         print(f"[eval] {system}: BLEU {row['bleu']:.2f} METEOR {row['meteor']:.2f}")
     artifacts.write_json(ctx.artifact("scores.json"), scores)
 
 
 def _stage_analyze(ctx: PipelineContext) -> None:
+    test_ids = ctx.split()["testval"]
     bins = analysis.overlap_bins(
-        analysis.unit_index(ctx.features(), "test", ctx.split()["testval"]),
+        analysis.unit_index(ctx.features(test_ids), "test", test_ids),
         ctx.train_index(),
         top_k=ctx.hp["top_k"],
         tail_fraction=ctx.hp["tail"],
@@ -565,7 +557,7 @@ def _stage_analyze(ctx: PipelineContext) -> None:
     )
     report = {
         "bins": {
-            name: bins.images_in(name)
+            name: sorted(i for i, bin_name in bins.items() if bin_name == name)
             for name in (analysis.BIN_LEAST, analysis.BIN_MIDDLE, analysis.BIN_MOST)
         },
         "systems": {
@@ -573,8 +565,6 @@ def _stage_analyze(ctx: PipelineContext) -> None:
             for system, generated in _generated(ctx)
         },
     }
-    if not report["systems"]:
-        raise MalformedInput("analyze stage found no generated caption files")
     artifacts.write_json(ctx.artifact("analysis.json"), report)
 
 
@@ -680,8 +670,6 @@ def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dic
     for stage, does, lacks, holds in _NEEDS:
         if stage in stages and not holds(config):
             raise MalformedInput(f"the {stage} stage {does}, but the config {lacks}")
-    os.makedirs(out_dir, exist_ok=True)
-    ctx = PipelineContext(config, out_dir)
     manifest: dict = {
         "config_sha256": config.config_hash(),
         "seed": config.seed,
@@ -692,6 +680,15 @@ def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dic
         previous = _previous_manifest(manifest_path)
         if previous.get("config_sha256") == manifest["config_sha256"]:
             manifest["stages"] = previous.get("stages", {})
+    # Eval and analyze score the systems whose stage runs now or ran before
+    # under this config, never a file another config left behind.
+    systems = [row for row in _EVAL_SYSTEMS if row[2] in stages or row[2] in manifest["stages"]]
+    for stage in ("eval", "analyze"):
+        if stage in stages and not systems:
+            raise MalformedInput(f"the {stage} stage scores generated captions, but no knn, "
+                                 "decode or rerank stage has run under this config")
+    os.makedirs(out_dir, exist_ok=True)
+    ctx = PipelineContext(config, out_dir, systems)
     trained: dict[str, list[str]] = {}
     for stage in STAGE_ORDER:
         if stage not in stages:

@@ -24,21 +24,13 @@ from .errors import EmptyNBest, MissingReferences, SchemaMismatch
 from .metrics import bleu_from_stats, nbest_bleu_stats
 
 
-@dataclass(frozen=True)
-class EnvelopeSegment:
-    """One interval of the upper envelope: ``winner`` is best on (lo, hi)."""
-
-    lo: float
-    hi: float
-    winner: int
-
-
-def line_envelope(slopes, offsets) -> list[EnvelopeSegment]:
+def line_envelope(slopes, offsets) -> list[tuple[float, int]]:
     """Upper envelope of the hypothesis score lines ``offset + gamma * slope``.
 
-    ``slopes`` and ``offsets`` hold one value per hypothesis. Segments
-    partition the real line left to right; exact ties prefer the lower
-    hypothesis index.
+    ``slopes`` and ``offsets`` hold one value per hypothesis. The (lo, winner)
+    pairs partition the real line left to right, from a first ``lo`` of -inf:
+    ``winner`` is best from ``lo`` to the next pair's ``lo`` (the last, to
+    +inf). Exact ties prefer the lower hypothesis index.
     """
     lines = list(zip(np.asarray(slopes).tolist(), np.asarray(offsets).tolist(),
                      range(len(slopes))))
@@ -58,11 +50,7 @@ def line_envelope(slopes, offsets) -> list[EnvelopeSegment]:
                 break
         start = float("-inf") if not hull else cross
         hull.append((slope, offset, idx, start))
-    segments = []
-    for pos, (_, _, idx, start) in enumerate(hull):
-        hi = hull[pos + 1][3] if pos + 1 < len(hull) else float("inf")
-        segments.append(EnvelopeSegment(start, hi, idx))
-    return segments
+    return [(start, idx) for _, _, idx, start in hull]
 
 
 def _feature_columns(nbest: NBestList, names) -> dict[str, np.ndarray]:
@@ -129,9 +117,9 @@ def _best_step(columns, stats, weights, direction):
     for nb_idx, (cols, st) in enumerate(zip(columns, stats)):
         offsets = _scores(cols, weights, len(st), skip=direction)
         segments = line_envelope(cols[direction], offsets)
-        winners.append(segments[0].winner)
-        for seg in segments[1:]:
-            events.append((seg.lo, nb_idx, seg.winner))
+        winners.append(segments[0][1])
+        for lo, winner in segments[1:]:
+            events.append((lo, nb_idx, winner))
     if not events:
         return None
     events.sort(key=lambda e: (e[0], e[1]))

@@ -556,6 +556,20 @@ class TestPipelineCli:
         }
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("stage", ["eval", "analyze"])
+    def test_scoring_without_a_system_exits_2_before_any_stage(self, fixture_dir, tmp_path,
+                                                               capsys, stage):
+        config_path = write_config(tmp_path / "config.json", fixture_dir)
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "run",
+                       "--stages", f"ingest,{stage}") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedInput",
+            "message": f"the {stage} stage scores generated captions, but no knn, decode or "
+                       "rerank stage has run under this config",
+        }
+        assert not (tmp_path / "run").exists()
+
     def test_seed_option_overrides_the_config_seed(self, fixture_dir, tmp_path):
         config_path = write_config(tmp_path / "config.json", fixture_dir)
         assert run_cli("pipeline", "--config", config_path, "--out-dir", tmp_path / "option",
@@ -685,6 +699,10 @@ _SMALL_MODELS = {
     "beam": 3, "nbest": 5, "max_len": 8, "mert_restarts": 1, "mert_iters": 3,
     "k": 5, "m": 10,
 }
+# A GRU large enough to end each testval caption of the fixture.
+_ENDING_MODELS = {
+    **_SMALL_MODELS, "rnn_epochs": 8, "rnn_embed": 8, "rnn_hidden": 16, "max_len": 12,
+}
 
 
 class TestIngestedArtifacts:
@@ -702,9 +720,11 @@ class TestIngestedArtifacts:
                        "--stages", "ingest,knn,train_me,train_rnn") == 0
         return base / "run"
 
-    def run_after(self, trained, fixture_dir, tmp_path, capsys, stages, edit=None, *extra):
+    def run_after(self, trained, fixture_dir, tmp_path, capsys, stages, edit=None, *extra,
+                  hyperparameters=_SMALL_MODELS):
         """Exit code, JSON error line and run directory of ``stages`` run on a copy
-        of ``trained`` after ``edit`` (name -> new file text, or None to delete)."""
+        of ``trained`` after ``edit`` (name -> new file text, or None to delete),
+        under a config of ``hyperparameters``."""
         run_dir = tmp_path / "run"
         shutil.copytree(trained, run_dir)
         for name, text in (edit or {}).items():
@@ -715,7 +735,7 @@ class TestIngestedArtifacts:
             else:
                 (run_dir / name).write_text(text)
         config = write_config(tmp_path / "config.json", fixture_dir,
-                              hyperparameters=_SMALL_MODELS)
+                              hyperparameters=hyperparameters)
         capsys.readouterr()
         code = run_cli("pipeline", "--config", config, "--out-dir", run_dir,
                        "--stages", stages, *extra)
@@ -827,56 +847,44 @@ class TestIngestedArtifacts:
                        f"{run_dir / name}{problem}; run the 'ingest' stage again"}
 
     @pytest.fixture(scope="class")
-    def reranked(self, trained, fixture_dir, tmp_path_factory):
-        """``trained`` after decode and rerank: every artifact a stage reads back.
-
-        Its GRU is large enough to end each testval caption, so that eval and
-        analyze can score every system."""
+    def reranked(self, fixture_dir, tmp_path_factory):
+        """Every stage up to rerank under ``_ENDING_MODELS``: every artifact a
+        stage reads back."""
         base = tmp_path_factory.mktemp("reranked")
-        shutil.copytree(trained, base / "run")
-        config = write_config(base / "config.json", fixture_dir, hyperparameters={
-            **_SMALL_MODELS, "rnn_epochs": 8, "rnn_embed": 8, "rnn_hidden": 16, "max_len": 12,
-        })
+        config = write_config(base / "config.json", fixture_dir, hyperparameters=_ENDING_MODELS)
         assert run_cli("pipeline", "--config", config, "--out-dir", base / "run",
-                       "--stages", "train_rnn,decode,rerank") == 0
+                       "--stages", "ingest,knn,train_me,train_rnn,decode,rerank") == 0
         return base / "run"
 
-    # (artifact, the stage that writes it, a stage that reads it back, the
-    # system an eval of the file scores: a caption file that is absent only
-    # drops its system)
+    # (artifact, the stage that writes it, a stage that reads it back)
     @pytest.mark.parametrize("edit", ["deleted", "garbage"])
-    @pytest.mark.parametrize("name, producer, reader, system", [
-        ("split.json", "ingest", "knn", None),
-        ("vocab.json", "ingest", "train_me", None),
-        ("heldout_captions.json", "ingest", "eval", None),
-        ("heldout_detections.jsonl", "ingest", "decode", None),
-        ("me.model", "train_me", "decode", None),
-        ("rnn.model", "train_rnn", "decode", None),
-        ("me_nbest_val.tsv", "decode", "rerank", None),
-        ("me_nbest_testval.tsv", "decode", "rerank", None),
-        ("knn_consensus.tsv", "knn", "eval", "knn_consensus"),
-        ("knn_onenn.tsv", "knn", "analyze", "knn_onenn"),
-        ("mrnn_testval.tsv", "decode", "eval", "mrnn"),
-        ("reranked_testval.tsv", "rerank", "analyze", "me_reranked"),
+    @pytest.mark.parametrize("name, producer, reader", [
+        ("split.json", "ingest", "knn"),
+        ("vocab.json", "ingest", "train_me"),
+        ("heldout_captions.json", "ingest", "eval"),
+        ("heldout_detections.jsonl", "ingest", "decode"),
+        ("me.model", "train_me", "decode"),
+        ("rnn.model", "train_rnn", "decode"),
+        ("me_nbest_val.tsv", "decode", "rerank"),
+        ("me_nbest_testval.tsv", "decode", "rerank"),
+        ("knn_consensus.tsv", "knn", "eval"),
+        ("knn_onenn.tsv", "knn", "analyze"),
+        ("mrnn_testval.tsv", "decode", "eval"),
+        ("reranked_testval.tsv", "rerank", "analyze"),
     ])
     def test_every_artifact_read_back(self, reranked, fixture_dir, tmp_path, capsys,
-                                      name, producer, reader, system, edit):
+                                      name, producer, reader, edit):
         code, doc, run_dir = self.run_after(reranked, fixture_dir, tmp_path, capsys, reader,
-                                            {name: None if edit == "deleted" else "garbage\n"})
+                                            {name: None if edit == "deleted" else "garbage\n"},
+                                            hyperparameters=_ENDING_MODELS)
+        assert code == 2
         if edit == "garbage":
-            assert code == 2
             assert doc["error"] == "MalformedInput"
             assert str(run_dir / name) in doc["message"]
             assert doc["message"].endswith(f"; run the '{producer}' stage again")
-        elif system is None:
-            assert code == 2
+        else:
             assert doc == {"error": "MalformedInput", "message":
                            f"missing artifact {run_dir / name}; run the '{producer}' stage first"}
-        else:
-            assert code == 0 and doc is None
-            report = read_json(run_dir / ("scores.json" if reader == "eval" else "analysis.json"))
-            systems = report if reader == "eval" else report["systems"]
-            assert system not in systems and len(systems) == 3
 
     @pytest.mark.parametrize("name, edit", [
         ("me_nbest_val.tsv", "empty"),
@@ -898,11 +906,50 @@ class TestIngestedArtifacts:
             text = (reranked / "me_nbest_testval.tsv").read_text()
             missing, extra = sorted(wanted), sorted(split["testval"])
         code, doc, run_dir = self.run_after(reranked, fixture_dir, tmp_path, capsys, "rerank",
-                                            {name: text})
+                                            {name: text}, hyperparameters=_ENDING_MODELS)
         assert code == 2
         assert doc == {"error": "MalformedInput", "message":
                        f"{run_dir / name}: n-best lists do not match the split: missing images "
                        f"{missing}, extra images {extra}; run the 'decode' stage again"}
+
+    def test_systems_of_another_config_are_not_scored(self, reranked, fixture_dir, tmp_path,
+                                                      capsys):
+        """Rerunning ingest and knn under a new k leaves the decode and rerank
+        caption files of the old config in the directory; eval and analyze
+        score only the systems of stages run under the new config."""
+        code, doc, run_dir = self.run_after(reranked, fixture_dir, tmp_path, capsys,
+                                            "ingest,knn,eval,analyze", None, "--set", "k=3",
+                                            hyperparameters=_ENDING_MODELS)
+        assert code == 0 and doc is None
+        assert (run_dir / "mrnn_testval.tsv").exists()
+        assert (run_dir / "reranked_testval.tsv").exists()
+        assert sorted(read_json(run_dir / "scores.json")) == ["knn_consensus", "knn_onenn"]
+        assert sorted(read_json(run_dir / "analysis.json")["systems"]) == [
+            "knn_consensus", "knn_onenn"
+        ]
+        assert sorted(read_json(run_dir / "manifest.json")["stages"]) == [
+            "analyze", "eval", "ingest", "knn"
+        ]
+        # Under the new config no stage has run yet: eval alone has nothing to score.
+        manifest = (run_dir / "manifest.json").read_bytes()
+        capsys.readouterr()
+        config = write_config(tmp_path / "config.json", fixture_dir,
+                              hyperparameters={**_ENDING_MODELS, "k": 4})
+        assert run_cli("pipeline", "--config", config, "--out-dir", run_dir,
+                       "--stages", "eval") == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith(
+            "the eval stage scores generated captions, but no knn, decode or rerank stage"
+        )
+        assert (run_dir / "manifest.json").read_bytes() == manifest
+
+    def test_the_same_config_scores_every_recorded_system(self, reranked, fixture_dir,
+                                                          tmp_path, capsys):
+        code, doc, run_dir = self.run_after(reranked, fixture_dir, tmp_path, capsys,
+                                            "eval,analyze", hyperparameters=_ENDING_MODELS)
+        assert code == 0 and doc is None
+        systems = ["knn_consensus", "knn_onenn", "me_reranked", "mrnn"]
+        assert sorted(read_json(run_dir / "scores.json")) == systems
+        assert sorted(read_json(run_dir / "analysis.json")["systems"]) == systems
 
     def test_a_system_of_empty_captions_scores_zero(self, trained, fixture_dir, tmp_path,
                                                     capsys):
@@ -1332,12 +1379,14 @@ class TestFeatureInputs:
 
     def test_zero_vector_exits_2(self, fixture_dir, bad_features, tmp_path, capsys):
         zeroed, features = bad_features / "zeroed.fvec", fixture_dir / "features.fvec"
-        for train, test in ((zeroed, features), (features, zeroed)):
+        for train, test, side in ((zeroed, features, "train"), (features, zeroed, "query")):
             capsys.readouterr()
             assert run_cli("knn-caption", "--features-train", train, "--features-test", test,
                            "--captions", fixture_dir / "captions.json",
                            "--out", tmp_path / "out.tsv") == 2
-            assert json.loads(capsys.readouterr().err)["error"] == "ZeroVector"
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ZeroVector", "message": f"{side} image 101 has a zero feature vector",
+            }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
             # no val images, so image 101 is a train or a testval image
@@ -1348,9 +1397,43 @@ class TestFeatureInputs:
         capsys.readouterr()
         assert run_cli("pipeline", "--config", config_path, "--out-dir", run_dir,
                        "--stages", "ingest,knn") == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ZeroVector"
-        assert (run_dir / "split.json").exists() and not (run_dir / "knn_onenn.tsv").exists()
+        side = "train" if 101 in read_json(run_dir / "split.json")["train"] else "query"
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ZeroVector", "message": f"{side} image 101 has a zero feature vector",
+        }
+        assert not (run_dir / "knn_onenn.tsv").exists()
         assert not (tmp_path / "out.tsv").exists()
+
+    # (stage, the stages run before it, the split part of the image whose vector is lost)
+    @pytest.mark.parametrize("stage, before, part", [
+        ("knn", "ingest", "testval"),
+        ("knn", "ingest", "train"),
+        ("train_rnn", "ingest", "train"),
+        ("decode", "ingest,train_me,train_rnn", "val"),
+        ("analyze", "ingest,knn", "testval"),
+    ])
+    def test_a_vector_lost_after_ingest_exits_2(self, fixture_dir, tmp_path, capsys,
+                                                stage, before, part):
+        features = tmp_path / "features.fvec"
+        shutil.copyfile(fixture_dir / "features.fvec", features)
+        config = write_config(tmp_path / "config.json", fixture_dir,
+                              hyperparameters=_SMALL_MODELS)
+        doc = json.loads(config.read_text())
+        doc["paths"]["features"] = str(features)
+        config.write_text(json.dumps(doc))
+        run_dir = tmp_path / "run"
+        assert run_cli("pipeline", "--config", config, "--out-dir", run_dir,
+                       "--stages", before) == 0
+        lost = read_json(run_dir / "split.json")[part][0]
+        full = load_features(fixture_dir / "features.fvec")
+        save_subset(full, [i for i in full.ids() if i != lost], features)
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config, "--out-dir", run_dir,
+                       "--stages", stage) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [{
+            "error": "MalformedInput", "message": f"images missing feature vectors: [{lost}]",
+        }]
 
     def test_train_and_test_features_of_two_dimensions_exit_2(
         self, fixture_dir, bad_features, first_captions_tsv, tmp_path, capsys

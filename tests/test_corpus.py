@@ -241,22 +241,24 @@ class TestSplitDataset:
         s1 = split_dataset(ids, (6, 2, 2), seed=7)
         s2 = split_dataset(ids, (6, 2, 2), seed=7)
         assert s1 == s2
-        union = s1.train_ids | s1.val_ids | s1.testval_ids
-        assert union == set(range(10))
-        assert len(s1.train_ids) == 6 and len(s1.val_ids) == 2 and len(s1.testval_ids) == 2
+        assert list(s1) == ["train", "val", "testval"]
+        # every id in exactly one part, each part sorted
+        assert sorted(s1["train"] + s1["val"] + s1["testval"]) == list(range(10))
+        assert all(part == sorted(part) for part in s1.values())
+        assert [len(part) for part in s1.values()] == [6, 2, 2]
 
     def test_reference_sizes_accepted(self):
         split = split_dataset(range(123270), (82783, 20243, 20244), seed=0)
-        assert len(split.train_ids) == 82783
-        assert len(split.val_ids) == 20243
-        assert len(split.testval_ids) == 20244
+        assert len(split["train"]) == 82783
+        assert len(split["val"]) == 20243
+        assert len(split["testval"]) == 20244
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             split_dataset(range(10), (6, 2, 1), seed=0)
 
     def test_different_seeds_differ(self):
-        splits = {split_dataset(range(9), (3, 3, 3), seed=s).train_ids for s in range(100)}
+        splits = {tuple(split_dataset(range(9), (3, 3, 3), seed=s)["train"]) for s in range(100)}
         assert len(splits) > 1
 
 

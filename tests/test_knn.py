@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 from random import Random
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from capkit import knn
 from capkit.knn import (
-    ConsensusResult,
     FeatureIndex,
     consensus_caption,
     consensus_for_query,
@@ -27,7 +27,7 @@ from capkit.errors import (
 
 
 def _sort_oracle(ids, vectors, query, k):
-    """Independent full-sort implementation of top-k cosine."""
+    """Independent full-sort implementation of top-k cosine: (id, similarity) pairs."""
     query = np.asarray(query, dtype=np.float64)
     scored = []
     for image_id, vec in zip(ids, vectors):
@@ -35,7 +35,7 @@ def _sort_oracle(ids, vectors, query, k):
         sim = float(vec @ query / (np.linalg.norm(vec) * np.linalg.norm(query)))
         scored.append((min(max(sim, -1.0), 1.0), image_id))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [image_id for _, image_id in scored[:k]]
+    return [(image_id, sim) for sim, image_id in scored[:k]]
 
 
 class TestNearest:
@@ -48,14 +48,14 @@ class TestNearest:
     def test_exact_match_first(self):
         ids, vectors, index = self._index()
         result = nearest(index, vectors[2], 3)
-        assert result.entries[0][0] == ids[2]
-        assert result.entries[0][1] == pytest.approx(1.0)
+        assert result[0][0] == ids[2]
+        assert result[0][1] == pytest.approx(1.0)
 
     def test_k_larger_than_index(self):
         ids, vectors, index = self._index(n=4)
         result = nearest(index, vectors[0], 10)
         assert len(result) == 4
-        sims = [s for _, s in result.entries]
+        sims = [s for _, s in result]
         assert sims == sorted(sims, reverse=True)
 
     def test_matches_sort_oracle(self):
@@ -68,7 +68,9 @@ class TestNearest:
             index = FeatureIndex(ids, vectors)
             query = rng.standard_normal(dim)
             k = int(rng.integers(1, n + 1))
-            assert nearest(index, query, k).ids() == _sort_oracle(ids, vectors, query, k)
+            got, want = nearest(index, query, k), _sort_oracle(ids, vectors, query, k)
+            assert [i for i, _ in got] == [i for i, _ in want]
+            assert [s for _, s in got] == pytest.approx([s for _, s in want])
 
     def test_scale_invariance(self):
         ids, vectors, index = self._index(n=8, seed=3)
@@ -79,7 +81,7 @@ class TestNearest:
         index2 = FeatureIndex(ids, scaled)
         query = np.r_[1.0, -0.5, 0.25, 2.0]
         for k in (1, 3, 8):
-            assert nearest(index, query, k).entries == nearest(index2, query, k).entries
+            assert nearest(index, query, k) == nearest(index2, query, k)
 
     def test_empty_index(self):
         index = FeatureIndex([], np.zeros((0, 3)))
@@ -172,19 +174,18 @@ def consensus_oracle(pool, m, max_n):
         mean = sum(scores) / len(scores)
         if mean > best_mean:
             best_i, best_mean = i, mean
-    return ConsensusResult(tuple(pool[best_i]), best_mean, len(pool))
+    return tuple(pool[best_i]), best_mean
 
 
 class TestConsensus:
     def test_all_identical(self):
         pool = [("a", "cat"), ("a", "cat"), ("a", "cat")]
-        result = consensus_caption(pool, m=5)
-        assert result.caption == ("a", "cat")
-        assert result.mean_overlap == pytest.approx(1.0)
+        caption, mean_overlap = consensus_caption(pool, m=5)
+        assert caption == ("a", "cat")
+        assert mean_overlap == pytest.approx(1.0)
 
     def test_single_caption(self):
-        result = consensus_caption([("just", "one")], m=3)
-        assert result == ConsensusResult(("just", "one"), 0.0, 1)
+        assert consensus_caption([("just", "one")], m=3) == (("just", "one"), 0.0)
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPool):
@@ -241,7 +242,7 @@ class TestConsensusKernel:
         got = consensus_caption(pool, m=m, max_n=max_n)
         want = consensus_oracle(pool, m, max_n)
         assert got == want
-        assert got.mean_overlap == want.mean_overlap
+        assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
 
     def test_realistic_pool_bit_exact(self):
         rng = Random(31)
@@ -251,8 +252,8 @@ class TestConsensusKernel:
         ]
         got = consensus_caption(pool, m=125)
         want = consensus_oracle(pool, 125, 4)
-        assert got.caption == want.caption
-        assert got.mean_overlap == want.mean_overlap
+        assert got[0] == want[0]
+        assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
 
 
 class TestRetrieveCaptions:
@@ -274,7 +275,7 @@ class TestRetrieveCaptions:
         for image_id, query in queries:
             assert got["consensus"][image_id] == consensus_for_query(
                 index, captions, query, k=5, m=7
-            ).caption
+            )[0]
             assert got["onenn"][image_id] == one_nn_caption(
                 index, captions, query, rng_seed=9 + image_id
             )

@@ -5,7 +5,6 @@ from capkit.decoding import DecodedHypothesis, NBestList
 from capkit.errors import EmptyNBest, MissingReferences, SchemaMismatch
 from capkit.metrics import bleu_stats, corpus_bleu
 from capkit.rerank import (
-    EnvelopeSegment,
     MertConfig,
     apply_weights,
     line_envelope,
@@ -25,6 +24,13 @@ def lines(rows, base, direction):
     return slopes, offsets
 
 
+def segments(envelope):
+    """(lo, hi, winner) of each (lo, winner) pair of ``envelope``: ``hi`` is
+    the next pair's ``lo``, or +inf for the last."""
+    his = [lo for lo, _ in envelope[1:]] + [float("inf")]
+    return [(lo, hi, winner) for (lo, winner), hi in zip(envelope, his)]
+
+
 def selected_bleu(nbests, refs, weights):
     return corpus_bleu(
         [(apply_weights(nb, weights).tokens, refs[nb.image_id]) for nb in nbests]
@@ -33,17 +39,19 @@ def selected_bleu(nbests, refs, weights):
 
 class TestLineEnvelope:
     def test_single_hypothesis(self):
-        segs = line_envelope(*lines([{"f": 1.0, "g": 2.0}], {"f": 1.0, "g": 1.0}, "f"))
-        assert segs == [EnvelopeSegment(float("-inf"), float("inf"), 0)]
+        rows = [{"f": 1.0, "g": 2.0}]
+        segs = segments(line_envelope(*lines(rows, {"f": 1.0, "g": 1.0}, "f")))
+        assert segs == [(float("-inf"), float("inf"), 0)]
 
     def test_two_line_crossing(self):
         # line 0: 0 + gamma*1, line 1: 1 - gamma*1; they cross at gamma = 0.5
         rows = [{"f": 1.0, "c": 0.0}, {"f": -1.0, "c": 1.0}]
-        segs = line_envelope(*lines(rows, {"f": 0.0, "c": 1.0}, "f"))
+        segs = segments(line_envelope(*lines(rows, {"f": 0.0, "c": 1.0}, "f")))
         assert len(segs) == 2
-        assert segs[0].winner == 1 and segs[1].winner == 0
-        assert segs[0].hi == pytest.approx(0.5)
-        assert segs[1].lo == pytest.approx(0.5)
+        (lo0, hi0, winner0), (lo1, hi1, winner1) = segs
+        assert winner0 == 1 and winner1 == 0
+        assert hi0 == pytest.approx(0.5)
+        assert lo1 == pytest.approx(0.5)
 
     def test_matches_pointwise_argmax(self):
         rng = np.random.default_rng(7)
@@ -53,11 +61,11 @@ class TestLineEnvelope:
                 for _ in range(20)
             ]
             base = {"f": 0.0, "g": float(rng.standard_normal())}
-            segs = line_envelope(*lines(rows, base, "f"))
+            segs = segments(line_envelope(*lines(rows, base, "f")))
             for gamma in rng.uniform(-10, 10, size=1000):
                 scores = [gamma * r["f"] + base["g"] * r["g"] for r in rows]
                 expect = int(np.argmax(scores))
-                got = next(s.winner for s in segs if s.lo <= gamma < s.hi)
+                got = next(winner for lo, hi, winner in segs if lo <= gamma < hi)
                 assert got == expect
 
     def test_partition_and_distinct_neighbors(self):
@@ -67,17 +75,17 @@ class TestLineEnvelope:
                 {"f": float(rng.standard_normal()), "g": float(rng.standard_normal())}
                 for _ in range(12)
             ]
-            segs = line_envelope(*lines(rows, {"f": 0.0, "g": 1.0}, "f"))
-            assert segs[0].lo == float("-inf")
-            assert segs[-1].hi == float("inf")
-            for a, b in zip(segs, segs[1:]):
-                assert a.hi == b.lo
-                assert a.winner != b.winner
+            segs = segments(line_envelope(*lines(rows, {"f": 0.0, "g": 1.0}, "f")))
+            assert segs[0][0] == float("-inf")
+            assert segs[-1][1] == float("inf")
+            for (lo, hi, winner), (next_lo, _, next_winner) in zip(segs, segs[1:]):
+                assert lo < hi == next_lo
+                assert winner != next_winner
 
     def test_duplicate_lines_prefer_lower_index(self):
         rows = [{"f": 1.0, "g": 1.0}, {"f": 1.0, "g": 1.0}]
-        segs = line_envelope(*lines(rows, {"f": 0.0, "g": 1.0}, "f"))
-        assert segs == [EnvelopeSegment(float("-inf"), float("inf"), 0)]
+        segs = segments(line_envelope(*lines(rows, {"f": 0.0, "g": 1.0}, "f")))
+        assert segs == [(float("-inf"), float("inf"), 0)]
 
     def test_empty(self):
         with pytest.raises(EmptyNBest):
