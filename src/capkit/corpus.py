@@ -338,31 +338,7 @@ def split_dataset(ids, sizes, seed: int) -> dict[str, list[int]]:
             "testval": sorted(order[n_train + n_val:])}
 
 
-@dataclass(frozen=True)
-class DetectionSet:
-    """Detected caption words for one image.
-
-    ``from_scored_words`` deduplicates word scores keeping the maximum and
-    retains only words scoring at least its threshold.
-    """
-
-    image_id: int
-    words: dict[str, float]
-
-    @classmethod
-    def from_scored_words(cls, image_id: int, scored, threshold: float) -> "DetectionSet":
-        kept: dict[str, float] = {}
-        for token, score in scored:
-            score = float(score)
-            if score >= threshold and score > kept.get(token, float("-inf")):
-                kept[token] = score
-        return cls(int(image_id), kept)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def coverable(detections: DetectionSet | None, candidates) -> frozenset[str]:
+def coverable(detections: frozenset[str] | None, candidates) -> frozenset[str]:
     """The detected words a caption can cover: those among the model's candidates, END excluded.
 
     ``candidates`` is the model's Vocabulary, or any container of its
@@ -371,18 +347,23 @@ def coverable(detections: DetectionSet | None, candidates) -> frozenset[str]:
     scoring all start from this set and strike off each token as it is
     emitted. The cost is one membership test per detected word.
     """
-    if detections is None:
-        return frozenset()
-    return frozenset(tok for tok in detections.words
+    return frozenset(tok for tok in detections or ()
                      if tok in candidates and tok != END_TOKEN and tok != START_TOKEN)
 
 
 _SCORE_TYPES = frozenset((int, float))  # JSON numbers; bool is neither
 
 
-def load_detections(path, threshold: float) -> dict[int, DetectionSet]:
-    """Read detections from JSON-lines: one ``{"image_id", "words": [...]}`` per line."""
-    detections: dict[int, DetectionSet] = {}
+def load_detections(path, threshold: float) -> dict[int, frozenset[str]]:
+    """Read detections from JSON-lines: one ``{"image_id", "words": [...]}`` per line.
+
+    An image's detections are the tokens of its words scoring at least
+    ``threshold``; the scores are not kept. Every token must be a caption
+    token, one that ``tokenize`` leaves as it is, else MalformedInput names
+    its line; each distinct token is checked once.
+    """
+    detections: dict[int, frozenset[str]] = {}
+    checked: set[str] = set()
     lines = read_file(path, "detections file").split("\n")
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -405,7 +386,13 @@ def load_detections(path, threshold: float) -> dict[int, DetectionSet]:
         tokens = [token for token, _ in words]
         if not (set(map(type, tokens)) <= {str} and all(tokens)):
             raise MalformedInput(f"{path}:{lineno}: detection tokens must be non-empty strings")
+        for token in tokens:
+            if token not in checked:
+                if tokenize(token) != [token]:
+                    raise MalformedInput(f"{path}:{lineno}: detection token {token!r} is not "
+                                         f"a caption token (it tokenizes to {tokenize(token)})")
+                checked.add(token)
         if image_id in detections:
             raise MalformedInput(f"{path}:{lineno}: duplicate detections for image {image_id}")
-        detections[image_id] = DetectionSet.from_scored_words(image_id, words, threshold)
+        detections[image_id] = frozenset(token for token, score in words if score >= threshold)
     return detections

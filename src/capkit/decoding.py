@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import END_TOKEN, START_ID, UNK_TOKEN, DetectionSet, coverable
+from .corpus import END_TOKEN, START_ID, UNK_TOKEN, coverable
 from .errors import DimensionMismatch, InputDataError, NonFiniteLogProb, ToolkitError
 
 if TYPE_CHECKING:
@@ -225,8 +225,8 @@ def beam_search(scorer, conditioning, beam_size: int, max_len: int, n_best: int,
 
 
 def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_best: int,
-                         min_coverage: int | None, image_id: int | None = None) -> NBestList:
-    """Beam search that must mention at least ``min_coverage`` detected words.
+                         min_coverage: int | None, image_id: int = 0) -> NBestList:
+    """Beam search that must mention at least ``min_coverage`` of the set ``detections``.
 
     Each hypothesis tracks the words of ``corpus.coverable`` that it has
     not yet emitted, and the scorer sees that set every step; END is only
@@ -237,8 +237,6 @@ def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_bes
     gain a ``covered`` column. If coverage is unreachable within
     ``max_len``, best-effort partials come back with ``complete=False``.
     """
-    if image_id is None:
-        image_id = detections.image_id
     return _search(scorer, detections, beam_size, max_len, n_best,
                    detections=detections, min_coverage=min_coverage,
                    image_id=image_id)
@@ -247,14 +245,14 @@ def coverage_beam_search(scorer, detections, beam_size: int, max_len: int, n_bes
 def sequence_logprob(scorer, conditioning, tokens) -> float:
     """Total log-probability of ``tokens`` followed by END under ``scorer``.
 
-    A DetectionSet ``conditioning`` gives the scorer the words of
-    ``corpus.coverable`` not yet emitted, exactly as coverage search does;
-    otherwise the remaining set is None. Tokens outside
+    A frozenset ``conditioning``, the image's detected words, gives the
+    scorer the words of ``corpus.coverable`` not yet emitted, exactly as
+    coverage search does; otherwise the remaining set is None. Tokens outside
     ``scorer.candidates`` score as UNK.
     """
     index_of = _candidate_index(scorer)
     unk_index = index_of.get(UNK_TOKEN)
-    coverage = isinstance(conditioning, DetectionSet)
+    coverage = isinstance(conditioning, frozenset)
     remaining = coverable(conditioning, index_of) if coverage else None
     state = scorer.start(conditioning)
     total = 0.0
@@ -275,7 +273,7 @@ def _candidate_index(scorer) -> dict[str, int]:
 def rescore_logprob(nbest: NBestList, scorer, conditioning, feature_name: str) -> NBestList:
     """Add a feature column with another model's log-probability per hypothesis.
 
-    ``conditioning`` is the image's feature vector or DetectionSet, as the
+    ``conditioning`` is the image's feature vector or detected words, as the
     scorer's model was trained; each value equals ``sequence_logprob`` of
     its hypothesis. The list is walked depth first as a trie of token
     prefixes, children in the order the hypotheses first reach them, so the
@@ -285,7 +283,7 @@ def rescore_logprob(nbest: NBestList, scorer, conditioning, feature_name: str) -
     index_of = _candidate_index(scorer)
     unk_index = index_of.get(UNK_TOKEN)
     end_index = index_of[END_TOKEN]
-    coverage = isinstance(conditioning, DetectionSet)
+    coverage = isinstance(conditioning, frozenset)
     # trie node: ({token: child node}, indices of the hypotheses ending here)
     root: tuple[dict, list[int]] = ({}, [])
     for i, hyp in enumerate(nbest.hypotheses):

@@ -31,6 +31,8 @@ THEMES = (
 ADJECTIVES = ("red", "blue", "old")
 PREPOSITIONS = ("near", "by", "beside")
 CANONICAL_CHANCE = 0.55
+CAPTIONS_PER_IMAGE = 5
+FEATURE_NOISE = 0.12  # scale of each image's offset from its theme center
 
 
 def _caption_tokens(rng: Random, theme) -> list[str]:
@@ -47,8 +49,7 @@ def _caption_text(tokens) -> str:
     return sentence[0].upper() + sentence[1:] + "."
 
 
-def generate_fixture(out_dir, n_images: int = 200, dim: int = 8, seed: int = 13,
-                     captions_per_image: int = 5, noise: float = 0.12) -> dict:
+def generate_fixture(out_dir, n_images: int = 200, dim: int = 8, seed: int = 13) -> dict:
     """Write captions.json, features.fvec, and detections.jsonl under ``out_dir``.
 
     Returns a summary with the image ids and each image's theme index.
@@ -68,9 +69,9 @@ def generate_fixture(out_dir, n_images: int = 200, dim: int = 8, seed: int = 13,
     ann_id = 1
     for image_id in image_ids:
         theme = THEMES[theme_of[image_id]]
-        vec = centers[theme_of[image_id]] + noise * vec_rng.standard_normal(dim)
+        vec = centers[theme_of[image_id]] + FEATURE_NOISE * vec_rng.standard_normal(dim)
         store.add(image_id, vec.astype(np.float32))
-        for _ in range(captions_per_image):
+        for _ in range(CAPTIONS_PER_IMAGE):
             tokens = _caption_tokens(rng, theme)
             annotations.append(
                 {"id": ann_id, "image_id": image_id, "caption": _caption_text(tokens)}

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyIndex, EmptyPool, NoCaptions, ZeroVector
 
-DEFAULT_MAX_ORDER = 4
+# Consensus compares captions by their n-grams of orders 1 to MAX_ORDER.
+MAX_ORDER = 4
 # Rows per block of the row-norm pass; bounds its squared temporary.
 _NORM_BLOCK_ROWS = 256
 
@@ -134,18 +135,18 @@ def _clipped_matches(captions, n: int, totals: np.ndarray) -> np.ndarray:
     return matched
 
 
-def _pair_fscores(captions, max_n: int) -> np.ndarray:
+def _pair_fscores(captions) -> np.ndarray:
     """``ngram_overlap_fscore`` of every ordered pair of ``captions``, (P, P).
 
     Each element sees the same floating-point operations, in the same
     order, as the scalar definition: per order n, F = 2·p·r / (p + r)
-    from clipped precision p and recall r, added up over n = 1..max_n and
+    from clipped precision p and recall r, added up over n = 1..MAX_ORDER and
     divided by the number of orders where either side has an n-gram.
     """
     lengths = np.array([len(c) for c in captions], dtype=np.float64)
     total_f = np.zeros((len(captions), len(captions)))
     used = np.zeros_like(total_f)
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_ORDER + 1):
         totals = np.maximum(lengths - (n - 1), 0.0)
         matched = _clipped_matches(captions, n, totals)
         # an empty side has no matches, so dividing by 1 instead gives 0
@@ -158,19 +159,17 @@ def _pair_fscores(captions, max_n: int) -> np.ndarray:
     return np.divide(total_f, used, out=np.zeros_like(total_f), where=used > 0.0)
 
 
-def ngram_overlap_fscore(a, b, max_n: int = DEFAULT_MAX_ORDER) -> float:
-    """Mean over n=1..max_n of the harmonic-mean F between clipped n-gram
+def ngram_overlap_fscore(a, b) -> float:
+    """Mean over n=1..MAX_ORDER of the harmonic-mean F between clipped n-gram
     precision and recall of ``a`` against ``b``.
 
     Symmetric in its arguments; orders where neither side has any n-gram
     are skipped; empty inputs score 0.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    return float(_pair_fscores([tuple(a), tuple(b)], max_n)[0, 1])
+    return float(_pair_fscores([tuple(a), tuple(b)])[0, 1])
 
 
-def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> tuple[tuple, float]:
+def consensus_caption(pool, m: int) -> tuple[tuple, float]:
     """(caption, mean overlap) of the pool caption with the highest mean
     n-gram overlap with its ``m`` most-overlapping pool mates.
 
@@ -185,8 +184,6 @@ def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> tuple[tup
         raise EmptyPool("consensus over an empty caption pool")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     if len(captions) == 1:
         return captions[0], 0.0
     # A pair's score depends only on its two captions, and two copies of a
@@ -194,7 +191,7 @@ def consensus_caption(pool, m: int, max_n: int = DEFAULT_MAX_ORDER) -> tuple[tup
     # gathered back to pool positions holds every pool pair's bits.
     slot_of: dict = {}
     slots = [slot_of.setdefault(c, len(slot_of)) for c in captions]
-    scores = _pair_fscores(list(slot_of), max_n)
+    scores = _pair_fscores(list(slot_of))
     if len(slot_of) < len(captions):
         scores = scores[np.ix_(slots, slots)]
     np.fill_diagonal(scores, -np.inf)
@@ -216,11 +213,11 @@ def neighbor_caption_pool(index: FeatureIndex, captions, query, k: int) -> list[
     return _caption_pool(captions, nearest(index, query, k))
 
 
-def consensus_for_query(index: FeatureIndex, captions, query, k: int, m: int,
-                        max_n: int = DEFAULT_MAX_ORDER) -> tuple[tuple, float]:
+def consensus_for_query(index: FeatureIndex, captions, query, k: int,
+                        m: int) -> tuple[tuple, float]:
     """``consensus_caption`` over the pooled captions of the k nearest images."""
     pool = neighbor_caption_pool(index, captions, query, k)
-    return consensus_caption(pool, m, max_n)
+    return consensus_caption(pool, m)
 
 
 RETRIEVAL_MODES = ("consensus", "onenn")

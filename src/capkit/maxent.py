@@ -153,7 +153,7 @@ def _training_events(lm: MaxEntLM, record, detections, conditions: dict):
 
 
 def train_maxent(pairs, config: MaxEntTrainConfig, vocabulary: Vocabulary) -> MaxEntLM:
-    """Train a MaxEntLM over ``vocabulary`` on (CaptionRecord, DetectionSet-or-None) pairs.
+    """Train a MaxEntLM over ``vocabulary`` on (CaptionRecord, detected words or None) pairs.
 
     Plain SGD with a fixed learning rate and L2 decay on the rows and
     coverage scalars each event touches; example order is reshuffled per

@@ -34,7 +34,6 @@ from . import analysis, artifacts, decoding, knn, maxent, metrics, recurrent, re
 from ._binio import read_file
 from .corpus import (
     CaptionRecord,
-    DetectionSet,
     Vocabulary,
     build_vocabulary,
     captions_by_image,
@@ -234,13 +233,16 @@ class PipelineContext:
     """Lazy access to inputs and prior-stage artifacts; the inputs and the
     ingest artifacts are cached. It checks no config fact: ``run_pipeline``
     has checked each stage's ``_NEEDS`` before any stage runs. ``systems``
-    are the ``_EVAL_SYSTEMS`` rows that eval and analyze score."""
+    are the ``_EVAL_SYSTEMS`` rows that eval and analyze score, and
+    ``carried`` the manifest entries (stage -> {name: sha256}) of the
+    stages that ran before under this config and do not run now."""
 
-    def __init__(self, config: PipelineConfig, out_dir: str, systems=()):
+    def __init__(self, config: PipelineConfig, out_dir: str, systems=(), carried=None):
         self.config = config
         self.hp = config.hyperparameters
         self.out_dir = out_dir
         self.systems = systems
+        self.carried = carried or {}
         self._cache: dict = {}
         self.written: list[str] = []
 
@@ -256,14 +258,16 @@ class PipelineContext:
         cached. A missing file asks for ``producer`` to run first. A fault
         in the file (an InputDataError from ``load``, or a KeyError,
         TypeError or ValueError, such as a missing JSON key or a duplicate
-        token) raises an InputDataError that names the file and asks for
-        ``producer`` to run again.
+        token), or else a checksum other than the one that a carried-over
+        manifest entry of ``producer`` records for it, raises an
+        InputDataError that names the file and asks for ``producer`` to run
+        again.
         """
         path = os.path.join(self.out_dir, name)
         if not os.path.exists(path):
             raise MalformedInput(f"missing artifact {path}; run the '{producer}' stage first")
         try:
-            return load(path)
+            loaded = load(path)
         except InputDataError as exc:
             raise type(exc)(f"{exc}; run the '{producer}' stage again") from exc
         except (KeyError, TypeError, ValueError) as exc:
@@ -271,6 +275,11 @@ class PipelineContext:
             raise MalformedInput(
                 f"{path}: {problem}; run the '{producer}' stage again"
             ) from exc
+        recorded = self.carried.get(producer, {}).get(name)
+        if recorded is not None and artifacts.sha256_file(path) != recorded:
+            raise MalformedInput(f"{path}: checksum differs from the manifest's; "
+                                 f"run the '{producer}' stage again")
+        return loaded
 
     def _cached(self, key, builder):
         if key not in self._cache:
@@ -325,7 +334,7 @@ class PipelineContext:
             "heldout_captions.json", "ingest", lambda path: captions_by_image(load_captions(path))
         ))
 
-    def heldout_detections(self) -> dict[int, DetectionSet]:
+    def heldout_detections(self) -> dict[int, frozenset[str]]:
         """Detections of the val and testval images, from ingest, at this run's alpha."""
         return self._cached("heldout_detections.jsonl", lambda: self.read(
             "heldout_detections.jsonl", "ingest",
@@ -440,6 +449,12 @@ def _stage_train_rnn(ctx: PipelineContext) -> None:
     recurrent.save_recurrent(lm, ctx.artifact("rnn.model"))
 
 
+# The feature columns of decode's n-best lists: coverage search writes the
+# first three, and rescoring with the GRU writes the last.
+_RESCORE_COLUMN = "mrnn"
+_NBEST_COLUMNS = ("logprob", "length", "covered", _RESCORE_COLUMN)
+
+
 def _stage_decode(ctx: PipelineContext) -> None:
     me_lm = ctx.read("me.model", "train_me", maxent.load_maxent)
     rnn_lm = ctx.read("rnn.model", "train_rnn", recurrent.load_recurrent)
@@ -453,10 +468,11 @@ def _stage_decode(ctx: PipelineContext) -> None:
             if image_id not in detections:
                 raise MalformedInput(f"no detections for image {image_id}")
             nbest = decoding.coverage_beam_search(
-                me_scorer, detections[image_id], **decode_options(ctx.hp, coverage=True)
+                me_scorer, detections[image_id], image_id=image_id,
+                **decode_options(ctx.hp, coverage=True)
             )
             nbest = decoding.rescore_logprob(
-                nbest, rnn_scorer, features.get(image_id), "mrnn"
+                nbest, rnn_scorer, features.get(image_id), _RESCORE_COLUMN
             )
             nbests.append(nbest)
         print(f"[decode] {split_name} {decoding.nbest_sizes(nbests, ctx.hp['nbest'])}")
@@ -581,10 +597,10 @@ _STAGE_FNS = {
 
 STAGE_ORDER = tuple(_STAGE_FNS)
 
-# The config facts each stage reads besides its hyperparameters: one row per
-# (stage, what it does with the fact, what a config without it lacks, the
-# test that the config holds it). run_pipeline checks them all before any
-# stage runs.
+# The config facts each stage needs, besides hyperparameters in range (and
+# of those only rerank's mert_features): one row per (stage, what it does
+# with the fact, what a config without it lacks, the test that the config
+# holds it). run_pipeline checks them all before any stage runs.
 _TRAIN = ("split sets train size 0", lambda config: config.split_sizes[0] > 0)
 _VAL = ("split sets val size 0", lambda config: config.split_sizes[1] > 0)
 _DETECTIONS = ("has no detections path", lambda config: config.detections_path is not None)
@@ -595,6 +611,9 @@ _NEEDS = (
     ("train_rnn", "trains on the train captions", *_TRAIN),
     ("decode", "decodes under the word detections", *_DETECTIONS),
     ("rerank", "runs MERT on the val images", *_VAL),
+    ("rerank", "weighs the columns of decode's n-best lists",
+     f"names mert_features outside {', '.join(_NBEST_COLUMNS)}",
+     lambda config: set(config.hyperparameters["mert_features"]) <= set(_NBEST_COLUMNS)),
     ("analyze", "bins the testval images against the train images", *_TRAIN),
 )
 
@@ -688,7 +707,8 @@ def run_pipeline(config: PipelineConfig, stages=None, out_dir: str = ".") -> dic
             raise MalformedInput(f"the {stage} stage scores generated captions, but no knn, "
                                  "decode or rerank stage has run under this config")
     os.makedirs(out_dir, exist_ok=True)
-    ctx = PipelineContext(config, out_dir, systems)
+    carried = {stage: files for stage, files in manifest["stages"].items() if stage not in stages}
+    ctx = PipelineContext(config, out_dir, systems, carried)
     trained: dict[str, list[str]] = {}
     for stage in STAGE_ORDER:
         if stage not in stages:

@@ -42,7 +42,6 @@ from capkit.corpus import (
     START_TOKEN,
     UNK_TOKEN,
     CaptionRecord,
-    DetectionSet,
     FeatureStore,
     Vocabulary,
     build_vocabulary,
@@ -269,13 +268,13 @@ def _consensus_pools(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pool=_consensus_pools(), m=st.integers(1, 80), max_n=st.integers(1, 4))
-def test_consensus_matches_oracle_on_pools_with_duplicates(pool, m, max_n):
-    caption, mean_overlap = consensus_caption(pool, m=m, max_n=max_n)
+@given(pool=_consensus_pools(), m=st.integers(1, 80))
+def test_consensus_matches_oracle_on_pools_with_duplicates(pool, m):
+    caption, mean_overlap = consensus_caption(pool, m=m)
     if len(pool) == 1:
         want_caption, want_mean = pool[0], 0.0
     else:
-        want_caption, want_mean = consensus_oracle(pool, m, max_n)
+        want_caption, want_mean = consensus_oracle(pool, m)
     assert caption == want_caption
     assert struct.pack("<d", mean_overlap) == struct.pack("<d", want_mean)
 
@@ -915,7 +914,7 @@ def test_retrieval_stages_build_no_caption_records(tmp_path, monkeypatch):
 def test_heldout_reader_matches_the_raw_loaders(tmp_path, alpha):
     with criterion("heldout-equivalence", 10.0):
         generate_fixture(tmp_path, n_images=40, dim=8, seed=3)
-        # Repeated words (the higher score wins, in the first one's place),
+        # Repeated words (detected when any of their scores clears alpha),
         # integer scores and words on either side of the threshold; blank
         # and whitespace-only lines, which hold no record, between records.
         path = tmp_path / "detections.jsonl"
@@ -943,7 +942,6 @@ def test_heldout_reader_matches_the_raw_loaders(tmp_path, alpha):
         for image_id in ids:
             got, want = heldout[image_id], detections[image_id]
             assert got == want
-            assert list(got.words.items()) == list(want.words.items())
         assert (out / "heldout_detections.jsonl").read_text().splitlines() == [
             line for line in lines if line.strip() and json.loads(line)["image_id"] in ids]
         assert ctx.heldout_references() == {i: references[i] for i in ids}
@@ -1221,9 +1219,7 @@ def test_gradient_checks():
                 if mode == MODE_IMAGE_INITIAL:
                     conditioning = rng.standard_normal(4)
                 else:
-                    conditioning = DetectionSet.from_scored_words(
-                        0, [("cat", 0.9), ("the", 0.9)], 0.5
-                    )
+                    conditioning = frozenset({"cat", "the"})
                 tokens = [
                     str(t) for t in rng.choice(["cat", "dog", "sat", "the"], size=3)
                 ]
@@ -1310,7 +1306,7 @@ def _oracle_forward(lm, conditioning, tokens):
     remaining = set()
     if aux and conditioning is not None:
         emittable = set(lm.vocabulary.candidate_tokens()) - {END_TOKEN}
-        remaining = {lm.vocabulary.id_of[w] for w in emittable.intersection(conditioning.words)}
+        remaining = {lm.vocabulary.id_of[w] for w in emittable.intersection(conditioning)}
     out_w, out_b = lm.params["out_w"], lm.params["out_b"]
     caches = []
     nll = 0.0
@@ -1389,8 +1385,8 @@ def _bptt_batch(mode, rng, words, n_items, lengths):
         if mode == MODE_IMAGE_INITIAL:
             conditioning = rng.standard_normal(6)
         else:
-            conditioning = DetectionSet.from_scored_words(
-                0, [(str(w), 0.9) for w in rng.choice(words, size=rng.integers(0, 5))], 0.5
+            conditioning = frozenset(
+                str(w) for w in rng.choice(words, size=rng.integers(0, 5))
             )
         batch.append((conditioning, tokens))
     return batch
@@ -1546,8 +1542,7 @@ def test_prefix_rescoring_matches_sequence_oracle():
             ("the", "cat", "sat"), (), ("the", "dog"), ("the", "zebra", "sat"),
             ("the", "zebra"), ("a", "cat"), ("cat",), ("the",), (),
         ]
-        detections = DetectionSet.from_scored_words(
-            7, [("cat", 0.9), ("mat", 0.8), ("zebra", 0.7)], 0.5)
+        detections = frozenset({"cat", "mat", "zebra"})
         cases = shared = 0
         for seed in range(6):
             for mode in (MODE_IMAGE_INITIAL, MODE_COVERAGE_AUX):
@@ -1653,7 +1648,7 @@ def maxent_oracle(pairs, vocabulary, config):
     # the detected words the model can emit other than END
     emittable = set(vocabulary.candidate_tokens()) - {END_TOKEN}
     for record, detections in pairs:
-        remaining = emittable.intersection(detections.words) if detections is not None else set()
+        remaining = emittable.intersection(detections) if detections is not None else set()
         events, history = [], []
         for target in [*vocabulary.map_tokens(record.tokens), END_TOKEN]:
             events.append((tuple(history), target, frozenset(remaining)))
@@ -1713,7 +1708,7 @@ def test_maxent_matches_hashed_oracle(tmp_path):
 
             rng = Random(17)
             words = [*vocabulary.word_tokens(), UNK_TOKEN, "unseen"]
-            detected = sorted({tok for det in detections.values() for tok in det.words})
+            detected = sorted({tok for det in detections.values() for tok in det})
             unseen_trigrams = 0
             for call in range(300):
                 if call % 2:
@@ -1765,9 +1760,7 @@ def test_decoder_equivalence_and_coverage():
             assert result.hypotheses[0].features["logprob"] == best[0]
 
         # full-coverage decodes mention every detection word
-        detections = DetectionSet.from_scored_words(
-            1, [("cat", 0.9), ("dog", 0.8)], 0.5
-        )
+        detections = frozenset({"cat", "dog"})
         successes = 0
         for seed in range(100):
             scorer = BoostRemainingScorer(["cat", "dog", "a"], seed)
@@ -1791,7 +1784,7 @@ def beam_search_oracle(scorer, conditioning, beam_size, max_len, n_best, detecti
     coverage_mode = detections is not None
     detected = frozenset()
     if coverage_mode:
-        detected = frozenset(detections.words).intersection(scorer.candidates) - {END_TOKEN}
+        detected = detections.intersection(scorer.candidates) - {END_TOKEN}
         if min_coverage is None:
             min_coverage = min(len(detected), max_len - 1)
     candidates = scorer.candidates
@@ -1885,13 +1878,12 @@ def test_array_selection_matches_tuple_sort_oracle():
                                           image_id=case, boundary_ties=ties)
             else:
                 chosen = rng.permutation(vocab)[:int(rng.integers(1, len(vocab) + 1))]
-                detections = DetectionSet.from_scored_words(
-                    case, [(str(tok), 0.9) for tok in chosen], 0.5)
+                detections = frozenset(str(tok) for tok in chosen)
                 min_coverage = [None, *range(len(detections) + 1)][
                     int(rng.integers(0, len(detections) + 2))]
                 got = coverage_beam_search(scorer, detections, beam_size=beam,
                                            max_len=max_len, n_best=n_best,
-                                           min_coverage=min_coverage)
+                                           min_coverage=min_coverage, image_id=case)
                 want = beam_search_oracle(scorer, detections, beam, max_len, n_best,
                                           detections=detections, min_coverage=min_coverage,
                                           image_id=case, boundary_ties=ties)

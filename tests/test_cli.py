@@ -370,6 +370,8 @@ _LACKING = {
     "split sets train size 0": ("train", {"split": [0, 20, 20]}),
     "split sets val size 0": ("val", {"split": [30, 0, 10]}),
     "has no detections path": ("detections", {"detections": False}),
+    "names mert_features outside logprob, length, covered, mrnn": (
+        "mert-features", {"hyperparameters": {"mert_features": ["logprob", "nope"]}}),
 }
 
 
@@ -830,6 +832,11 @@ class TestIngestedArtifacts:
                      '{"image_id": 7, "words": [{"token": 1, "score": 0.9}]}\n',
                      "MalformedInput", ":1: detection tokens must be non-empty strings",
                      id="detections-token-not-a-string"),
+        pytest.param("heldout_detections.jsonl", "decode",
+                     '{"image_id": 7, "words": [{"token": "BUS.", "score": 0.9}]}\n',
+                     "MalformedInput",
+                     ":1: detection token 'BUS.' is not a caption token (it tokenizes to ['bus'])",
+                     id="detections-not-a-caption-token"),
         pytest.param("heldout_detections.jsonl", "decode", "[]\n", "MalformedInput",
                      ":1: bad detection record: list indices must be integers or slices, not str",
                      id="detections-record-not-an-object"),
@@ -941,6 +948,51 @@ class TestIngestedArtifacts:
             "the eval stage scores generated captions, but no knn, decode or rerank stage"
         )
         assert (run_dir / "manifest.json").read_bytes() == manifest
+
+    def test_decode_writes_the_nbest_columns(self, reranked):
+        for split in ("val", "testval"):
+            nbests = read_nbest_tsv(reranked / f"me_nbest_{split}.tsv")
+            assert {frozenset(hyp.features) for nb in nbests for hyp in nb.hypotheses} == {
+                frozenset(pipeline._NBEST_COLUMNS)}
+
+    def test_files_no_manifest_entry_records_are_read(self, trained, fixture_dir, tmp_path,
+                                                      capsys):
+        # As if the models came from outside the pipeline, as from `capkit train-me`.
+        manifest = read_json(trained / "manifest.json")
+        del manifest["stages"]["train_me"], manifest["stages"]["train_rnn"]
+        code, doc, _ = self.run_after(trained, fixture_dir, tmp_path, capsys, "decode",
+                                      {"manifest.json": json.dumps(manifest)})
+        assert code == 0 and doc is None
+
+    def test_a_file_unlike_its_manifest_entry_exits_2(self, fixture_dir, tmp_path, capsys):
+        """A run under config B that fails leaves config A's manifest beside
+        B's files; a later run under A that reads them stops at the first."""
+        run_dir = tmp_path / "run"
+        retrieval = {"k": 5, "m": 10}
+        config_a = write_config(tmp_path / "a.json", fixture_dir, hyperparameters=retrieval)
+        config_b = write_config(tmp_path / "b.json", fixture_dir, seed=4,
+                                hyperparameters=retrieval)
+
+        def run(config, stages):
+            capsys.readouterr()
+            code = run_cli("pipeline", "--config", config, "--out-dir", run_dir,
+                           "--stages", stages)
+            err = capsys.readouterr().err.strip()
+            return code, (json.loads(err) if err else None)
+
+        assert run(config_a, "ingest,knn,eval") == (0, None)
+        scores, manifest = read_json(run_dir / "scores.json"), read_json(run_dir / "manifest.json")
+        code, doc = run(config_b, "ingest,knn,decode")  # no me.model
+        assert code == 2 and "me.model" in doc["message"]
+        assert read_json(run_dir / "manifest.json") == manifest
+        for stages, name, producer in (("eval", "knn_consensus.tsv", "knn"),
+                                       ("knn,eval", "split.json", "ingest")):
+            assert run(config_a, stages) == (2, {"error": "MalformedInput", "message":
+                f"{run_dir / name}: checksum differs from the manifest's; "
+                f"run the '{producer}' stage again"})
+        assert run(config_a, "ingest,knn") == (0, None)
+        assert run(config_a, "eval") == (0, None)
+        assert read_json(run_dir / "scores.json") == scores
 
     def test_the_same_config_scores_every_recorded_system(self, reranked, fixture_dir,
                                                           tmp_path, capsys):
@@ -1178,18 +1230,39 @@ class TestBadValuesExit2:
         assert not out.exists()
 
     def test_pipeline_with_unknown_mert_feature(self, fixture_dir, tmp_path, capsys):
+        # decode writes no 'nope' column, so the run stops before any stage runs
         config_path = write_config(tmp_path / "config.json", fixture_dir, hyperparameters={
             "me_epochs": 1, "rnn_epochs": 1, "rnn_embed": 4, "rnn_hidden": 4,
             "beam": 3, "nbest": 5, "max_len": 8, "mert_features": ["logprob", "nope"],
         })
         run_dir = tmp_path / "run"
         capsys.readouterr()
-        assert run_cli("pipeline", "--config", config_path, "--out-dir", run_dir,
-                       "--stages", "ingest,train_me,train_rnn,decode,rerank") == 2
-        doc = json.loads(capsys.readouterr().err.strip())
-        assert doc["error"] == "SchemaMismatch" and "'nope'" in doc["message"]
-        assert (run_dir / "me_nbest_val.tsv").exists()
-        assert not (run_dir / "weights.json").exists()
+        assert run_cli("pipeline", "--config", config_path, "--out-dir", run_dir) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "MalformedInput",
+            "message": "the rerank stage weighs the columns of decode's n-best lists, but the "
+                       "config names mert_features outside logprob, length, covered, mrnn",
+        }
+        assert not run_dir.exists()
+
+    def test_detection_that_is_not_a_caption_token(self, fixture_dir, tmp_path, capsys):
+        lines = (fixture_dir / "detections.jsonl").read_text().splitlines()
+        assert json.loads(lines[0])["image_id"] == 101
+        path = tmp_path / "detections.jsonl"
+        path.write_text("\n".join([lines[0].replace('"bus"', '"BUS."')] + lines[1:]) + "\n")
+        config = write_config(tmp_path / "config.json", fixture_dir, paths={
+            "captions": str(fixture_dir / "captions.json"),
+            "features": str(fixture_dir / "features.fvec"),
+            "detections": str(path),
+        })
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", config, "--out-dir", tmp_path / "run",
+                       "--stages", "ingest") == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "MalformedInput",
+            "message": f"{path}:1: detection token 'BUS.' is not a caption token "
+                       "(it tokenizes to ['bus'])",
+        }
 
     def test_min_coverage_above_detection_count(self, fixture_dir, me_model, tmp_path, capsys):
         out = tmp_path / "nbest.tsv"

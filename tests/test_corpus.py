@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capkit.artifacts import read_captions_tsv
+from capkit import corpus
 from capkit.corpus import (
-    DetectionSet,
     FeatureStore,
     build_vocabulary,
     CaptionRecord,
@@ -263,18 +263,15 @@ class TestSplitDataset:
 
 
 class TestDetections:
-    def test_threshold_and_dedup(self):
-        det = DetectionSet.from_scored_words(
-            5, [("cat", 0.9), ("cat", 0.6), ("dog", 0.4), ("rug", 0.5)], threshold=0.5
-        )
-        assert det.words == {"cat": 0.9, "rug": 0.5}
+    def test_threshold_and_dedup(self, tmp_path):
+        path = write_detections_jsonl(tmp_path / "d.jsonl", {5: [
+            ("cat", 0.9), ("cat", 0.6), ("dog", 0.4), ("rug", 0.5), ("mat", 0.2), ("mat", 0.7),
+        ]})
+        assert load_detections(path, threshold=0.5) == {5: frozenset({"cat", "rug", "mat"})}
 
     def test_coverable_keeps_detected_candidates_but_end(self):
         vocab = Vocabulary(["cat", "dog"])
-        det = DetectionSet.from_scored_words(1, [
-            ("cat", 0.9), ("zebra", 0.9), (END_TOKEN, 0.9), (START_TOKEN, 0.9),
-            (UNK_TOKEN, 0.9), ("dog", 0.4),
-        ], threshold=0.5)
+        det = frozenset({"cat", "zebra", END_TOKEN, START_TOKEN, UNK_TOKEN})
         want = frozenset({"cat", UNK_TOKEN})
         assert coverable(det, vocab) == want
         assert coverable(det, vocab.candidate_tokens()) == want
@@ -285,7 +282,7 @@ class TestDetections:
             tmp_path / "d.jsonl", {7: [("cat", 0.8), ("mat", 0.2)]}
         )
         dets = load_detections(path, threshold=0.5)
-        assert dets[7].words == {"cat": 0.8}
+        assert dets[7] == {"cat"}
 
     def test_duplicate_image(self, tmp_path):
         lines = [
@@ -343,7 +340,43 @@ class TestDetections:
 
     def test_integer_score_accepted(self, tmp_path):
         path = write_detections_jsonl(tmp_path / "d.jsonl", {7: [("cat", 1), ("mat", 0)]})
-        assert load_detections(path, 0.5)[7].words == {"cat": 1.0}
+        assert load_detections(path, 0.5)[7] == {"cat"}
+
+    @pytest.mark.parametrize("token, tokens", [
+        ("BUS.", ["bus"]), ("Bus", ["bus"]), ("bus,", ["bus"]), ("-bus", ["bus"]),
+        ("two words", ["two", "words"]), ("bus\t", ["bus"]), ("...", []),
+    ])
+    def test_token_must_be_a_caption_token(self, tmp_path, token, tokens):
+        path = write_detections_jsonl(
+            tmp_path / "d.jsonl", {1: [("cat", 0.9)], 2: [("cat", 0.2), (token, 0.1)]}
+        )
+        with pytest.raises(MalformedInput) as info:
+            load_detections(path, 0.5)
+        assert str(info.value) == (
+            f"{path}:2: detection token {token!r} is not a caption token "
+            f"(it tokenizes to {tokens})"
+        )
+
+    def test_caption_tokens_pass(self, tmp_path):
+        words = [("well-known", 0.9), ("42", 0.9), ("café", 0.9)]
+        path = write_detections_jsonl(tmp_path / "d.jsonl", {1: words})
+        assert load_detections(path, 0.5) == {1: {"well-known", "42", "café"}}
+
+    def test_each_distinct_token_is_tokenized_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(corpus, "tokenize", counting_tokenize)
+        path = write_detections_jsonl(tmp_path / "d.jsonl", {
+            1: [("cat", 0.9), ("mat", 0.1), ("cat", 0.3)],
+            2: [("mat", 0.9), ("dog", 0.8)],
+            3: [("cat", 0.9)],
+        })
+        load_detections(path, 0.5)
+        assert sorted(calls) == ["cat", "dog", "mat"]
 
 
 # JSON values of any shape, including NaN and the infinities that Python's
@@ -399,9 +432,8 @@ class TestParserFuzz:
             return
         for image_id, det in detections.items():
             assert type(image_id) is int
-            assert all(isinstance(tok, str) and tok for tok in det.words)
-            assert all(type(score) is float and math.isfinite(score)
-                       for score in det.words.values())
+            assert type(det) is frozenset
+            assert all(isinstance(tok, str) and tokenize(tok) == [tok] for tok in det)
 
     @settings(max_examples=300, deadline=None)
     @given(doc=(_caption_docs | _json_values).map(json.dumps) | st.text(max_size=20))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from capkit.corpus import CaptionRecord, DetectionSet, END_TOKEN, Vocabulary
+from capkit.corpus import CaptionRecord, END_TOKEN, Vocabulary
 from capkit.decoding import (
     MaxEntScorer,
     RecurrentScorer,
@@ -155,7 +155,7 @@ class TestScorerRowsChecked:
         scorer = BrokenRowScorer(["a", "b"], 0, at, broken)
         with pytest.raises(DimensionMismatch):
             beam_search(scorer, None, beam_size=3, max_len=4, n_best=3)
-        detections = DetectionSet.from_scored_words(1, [("a", 0.9)], 0.5)
+        detections = frozenset({"a"})
         with pytest.raises(DimensionMismatch):
             coverage_beam_search(scorer, detections, beam_size=3, max_len=4, n_best=3,
                                  min_coverage=1)
@@ -192,7 +192,7 @@ class CoverageAwareScorer(TableScorer):
 
 class TestCoverageBeamSearch:
     def _detections(self, words):
-        return DetectionSet.from_scored_words(7, [(w, 0.9) for w in words], 0.5)
+        return frozenset(words)
 
     def test_min_coverage_zero_reduces_to_plain(self):
         for seed in range(10):
@@ -279,7 +279,7 @@ class TestCoverageBeamSearch:
         with pytest.raises(InputDataError, match="^image 7: min_coverage 4 exceeds "
                                                   "detection count 3$"):
             coverage_beam_search(scorer, detections, beam_size=4, max_len=8, n_best=4,
-                                 min_coverage=4)
+                                 min_coverage=4, image_id=7)
         assert coverage_beam_search(scorer, detections, beam_size=4, max_len=8, n_best=4,
                                     min_coverage=3).complete
 
@@ -309,7 +309,7 @@ class TestModelScorers:
             conditioning = np.linspace(-1, 1, 5)
             result = beam_search(scorer, conditioning, beam_size=3, max_len=4, n_best=3)
         else:
-            detections = DetectionSet.from_scored_words(1, [("a", 0.9)], 0.5)
+            detections = frozenset({"a"})
             conditioning = detections
             result = coverage_beam_search(
                 scorer, detections, beam_size=3, max_len=4, n_best=3, min_coverage=0
@@ -373,7 +373,7 @@ class TestOneModelStepPerPosition:
         if mode == MODE_IMAGE_INITIAL:
             conditioning = np.linspace(-1, 1, 5)
         else:
-            conditioning = DetectionSet.from_scored_words(1, [("a", 0.9), ("c", 0.8)], 0.5)
+            conditioning = frozenset({"a", "c"})
         rescore_logprob(base, scorer, conditioning, "rnn")
         prefixes = {h.tokens[:k] for h in base.hypotheses for k in range(len(h.tokens) + 1)}
         assert len(prefixes) < sum(len(h.tokens) + 1 for h in base.hypotheses)
@@ -382,7 +382,7 @@ class TestOneModelStepPerPosition:
 
 class TestSequenceLogprob:
     def test_detection_conditioning_shrinks_remaining(self):
-        detections = DetectionSet.from_scored_words(2, [("cat", 0.9), ("dog", 0.8)], 0.5)
+        detections = frozenset({"cat", "dog"})
         seen = []
 
         class Recording(CoverageAwareScorer):
@@ -401,7 +401,7 @@ class TestSequenceLogprob:
         assert seen == [None, None, None]
 
     def test_coverage_rescore_reproduces_search_logprob(self):
-        detections = DetectionSet.from_scored_words(2, [("cat", 0.9), ("dog", 0.8)], 0.5)
+        detections = frozenset({"cat", "dog"})
         checked = 0
         for seed in range(5):
             scorer = CoverageAwareScorer(["cat", "dog", "a"], seed)
@@ -424,12 +424,12 @@ class TestTrainingAndScoringShareCoverage:
     CAPTIONS = [("a", "cat", "sat"), ("a", "dog"), ("a", "zebra", "cat")]
 
     def _detections(self, *extra):
-        return DetectionSet.from_scored_words(1, [("cat", 0.9), *extra], 0.5)
+        return frozenset({"cat", *extra})
 
     def test_maxent(self):
         config = MaxEntTrainConfig(epochs=3, learning_rate=0.3, l2=0.0, seed=0)
         models = []
-        for det in (self._detections(), self._detections(("zebra", 0.8), (END_TOKEN, 0.7))):
+        for det in (self._detections(), self._detections("zebra", END_TOKEN)):
             pairs = [(CaptionRecord(1, tokens), det) for tokens in self.CAPTIONS]
             lm = train_maxent(pairs, config, self.VOCAB)
             assert lm.coverage[END_PENDING] != 0.0
@@ -454,7 +454,7 @@ class TestTrainingAndScoringShareCoverage:
         config = RecurrentConfig(MODE_COVERAGE_AUX, embed_dim=3, hidden_dim=4,
                                  feature_dim=None, seed=2)
         models = []
-        for det in (self._detections(), self._detections(("zebra", 0.8), (END_TOKEN, 0.7))):
+        for det in (self._detections(), self._detections("zebra", END_TOKEN)):
             lm = RecurrentLM(self.VOCAB, config)
             train(lm, [(det, list(tokens)) for tokens in self.CAPTIONS],
                   RnnTrainConfig(epochs=2, learning_rate=0.3, clip=5.0, seed=0))

@@ -45,9 +45,9 @@ def test_library_has_no_hyperparameter_defaults():
         for module in (analysis, corpus, decoding, knn, maxent, pipeline, recurrent, rerank)
         for name in vars(module) if name.startswith("DEFAULT_")
     }
-    assert constants == {"capkit.knn.DEFAULT_MAX_ORDER", "capkit.pipeline.DEFAULT_HYPERPARAMETERS"}
+    assert constants == {"capkit.pipeline.DEFAULT_HYPERPARAMETERS"}
     # the consensus n-gram order is a constant of the method, not a hyperparameter
-    assert knn.DEFAULT_MAX_ORDER == 4
+    assert knn.MAX_ORDER == 4
 
 
 def test_pipeline_defaults():

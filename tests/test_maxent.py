@@ -9,7 +9,6 @@ from capkit.corpus import (
     END_TOKEN,
     START_ID,
     CaptionRecord,
-    DetectionSet,
     Vocabulary,
     build_vocabulary,
 )
@@ -212,7 +211,7 @@ class TestTraining:
         assert pplx == pytest.approx(math.exp(-logprob / 3))
 
     def test_coverage_features_used(self):
-        det = DetectionSet.from_scored_words(1, [("b", 0.9)], 0.5)
+        det = frozenset({"b"})
         records = [(CaptionRecord(i, ("a", "b")), det) for i in range(100)]
         lm = _train(records, MaxEntTrainConfig(epochs=4, learning_rate=0.3, l2=1e-6, seed=0))
         # with "b" still uncovered, ending is penalized relative to covered state
@@ -243,7 +242,7 @@ class TestGradient:
 
 
 def _trained_with_detections():
-    det = DetectionSet.from_scored_words(1, [("b", 0.9)], 0.5)
+    det = frozenset({"b"})
     return _train(
         [(r, det) for r in _toy_records(20)],
         MaxEntTrainConfig(epochs=2, learning_rate=0.1, l2=1e-6, seed=0),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capkit._binio import pack_str
-from capkit.corpus import END_ID, RESERVED_TOKENS, DetectionSet, Vocabulary
+from capkit.corpus import END_ID, RESERVED_TOKENS, Vocabulary
 from capkit.decoding import RecurrentScorer, sequence_logprob
 from capkit.errors import DegenerateCorpus, DimensionMismatch, MalformedInput
 from capkit.recurrent import (
@@ -40,8 +40,8 @@ def small_lm(mode, seed=0, feature_dim=6):
 
 
 def detected(*words):
-    """A DetectionSet of ``words``, in that order, all above threshold."""
-    return DetectionSet.from_scored_words(0, [(w, 0.9) for w in words], 0.5)
+    """The detected words ``words``, as the set ``load_detections`` gives."""
+    return frozenset(words)
 
 
 def conditioning_for(mode, seed=0):
